@@ -19,7 +19,6 @@ use snappix_serve::{ServeError, Server, Ticket};
 use snappix_stream::{
     Event, EventDetector, FrameSource, OverloadPolicy, Smoother, Smoothing, WindowAssembler,
 };
-use snappix_trace::Tracer;
 
 /// The two event kinds a node alternates between on the virtual-time
 /// heap.
@@ -58,10 +57,8 @@ pub(crate) struct Node<'a> {
     slept: u64,
     rung_changes: u64,
     events: Vec<Event>,
-    /// The node-local span sequence: strictly increasing per node, so
-    /// every `(lane = node, span_id = seq)` pair the node records into
-    /// the shared tracer is unique and snapshot order is deterministic.
-    trace_seq: u64,
+    /// The node's slice of the report trace, in virtual-time order.
+    trace: Vec<TraceEvent>,
     first_sleep_us: Option<u64>,
     end_us: u64,
 }
@@ -144,37 +141,31 @@ impl<'a> Node<'a> {
             slept: 0,
             rung_changes: 0,
             events: Vec::new(),
-            trace_seq: 0,
+            trace: Vec::new(),
             first_sleep_us: None,
             end_us: 0,
             config,
         })
     }
 
+    /// Appends one event to the node's trace.
+    fn record(&mut self, at_us: u64, window: usize, kind: TraceKind) {
+        self.trace.push(TraceEvent {
+            at_us,
+            node: self.id,
+            window,
+            kind,
+        });
+    }
+
     /// Processes one [`NodeEvent::Advance`]: pull a frame, harvest,
     /// and — if a window completed — step the ladder and decide the
     /// window's fate. Returns the node's next event, or `None` when the
     /// source is exhausted.
-    /// Records one fleet event into the shared tracer as a raw span on
-    /// this node's lane (see [`TraceEvent::to_record`]).
-    fn record(&mut self, tracer: &Tracer, at_us: u64, window: usize, kind: TraceKind) {
-        self.trace_seq += 1;
-        tracer.record_raw(
-            TraceEvent {
-                at_us,
-                node: self.id,
-                window,
-                kind,
-            }
-            .to_record(self.trace_seq),
-        );
-    }
-
     pub(crate) fn advance(
         &mut self,
         at_us: u64,
         server: &Server,
-        tracer: &Tracer,
     ) -> Result<Option<(u64, NodeEvent)>, FleetError> {
         debug_assert!(self.in_flight.is_none(), "one event in flight per node");
         let Some(frame) = self.source.next_frame()? else {
@@ -190,8 +181,8 @@ impl<'a> Node<'a> {
         let submitted = match self.assembler.push(&frame)? {
             Some(window) => {
                 let index = self.assembler.windows_out() - 1;
-                self.step_ladder(at_us, index, tracer);
-                self.decide(at_us, index, window, server, tracer)?
+                self.step_ladder(at_us, index);
+                self.decide(at_us, index, window, server)?
             }
             None => false,
         };
@@ -205,11 +196,7 @@ impl<'a> Node<'a> {
     /// Processes one [`NodeEvent::Collect`]: block on the in-flight
     /// ticket, fold the prediction into smoothing/eventing, and schedule
     /// the next frame.
-    pub(crate) fn collect(
-        &mut self,
-        at_us: u64,
-        tracer: &Tracer,
-    ) -> Result<Option<(u64, NodeEvent)>, FleetError> {
+    pub(crate) fn collect(&mut self, at_us: u64) -> Result<Option<(u64, NodeEvent)>, FleetError> {
         let (index, ticket) = self
             .in_flight
             .take()
@@ -218,7 +205,6 @@ impl<'a> Node<'a> {
             Ok(prediction) => {
                 self.inferred += 1;
                 self.record(
-                    tracer,
                     at_us,
                     index,
                     TraceKind::Inferred {
@@ -236,7 +222,7 @@ impl<'a> Node<'a> {
                 // transmission happened on the node; the server-side
                 // queue expiring the work refunds nothing.
                 self.expired += 1;
-                self.record(tracer, at_us, index, TraceKind::Expired);
+                self.record(at_us, index, TraceKind::Expired);
             }
             Err(e) => return Err(e.into()),
         }
@@ -244,7 +230,7 @@ impl<'a> Node<'a> {
     }
 
     /// One deterministic ladder step ahead of a window decision.
-    fn step_ladder(&mut self, at_us: u64, window: usize, tracer: &Tracer) {
+    fn step_ladder(&mut self, at_us: u64, window: usize) {
         let next = self
             .config
             .ladder
@@ -253,7 +239,6 @@ impl<'a> Node<'a> {
             return;
         }
         self.record(
-            tracer,
             at_us,
             window,
             TraceKind::Rung {
@@ -284,15 +269,14 @@ impl<'a> Node<'a> {
         index: usize,
         window: snappix_tensor::Tensor,
         server: &Server,
-        tracer: &Tracer,
     ) -> Result<bool, FleetError> {
         match self.rung {
             DutyRung::Sleep => {
-                self.sleep(at_us, index, tracer);
+                self.sleep(at_us, index);
                 Ok(false)
             }
             DutyRung::Shed => {
-                self.shed_window(at_us, index, tracer);
+                self.shed_window(at_us, index);
                 Ok(false)
             }
             DutyRung::Full | DutyRung::ReducedRate | DutyRung::LiteSmoothing => {
@@ -303,17 +287,17 @@ impl<'a> Node<'a> {
                 };
                 if !index.is_multiple_of(divisor) {
                     // Rate-skip: the node powers down for this window.
-                    self.sleep(at_us, index, tracer);
+                    self.sleep(at_us, index);
                     return Ok(false);
                 }
                 if !self.config.budget.can_afford(self.infer_cost_pj) {
                     // The ladder reacts one window late by design (one
                     // rung per window); an already-flat budget degrades
                     // immediately instead of going negative.
-                    self.shed_window(at_us, index, tracer);
+                    self.shed_window(at_us, index);
                     return Ok(false);
                 }
-                self.submit(at_us, index, window, server, tracer)
+                self.submit(at_us, index, window, server)
             }
         }
     }
@@ -326,7 +310,6 @@ impl<'a> Node<'a> {
         index: usize,
         window: snappix_tensor::Tensor,
         server: &Server,
-        tracer: &Tracer,
     ) -> Result<bool, FleetError> {
         let admitted = match (self.config.overload, self.config.deadline) {
             (OverloadPolicy::Block, None) => server.submit(&window).map(Some),
@@ -355,39 +338,39 @@ impl<'a> Node<'a> {
             None => {
                 // Server-side shed: the capture happened, readout and
                 // transmission did not.
-                self.shed_window(at_us, index, tracer);
+                self.shed_window(at_us, index);
                 Ok(false)
             }
         }
     }
 
     /// Pays for (or degrades) a captured-but-not-inferred window.
-    fn shed_window(&mut self, at_us: u64, index: usize, tracer: &Tracer) {
+    fn shed_window(&mut self, at_us: u64, index: usize) {
         if self.config.budget.try_spend(self.shed_cost_pj) {
             self.shed += 1;
-            self.record(tracer, at_us, index, TraceKind::Shed);
+            self.record(at_us, index, TraceKind::Shed);
         } else {
             // Cannot even afford the exposure: the window is slept
             // through instead.
-            self.sleep(at_us, index, tracer);
+            self.sleep(at_us, index);
         }
     }
 
     /// Sleeps through a window, paying whatever sleep cost is
     /// affordable (a flat battery sleeps for free).
-    fn sleep(&mut self, at_us: u64, index: usize, tracer: &Tracer) {
+    fn sleep(&mut self, at_us: u64, index: usize) {
         let _ = self
             .config
             .budget
             .try_spend(self.config.sleep_pj_per_window);
         self.slept += 1;
-        self.record(tracer, at_us, index, TraceKind::Slept);
+        self.record(at_us, index, TraceKind::Slept);
     }
 
-    /// Final accounting: stats and label events (the trace lives in the
-    /// shared tracer; [`FleetSim::run`](crate::FleetSim::run)
-    /// reconstructs the merged event log from a snapshot).
-    pub(crate) fn finish(self) -> (NodeStats, Vec<Event>) {
+    /// Final accounting: stats, label events, and the node's trace
+    /// (which [`FleetSim::run`](crate::FleetSim::run) merges across
+    /// nodes).
+    pub(crate) fn finish(self) -> (NodeStats, Vec<Event>, Vec<TraceEvent>) {
         let budget = &self.config.budget;
         let stats = NodeStats {
             frames: self.assembler.frames_in() as u64,
@@ -408,7 +391,7 @@ impl<'a> Node<'a> {
             first_sleep_us: self.first_sleep_us,
             end_us: self.end_us,
         };
-        (stats, self.events)
+        (stats, self.events, self.trace)
     }
 
     /// The per-window inference cost the node was priced at, pJ.

@@ -87,23 +87,15 @@ pub struct FleetSim<'a> {
     tracer: Tracer,
 }
 
-/// Ring capacity of the simulator's default private tracer, per
-/// recording (driver) thread. Fleet events are ~100 bytes each and only
-/// allocate as recorded, so a generous cap costs nothing up front —
-/// and a cap large enough for whole runs is what keeps the report's
-/// trace complete and replayable whatever the driver count (dropped
-/// records would depend on how events spread across driver rings).
-const DEFAULT_FLEET_RING: usize = 1 << 20;
-
 impl<'a> FleetSim<'a> {
-    /// A simulator over `server` with a single driver thread and a
-    /// private event recorder.
+    /// A simulator over `server` with a single driver thread and no
+    /// trace export.
     pub fn new(server: &'a Server) -> Self {
         FleetSim {
             server,
             drivers: 1,
             nodes: Vec::new(),
-            tracer: Tracer::builder().ring_capacity(DEFAULT_FLEET_RING).build(),
+            tracer: Tracer::disabled(),
         }
     }
 
@@ -116,19 +108,18 @@ impl<'a> FleetSim<'a> {
         self
     }
 
-    /// Replaces the simulator's private event recorder with `tracer` —
-    /// typically a clone of the served [`Server`]'s tracer, so fleet
-    /// events (virtual-time instants, one lane per node) and the
-    /// serving layer's spans land in one snapshot and one Chrome-trace
-    /// export. Keep a clone to snapshot after [`run`](Self::run).
+    /// Exports the run's events into `tracer` — typically a clone of
+    /// the served [`Server`]'s tracer, so fleet events (virtual-time
+    /// instants, one lane per node) and the serving layer's spans land
+    /// in one snapshot and one Chrome-trace export. Keep a clone to
+    /// snapshot after [`run`](Self::run).
     ///
-    /// The report's [`trace`](FleetReport::trace) is reconstructed from
-    /// this tracer's contents, so a *disabled* tracer means an empty
-    /// report trace, a shared tracer should be
-    /// [`cleared`](Tracer::clear) between runs (stale events would be
-    /// double-counted), and its ring capacity bounds how much of a long
-    /// run survives (the private default keeps 2^20 events per driver
-    /// thread).
+    /// The tracer receives a copy of the report's
+    /// [`trace`](FleetReport::trace) once the run completes. The
+    /// report never reads it back, so the tracer's ring capacity bounds
+    /// only the export: a small ring drops the oldest exported events
+    /// and leaves the report whole. Defaults to [`Tracer::disabled`],
+    /// which exports nothing.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
@@ -201,7 +192,7 @@ impl<'a> FleetSim<'a> {
 
         std::thread::scope(|scope| {
             for _ in 0..drivers {
-                scope.spawn(|| drive(&state, &idle, &nodes, server, &tracer));
+                scope.spawn(|| drive(&state, &idle, &nodes, server));
             }
         });
 
@@ -211,24 +202,27 @@ impl<'a> FleetSim<'a> {
         }
 
         let mut reports = Vec::with_capacity(nodes.len());
+        let mut trace = Vec::new();
         for (id, node) in nodes.into_iter().enumerate() {
             let node = node.into_inner().unwrap_or_else(|p| p.into_inner());
-            let (stats, events) = node.finish();
+            let (stats, events, node_trace) = node.finish();
             debug_assert!(stats.check_conserved(), "node {id} ledgers out of balance");
+            trace.extend(node_trace);
             reports.push(NodeReport { id, stats, events });
         }
-        // The merged event log comes back out of the shared recorder:
-        // the snapshot's (start_us, lane, span_id) order *is* the
-        // report's (virtual time, node, per-node sequence) order — no
-        // re-sort needed, whatever driver thread recorded each event.
-        // Non-fleet records (a shared tracer also carries serving-layer
-        // spans) decode to None and drop out.
-        let trace: Vec<TraceEvent> = tracer
-            .snapshot()
-            .records
-            .iter()
-            .filter_map(TraceEvent::from_record)
-            .collect();
+        // Each node's events are already in virtual-time order, so a
+        // stable sort of the node-ordered concatenation yields
+        // (virtual time, node, per-node sequence) order.
+        trace.sort_by_key(|e| (e.at_us, e.node));
+        if tracer.is_enabled() {
+            // Export in report order, numbering each node's events from
+            // 1, so a ring too small for the run keeps its latest events.
+            let mut seq = vec![0u64; reports.len()];
+            for event in &trace {
+                seq[event.node] += 1;
+                tracer.record_raw(event.to_record(seq[event.node]));
+            }
+        }
         let stats = FleetStats::aggregate(reports.iter().map(|n| &n.stats));
         debug_assert!(stats.check_conserved(), "fleet ledger out of balance");
         Ok(FleetReport {
@@ -243,13 +237,7 @@ impl<'a> FleetSim<'a> {
 /// One driver thread: pop the earliest event, run it against its node,
 /// push the follow-up. Exits when the heap is empty with nothing in
 /// process, or the run stops on an error.
-fn drive(
-    state: &Mutex<SimState>,
-    idle: &Condvar,
-    nodes: &[Mutex<Node<'_>>],
-    server: &Server,
-    tracer: &Tracer,
-) {
+fn drive(state: &Mutex<SimState>, idle: &Condvar, nodes: &[Mutex<Node<'_>>], server: &Server) {
     loop {
         let scheduled = {
             let mut st = lock(state);
@@ -277,8 +265,8 @@ fn drive(
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut node = lock(&nodes[scheduled.node]);
             match scheduled.kind {
-                NodeEvent::Advance => node.advance(scheduled.due_us, server, tracer),
-                NodeEvent::Collect => node.collect(scheduled.due_us, tracer),
+                NodeEvent::Advance => node.advance(scheduled.due_us, server),
+                NodeEvent::Collect => node.collect(scheduled.due_us),
             }
         }));
         let Ok(outcome) = outcome else {

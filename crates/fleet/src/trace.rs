@@ -1,14 +1,15 @@
-//! The deterministic event trace of a fleet run, recorded through the
-//! workspace's shared span recorder (`snappix-trace`).
+//! The deterministic event trace of a fleet run, and its export into
+//! the workspace's shared span recorder (`snappix-trace`).
 //!
-//! A fleet event is a zero-duration span on the *background* trace
-//! (`trace_id` 0): its lane is the node id (one Perfetto row per
+//! The simulator keeps the trace itself; a tracer only receives a copy.
+//! An exported fleet event is a zero-duration span on the *background*
+//! trace (`trace_id` 0): its lane is the node id (one Perfetto row per
 //! virtual node), its span id is the node's own event sequence, and its
 //! timestamps are virtual microseconds — so a fleet trace exported with
 //! [`TraceSnapshot::to_chrome_json`](snappix_trace::TraceSnapshot::to_chrome_json)
 //! renders the whole fleet's timeline, and the snapshot's
 //! `(start_us, lane, span_id)` ordering reproduces the report's merged
-//! `(virtual time, node)` order exactly, whatever the driver count.
+//! `(virtual time, node)` order exactly.
 
 use crate::DutyRung;
 use snappix_trace::{ArgValue, SpanRecord};
@@ -98,32 +99,6 @@ impl TraceEvent {
             args,
         }
     }
-
-    /// Decode a span record written by [`to_record`](Self::to_record).
-    /// Returns `None` for records that are not fleet events (a shared
-    /// tracer also carries the serving layer's spans).
-    pub(crate) fn from_record(record: &SpanRecord) -> Option<TraceEvent> {
-        let arg = |key: &str| record.arg(key).and_then(ArgValue::as_u64);
-        let kind = match record.name {
-            "inferred" => TraceKind::Inferred {
-                label: arg("label")? as usize,
-            },
-            "shed" => TraceKind::Shed,
-            "slept" => TraceKind::Slept,
-            "expired" => TraceKind::Expired,
-            "rung" => TraceKind::Rung {
-                from: DutyRung::from_depth(arg("from")? as usize),
-                to: DutyRung::from_depth(arg("to")? as usize),
-            },
-            _ => return None,
-        };
-        Some(TraceEvent {
-            at_us: record.start_us,
-            node: record.lane as usize,
-            window: arg("window")? as usize,
-            kind,
-        })
-    }
 }
 
 impl fmt::Display for TraceEvent {
@@ -171,36 +146,5 @@ mod tests {
         ] {
             assert!(TraceEvent { kind, ..base }.to_string().contains(needle));
         }
-    }
-
-    #[test]
-    fn events_round_trip_through_span_records() {
-        let base = TraceEvent {
-            at_us: 1_250,
-            node: 17,
-            window: 9,
-            kind: TraceKind::Shed,
-        };
-        for kind in [
-            TraceKind::Inferred { label: 3 },
-            TraceKind::Shed,
-            TraceKind::Slept,
-            TraceKind::Expired,
-            TraceKind::Rung {
-                from: DutyRung::ReducedRate,
-                to: DutyRung::LiteSmoothing,
-            },
-        ] {
-            let event = TraceEvent { kind, ..base };
-            let record = event.to_record(42);
-            assert_eq!(record.trace_id, 0, "fleet events are background spans");
-            assert_eq!((record.lane, record.span_id), (17, 42));
-            assert_eq!(record.duration_us(), 0, "events are instants");
-            assert_eq!(TraceEvent::from_record(&record), Some(event));
-        }
-        // Foreign records (a serving-layer span, say) decode to None.
-        let mut foreign = base.to_record(1);
-        foreign.name = "batch";
-        assert_eq!(TraceEvent::from_record(&foreign), None);
     }
 }

@@ -69,7 +69,8 @@ fn expect_format(name: &str, bytes: &[u8], needle: &str) {
 }
 
 fn pristine_bytes() -> Vec<u8> {
-    let path = temp_path("pristine");
+    // Per-thread file: tests run in parallel and each removes its copy.
+    let path = temp_path(&format!("pristine_{:?}", std::thread::current().id()));
     write_artifact(&sample_store(), &path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(path).ok();

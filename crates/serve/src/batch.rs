@@ -52,8 +52,8 @@ impl BatchPolicy {
 }
 
 impl Default for BatchPolicy {
-    /// Batch up to 8 clips (the micro-batch size `Pipeline` defaults to)
-    /// holding partial batches open for at most 2 ms.
+    /// Batch up to 8 clips, holding partial batches open for at most
+    /// 2 ms.
     fn default() -> Self {
         BatchPolicy::new(8, Duration::from_millis(2))
     }

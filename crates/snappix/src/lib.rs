@@ -63,22 +63,14 @@
 //! // 4. Deploy: a batched engine over the simulated sensor hardware.
 //! let mut pipeline = Pipeline::builder(model)
 //!     .with_hardware_sensor(ReadoutConfig::default())?
-//!     .with_max_pending(8)
 //!     .build()?;
 //!
-//! // Batched inference: one forward pass for the whole batch.
-//! let batch = test.batch(0, 8);
-//! let out = pipeline.infer(&batch.videos)?;
-//! println!("predicted {:?}, truth {:?}", out.labels, batch.labels);
-//!
-//! // Single-clip callers reach the same batched path via submit/flush.
-//! for i in 0..test.len() {
-//!     if let Some(done) = pipeline.submit(test.sample(i).video.frames())? {
-//!         println!("micro-batch of {} classified", done.len());
-//!     }
+//! // Batched inference: one forward pass per chunk of 8 clips.
+//! for start in (0..test.len()).step_by(8) {
+//!     let batch = test.batch(start, 8.min(test.len() - start));
+//!     let out = pipeline.infer(&batch.videos)?;
+//!     println!("predicted {:?}, truth {:?}", out.labels, batch.labels);
 //! }
-//! let rest = pipeline.flush()?;
-//! println!("{} stragglers classified", rest.len());
 //! # Ok(())
 //! # }
 //! ```

@@ -141,7 +141,7 @@ pub struct Prediction {
 }
 
 /// Result of one batched inference: per-clip logits and labels, in the
-/// order the clips were passed (or submitted).
+/// order the clips were passed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Inference {
     /// Raw class logits `[batch, classes]`.
@@ -152,8 +152,8 @@ pub struct Inference {
 
 impl Inference {
     /// An inference over zero clips: `[0, num_classes]` logits, no
-    /// labels. This is what [`Pipeline::flush`] returns on an empty
-    /// queue and [`Pipeline::infer`] returns for a `[0, t, h, w]` batch.
+    /// labels. This is what [`Pipeline::infer`] returns for a
+    /// `[0, t, h, w]` batch.
     pub fn empty(num_classes: usize) -> Self {
         Inference {
             logits: Tensor::zeros(&[0, num_classes]),
@@ -166,8 +166,7 @@ impl Inference {
         self.labels.len()
     }
 
-    /// Returns `true` when no clips were inferred (e.g. flushing an
-    /// empty queue).
+    /// Returns `true` when no clips were inferred (an empty batch).
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
@@ -298,7 +297,6 @@ impl IntoIterator for Inference {
 pub struct PipelineBuilder<S: Sense = AlgorithmicEncoder> {
     model: SnapPixAr,
     backend: S,
-    max_pending: usize,
     threads: Option<usize>,
     tracer: Tracer,
 }
@@ -319,7 +317,6 @@ impl<S: Sense> PipelineBuilder<S> {
         PipelineBuilder {
             model: self.model,
             backend,
-            max_pending: self.max_pending,
             threads: self.threads,
             tracer: self.tracer,
         }
@@ -351,19 +348,9 @@ impl<S: Sense> PipelineBuilder<S> {
         Ok(PipelineBuilder {
             model: self.model,
             backend,
-            max_pending: self.max_pending,
             threads: self.threads,
             tracer: self.tracer,
         })
-    }
-
-    /// Sets the micro-batch size of the [`Pipeline::submit`] queue: once
-    /// this many clips are pending, `submit` flushes them through one
-    /// batched forward pass. Defaults to 8.
-    #[must_use]
-    pub fn with_max_pending(mut self, max_pending: usize) -> Self {
-        self.max_pending = max_pending.max(1);
-        self
     }
 
     /// Attaches a span recorder: the pipeline emits `sense`/`forward`/
@@ -464,8 +451,6 @@ impl<S: Sense> PipelineBuilder<S> {
             model: self.model,
             backend: self.backend,
             pool: SessionPool::new(),
-            pending: Vec::new(),
-            max_pending: self.max_pending,
             threads: self.threads,
             tracer: self.tracer,
             profile: PipelineProfile::default(),
@@ -514,8 +499,9 @@ impl<S: Sense> PipelineBuilder<S> {
 /// a node serving heavy traffic needs, instead of the per-clip
 /// allocate-and-drop of the retired `SnapPixSystem`.
 ///
-/// Single-clip callers can still reach batched throughput through the
-/// [`submit`](Self::submit)/[`flush`](Self::flush) micro-batching queue.
+/// Single-clip callers on many threads reach batched throughput through
+/// `snappix-serve`, whose dynamic batcher coalesces their clips into
+/// `infer` calls.
 ///
 /// # Examples
 ///
@@ -536,8 +522,6 @@ pub struct Pipeline<S: Sense = AlgorithmicEncoder> {
     model: SnapPixAr,
     backend: S,
     pool: SessionPool,
-    pending: Vec<Tensor>,
-    max_pending: usize,
     threads: Option<usize>,
     tracer: Tracer,
     profile: PipelineProfile,
@@ -548,8 +532,6 @@ impl<S: Sense> std::fmt::Debug for Pipeline<S> {
         f.debug_struct("Pipeline")
             .field("model", &self.model.name().to_string())
             .field("classes", &self.model.num_classes())
-            .field("pending", &self.pending.len())
-            .field("max_pending", &self.max_pending)
             .finish()
     }
 }
@@ -564,7 +546,6 @@ impl Pipeline<AlgorithmicEncoder> {
         PipelineBuilder {
             model,
             backend,
-            max_pending: 8,
             threads: None,
             tracer: Tracer::disabled(),
         }
@@ -578,8 +559,7 @@ impl<S: Sense + Clone> Pipeline<S> {
     /// The weights are moved into shared read-only storage first (hence
     /// `&mut self`), so the replica references the same buffers as this
     /// pipeline instead of deep-copying them. The replica gets its own
-    /// backend state, a fresh session, and an *empty* micro-batch queue
-    /// (clips pending in this pipeline are not copied). Because `self`
+    /// backend state and a fresh session. Because `self`
     /// was already validated at build time, no re-validation is needed —
     /// this is the cheap way to scale an existing engine across worker
     /// threads.
@@ -589,8 +569,6 @@ impl<S: Sense + Clone> Pipeline<S> {
             model: self.model.clone(),
             backend: self.backend.clone(),
             pool: SessionPool::new(),
-            pending: Vec::new(),
-            max_pending: self.max_pending,
             threads: self.threads,
             tracer: self.tracer.clone(),
             profile: PipelineProfile::default(),
@@ -620,17 +598,6 @@ where
     /// Number of output classes.
     pub fn num_classes(&self) -> usize {
         self.model.num_classes()
-    }
-
-    /// Clips currently queued by [`submit`](Self::submit).
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The micro-batch size at which [`submit`](Self::submit)
-    /// auto-flushes.
-    pub fn max_pending(&self) -> usize {
-        self.max_pending
     }
 
     /// The pinned worker count, if [`PipelineBuilder::with_threads`] set
@@ -724,10 +691,9 @@ where
 
     /// Classifies one `[t, h, w]` clip.
     ///
-    /// Prefer [`infer`](Self::infer) (or
-    /// [`submit`](Self::submit)/[`flush`](Self::flush)) when more than
-    /// one clip is available — the batched path is substantially faster
-    /// than a loop over this method.
+    /// Prefer [`infer`](Self::infer) when more than one clip is
+    /// available — the batched path is substantially faster than a loop
+    /// over this method.
     ///
     /// # Errors
     ///
@@ -755,57 +721,6 @@ where
     /// Fails when the clip does not match the backend or the model.
     pub fn classify(&mut self, clip: &Tensor) -> Result<usize, Error> {
         Ok(self.infer_clip(clip)?.label)
-    }
-
-    /// Queues one `[t, h, w]` clip for micro-batched inference.
-    ///
-    /// Returns `Ok(None)` while the queue is filling; once
-    /// [`max_pending`](Self::max_pending) clips are pending the queue is
-    /// flushed through one batched forward pass and the drained batch's
-    /// [`Inference`] is returned (clip order = submission order). Call
-    /// [`flush`](Self::flush) to force out a partial batch.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the clip does not match the model's `[t, h, w]`
-    /// geometry — rejected up front so one bad clip can never poison an
-    /// already-filled queue at flush time. Sensing/model errors still
-    /// surface at flush time.
-    pub fn submit(&mut self, clip: &Tensor) -> Result<Option<Inference>, Error> {
-        let cfg = self.model.encoder().config();
-        let expected = [self.model.mask().num_slots(), cfg.height, cfg.width];
-        if clip.shape() != expected {
-            return Err(Error::Pipeline {
-                context: format!(
-                    "submit expects a [t, h, w] = {expected:?} clip, got {:?}",
-                    clip.shape()
-                ),
-            });
-        }
-        self.pending.push(clip.clone());
-        if self.pending.len() >= self.max_pending {
-            return Ok(Some(self.flush()?));
-        }
-        Ok(None)
-    }
-
-    /// Drains the [`submit`](Self::submit) queue through one batched
-    /// forward pass.
-    ///
-    /// Flushing an empty queue returns an empty [`Inference`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when a queued clip does not match the backend or the model;
-    /// the queue is drained either way.
-    pub fn flush(&mut self) -> Result<Inference, Error> {
-        if self.pending.is_empty() {
-            return Ok(Inference::empty(self.model.num_classes()));
-        }
-        let pending = std::mem::take(&mut self.pending);
-        let refs: Vec<&Tensor> = pending.iter().collect();
-        let clips = Tensor::stack(&refs, 0)?;
-        self.infer(&clips)
     }
 
     /// One batched forward pass over already-coded `[batch, h, w]`
@@ -902,44 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_flush_microbatches_in_order() {
-        let mut p = Pipeline::builder(model())
-            .with_max_pending(2)
-            .build()
-            .unwrap();
-        assert_eq!(p.max_pending(), 2);
-        let clips = clips(3);
-        let c: Vec<Tensor> = (0..3).map(|b| clips.index_axis(0, b).unwrap()).collect();
-
-        assert!(p.submit(&c[0]).unwrap().is_none());
-        assert_eq!(p.pending(), 1);
-        let auto = p.submit(&c[1]).unwrap().expect("auto-flush at capacity");
-        assert_eq!(auto.len(), 2);
-        assert_eq!(p.pending(), 0);
-        assert!(p.submit(&c[2]).unwrap().is_none());
-        let partial = p.flush().unwrap();
-        assert_eq!(partial.len(), 1);
-
-        // Order and values match direct per-clip inference.
-        for (i, clip) in c.iter().enumerate().take(2) {
-            let direct = p.infer_clip(clip).unwrap();
-            assert_eq!(direct.label, auto.labels[i]);
-        }
-        assert_eq!(p.infer_clip(&c[2]).unwrap().label, partial.labels[0]);
-
-        // Flushing an empty queue is a harmless no-op.
-        assert!(p.flush().unwrap().is_empty());
-        // Submitting a batch where a clip belongs is rejected up front.
-        assert!(p.submit(&clips).is_err());
-        // So is a rank-3 clip of the wrong geometry — and neither
-        // rejection poisons clips already queued.
-        assert!(p.submit(&c[0]).unwrap().is_none());
-        assert!(p.submit(&Tensor::zeros(&[4, 8, 8])).is_err());
-        assert_eq!(p.pending(), 1);
-        assert_eq!(p.flush().unwrap().len(), 1);
-    }
-
-    #[test]
     fn hardware_backend_agrees_with_algorithmic_on_argmax() {
         let mut sw = Pipeline::builder(model()).build().unwrap();
         let mut hw = Pipeline::builder(model())
@@ -1022,28 +899,20 @@ mod tests {
 
     #[test]
     fn replicas_are_independent_but_identical() {
-        let replicas = Pipeline::builder(model())
-            .with_max_pending(3)
-            .build_replicas(2)
-            .unwrap();
+        let replicas = Pipeline::builder(model()).build_replicas(2).unwrap();
         assert_eq!(replicas.len(), 2);
         let clips = clips(2);
         let mut outs = Vec::new();
         for mut p in replicas {
-            assert_eq!(p.max_pending(), 3);
             outs.push(p.infer(&clips).unwrap());
         }
         assert!(outs[0].logits.approx_eq(&outs[1].logits, 0.0));
         assert_eq!(outs[0].labels, outs[1].labels);
 
-        // `replicate` on a built pipeline agrees too, and leaves pending
-        // clips behind.
+        // `replicate` on a built pipeline agrees too.
         let mut original = Pipeline::builder(model()).build().unwrap();
-        original.submit(&clips.index_axis(0, 0).unwrap()).unwrap();
         let mut copy = original.replicate();
-        assert_eq!(original.pending(), 1);
-        assert_eq!(copy.pending(), 0);
-        let a = original.flush().unwrap();
+        let a = original.infer(&clips).unwrap();
         let b = copy.infer_clip(&clips.index_axis(0, 0).unwrap()).unwrap();
         assert_eq!(a.labels[0], b.label);
         assert!(a.logits.index_axis(0, 0).unwrap().approx_eq(&b.logits, 0.0));

@@ -49,20 +49,19 @@ impl DeploymentReport {
     }
 }
 
+/// Clips per batched forward pass in [`evaluate_deployment`].
+const CHUNK: usize = 8;
+
 /// Runs every clip of `dataset` through the hardware path of `pipeline`
 /// and combines the outcome with the energy model for `wireless`.
 ///
-/// Clips are served through the pipeline's
-/// [`submit`](Pipeline::submit)/[`flush`](Pipeline::flush) micro-batching
-/// queue, so the model forward passes are batched exactly as a deployed
-/// node would batch them.
+/// Clips go through [`Pipeline::infer`] in chunks of 8, the last chunk
+/// taking the remainder.
 ///
 /// # Errors
 ///
 /// Returns [`Error`] when a clip does not match the sensor, and
-/// [`Error::Pipeline`] for an empty dataset or when the pipeline still
-/// has clips pending from an earlier [`submit`](Pipeline::submit) (they
-/// would misalign the evaluation's labels — flush them first).
+/// [`Error::Pipeline`] for an empty dataset.
 pub fn evaluate_deployment(
     pipeline: &mut Pipeline<HardwareSensor>,
     dataset: &Dataset,
@@ -73,27 +72,16 @@ pub fn evaluate_deployment(
             context: "deployment evaluation needs a non-empty dataset".to_string(),
         });
     }
-    if pipeline.pending() != 0 {
-        return Err(Error::Pipeline {
-            context: format!(
-                "deployment evaluation needs an empty submit queue, but {} clip(s) \
-                 are pending — call flush() first",
-                pipeline.pending()
-            ),
-        });
+    let mut correct = 0;
+    for start in (0..dataset.len()).step_by(CHUNK) {
+        let batch = dataset.batch(start, CHUNK.min(dataset.len() - start));
+        let predicted = pipeline.infer(&batch.videos)?.labels;
+        correct += predicted
+            .iter()
+            .zip(&batch.labels)
+            .filter(|(p, t)| p == t)
+            .count();
     }
-    let mut labels = Vec::with_capacity(dataset.len());
-    for i in 0..dataset.len() {
-        if let Some(batch) = pipeline.submit(dataset.sample(i).video.frames())? {
-            labels.extend(batch.labels);
-        }
-    }
-    labels.extend(pipeline.flush()?.labels);
-    let correct = labels
-        .iter()
-        .enumerate()
-        .filter(|&(i, &label)| label == dataset.sample(i).label)
-        .count();
 
     let stats = pipeline.backend().stats();
     let sensor = pipeline.backend().sensor();
@@ -126,7 +114,6 @@ mod tests {
         Pipeline::builder(model)
             .with_hardware_sensor(ReadoutConfig::noiseless(8, 8.0))
             .expect("assembly")
-            .with_max_pending(4)
             .build()
             .expect("mask agreement")
     }
@@ -146,13 +133,13 @@ mod tests {
             report.energy_uj_per_correct() >= report.energy_uj_per_capture
                 || report.correct == report.clips
         );
-        assert_eq!(p.pending(), 0, "evaluation must drain the queue");
     }
 
     #[test]
     fn microbatched_evaluation_matches_per_clip_classification() {
+        // One full chunk of 8 and one partial chunk of 3.
         let mut p = pipeline();
-        let data = Dataset::new(ssv2_like(8, 16, 16), 5);
+        let data = Dataset::new(ssv2_like(8, 16, 16), 11);
         let report = evaluate_deployment(&mut p, &data, Wireless::PassiveWifi).expect("evaluation");
         let mut correct = 0usize;
         for i in 0..data.len() {
@@ -169,22 +156,6 @@ mod tests {
         let mut p = pipeline();
         let empty = Dataset::new(ssv2_like(8, 16, 16), 0);
         assert!(evaluate_deployment(&mut p, &empty, Wireless::PassiveWifi).is_err());
-    }
-
-    #[test]
-    fn stale_pending_clips_are_rejected_not_misattributed() {
-        let mut p = pipeline();
-        let data = Dataset::new(ssv2_like(8, 16, 16), 3);
-        p.submit(data.sample(0).video.frames()).expect("submit");
-        let err = evaluate_deployment(&mut p, &data, Wireless::PassiveWifi).unwrap_err();
-        assert!(
-            err.to_string().contains("pending"),
-            "expected a pending-queue error, got: {err}"
-        );
-        // The queue is untouched; flushing it unblocks evaluation.
-        assert_eq!(p.pending(), 1);
-        p.flush().expect("flush");
-        assert!(evaluate_deployment(&mut p, &data, Wireless::PassiveWifi).is_ok());
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl TracerBuilder {
     /// Replace the monotonic clock with `clock`, which must return
     /// microseconds since an epoch of its choosing. Tests inject a
     /// counter for deterministic timestamps; the fleet simulator
-    /// records virtual time directly via [`Tracer::record_raw`]
+    /// exports virtual time directly via [`Tracer::record_raw`]
     /// instead.
     pub fn with_clock(mut self, clock: impl Fn() -> u64 + Send + Sync + 'static) -> Self {
         self.clock = Some(Arc::new(clock));
@@ -274,9 +274,8 @@ impl Tracer {
     /// included. The record lands in the calling thread's ring (rings
     /// are storage, not identity: the record's own `lane` field is
     /// what the snapshot and the exporter believe). The fleet
-    /// simulator uses this to put every virtual node on its own lane
-    /// with its own deterministic per-node span sequence, no matter
-    /// which driver thread happened to advance the node.
+    /// simulator uses this to export every virtual node's events on
+    /// its own lane with its own deterministic per-node span sequence.
     ///
     /// Callers must keep `(lane, span_id)` pairs unique, or snapshot
     /// ordering (sorted by `(start_us, lane, span_id)`) loses its

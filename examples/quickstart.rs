@@ -60,7 +60,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    simulation; the report combines accuracy with the energy model.
     let mut pipeline = Pipeline::builder(model)
         .with_hardware_sensor(ReadoutConfig::default())?
-        .with_max_pending(8)
         .build()?;
     let report = evaluate_deployment(&mut pipeline, &test, Wireless::PassiveWifi)?;
     println!(

@@ -102,10 +102,11 @@ fn replay_is_bit_for_bit_across_drivers_and_workers() {
     }
 }
 
-/// The fleet records its events through the workspace's shared span
-/// recorder: a caller-supplied tracer clone sees every event the report
-/// carries — same order, node ids on lanes, virtual time on the clock —
-/// and exports them as Chrome trace JSON alongside any serving spans.
+/// The fleet exports its events into the workspace's shared span
+/// recorder: a caller-supplied tracer clone receives a copy of every
+/// event the report carries — same order, node ids on lanes, virtual
+/// time on the clock — and exports them as Chrome trace JSON alongside
+/// any serving spans.
 #[test]
 fn fleet_events_land_in_a_shared_tracer() {
     let baseline = run_mixed_fleet(2, 1, 4);
@@ -128,7 +129,7 @@ fn fleet_events_land_in_a_shared_tracer() {
     );
 
     let snapshot = tracer.snapshot();
-    assert_eq!(snapshot.dropped, 0, "nothing rotated out");
+    assert_eq!(snapshot.dropped, 0, "the export fits the ring");
     let fleet_records: Vec<_> = snapshot
         .records
         .iter()
@@ -149,6 +150,34 @@ fn fleet_events_land_in_a_shared_tracer() {
     let json = snapshot.to_chrome_json();
     assert!(json.contains("\"traceEvents\":["));
     assert!(json.contains("\"inferred\""));
+}
+
+/// The report owns its trace: a tracer whose ring is far too small for
+/// the run truncates only the export, never the report.
+#[test]
+fn a_tiny_tracer_ring_truncates_the_export_not_the_report() {
+    let baseline = run_mixed_fleet(2, 1, 6);
+
+    let cost = infer_cost();
+    let server = server(1);
+    let tracer = Tracer::builder().ring_capacity(8).build();
+    let mut sim = FleetSim::new(&server)
+        .with_drivers(2)
+        .with_tracer(tracer.clone());
+    for (i, video) in fleet_videos(6).into_iter().enumerate() {
+        sim.add_node(ReplaySource::new(video), mixed_config(i, cost))
+            .expect("valid node");
+    }
+    let report = sim.run().expect("fleet run completes");
+    server.shutdown();
+
+    assert_eq!(report.trace, baseline.trace, "the report trace is whole");
+    assert_eq!(report.nodes, baseline.nodes);
+    assert_eq!(report.stats, baseline.stats);
+    assert!(
+        tracer.snapshot().dropped > 0,
+        "the export overflowed the ring"
+    );
 }
 
 #[test]

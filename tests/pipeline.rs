@@ -83,30 +83,6 @@ proptest! {
             );
         }
     }
-
-    /// The submit/flush micro-batching queue preserves order and values.
-    #[test]
-    fn microbatch_queue_matches_direct_batch(seed in 0u64..10_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mask = patterns::random(4, TILE, 0.5, &mut rng).expect("valid dims");
-        let mut pipeline = Pipeline::builder(model_for(&mask))
-            .with_max_pending(3)
-            .build()
-            .expect("assembly");
-        let clips = Tensor::rand_uniform(&mut rng, &[5, 4, HW, HW], 0.0, 1.0);
-        let direct = pipeline.infer(&clips).expect("batched inference");
-
-        let mut queued = Vec::new();
-        for b in 0..5 {
-            let clip = clips.index_axis(0, b).expect("clip");
-            if let Some(done) = pipeline.submit(&clip).expect("submit") {
-                queued.extend(done.labels);
-            }
-        }
-        queued.extend(pipeline.flush().expect("flush").labels);
-        prop_assert_eq!(queued, direct.labels);
-        prop_assert_eq!(pipeline.pending(), 0);
-    }
 }
 
 /// Regression test for the old `SnapPixSystem::logits`, which rebuilt
