@@ -109,57 +109,22 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Fails when the patch size does not tile the frame.
+    /// Fails for other ranks or when the patch size does not tile the
+    /// frame.
     pub fn extract_patches(&mut self, a: Var, ph: usize, pw: usize) -> Result<Var> {
         self.check(a)?;
         let av = self.value(a);
-        match av.rank() {
-            2 => {
-                let value = av.extract_patches(ph, pw)?;
-                Ok(self.push_op(
-                    value,
-                    vec![a],
-                    Box::new(move |g, parents| {
-                        let (h, w) = (parents[0].shape()[0], parents[0].shape()[1]);
-                        vec![g
-                            .assemble_patches(ph, pw, h, w)
-                            .expect("inverse of forward")]
-                    }),
-                ))
-            }
-            3 => {
-                let (batch, h, w) = (av.shape()[0], av.shape()[1], av.shape()[2]);
-                let mut frames = Vec::with_capacity(batch);
-                for b in 0..batch {
-                    frames.push(av.index_axis(0, b)?.extract_patches(ph, pw)?);
-                }
-                let refs: Vec<&Tensor> = frames.iter().collect();
-                let value = Tensor::stack(&refs, 0)?;
-                Ok(self.push_op(
-                    value,
-                    vec![a],
-                    Box::new(move |g, _| {
-                        let mut outs = Vec::with_capacity(batch);
-                        for b in 0..batch {
-                            outs.push(
-                                g.index_axis(0, b)
-                                    .expect("batch axis")
-                                    .assemble_patches(ph, pw, h, w)
-                                    .expect("inverse of forward"),
-                            );
-                        }
-                        let refs: Vec<&Tensor> = outs.iter().collect();
-                        vec![Tensor::stack(&refs, 0).expect("uniform shapes")]
-                    }),
-                ))
-            }
-            r => Err(AutogradError::Tensor(
-                snappix_tensor::TensorError::RankMismatch {
-                    expected: 2,
-                    got: r,
-                },
-            )),
-        }
+        let value = av.extract_patches(ph, pw)?;
+        let (h, w) = (av.shape()[av.rank() - 2], av.shape()[av.rank() - 1]);
+        Ok(self.push_op(
+            value,
+            vec![a],
+            Box::new(move |g, _| {
+                vec![g
+                    .assemble_patches(ph, pw, h, w)
+                    .expect("inverse of forward")]
+            }),
+        ))
     }
 
     /// Reassembles patches into frames: inverse of
@@ -168,7 +133,8 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Fails when the patch grid does not match `h x w`.
+    /// Fails for other ranks or when the patch grid does not match
+    /// `h x w`.
     pub fn assemble_patches(
         &mut self,
         a: Var,
@@ -178,51 +144,12 @@ impl Graph {
         w: usize,
     ) -> Result<Var> {
         self.check(a)?;
-        let av = self.value(a);
-        match av.rank() {
-            2 => {
-                let value = av.assemble_patches(ph, pw, h, w)?;
-                Ok(self.push_op(
-                    value,
-                    vec![a],
-                    Box::new(move |g, _| {
-                        vec![g.extract_patches(ph, pw).expect("inverse of forward")]
-                    }),
-                ))
-            }
-            3 => {
-                let batch = av.shape()[0];
-                let mut frames = Vec::with_capacity(batch);
-                for b in 0..batch {
-                    frames.push(av.index_axis(0, b)?.assemble_patches(ph, pw, h, w)?);
-                }
-                let refs: Vec<&Tensor> = frames.iter().collect();
-                let value = Tensor::stack(&refs, 0)?;
-                Ok(self.push_op(
-                    value,
-                    vec![a],
-                    Box::new(move |g, _| {
-                        let mut outs = Vec::with_capacity(batch);
-                        for b in 0..batch {
-                            outs.push(
-                                g.index_axis(0, b)
-                                    .expect("batch axis")
-                                    .extract_patches(ph, pw)
-                                    .expect("inverse of forward"),
-                            );
-                        }
-                        let refs: Vec<&Tensor> = outs.iter().collect();
-                        vec![Tensor::stack(&refs, 0).expect("uniform shapes")]
-                    }),
-                ))
-            }
-            r => Err(AutogradError::Tensor(
-                snappix_tensor::TensorError::RankMismatch {
-                    expected: 2,
-                    got: r,
-                },
-            )),
-        }
+        let value = self.value(a).assemble_patches(ph, pw, h, w)?;
+        Ok(self.push_op(
+            value,
+            vec![a],
+            Box::new(move |g, _| vec![g.extract_patches(ph, pw).expect("inverse of forward")]),
+        ))
     }
 
     /// Tiles a `[t, th, tw]` pattern spatially into `[t, th*gh, tw*gw]`

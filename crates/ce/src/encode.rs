@@ -1,7 +1,7 @@
 //! The coded-exposure integration (paper Eqn. 1).
 
 use crate::{CeError, ExposureMask, Result};
-use snappix_tensor::Tensor;
+use snappix_tensor::{Tensor, TensorError};
 
 /// Encodes a `[t, h, w]` video into one `[h, w]` coded image (Eqn. 1):
 /// `X(i, j) = sum_t M(i, j, t) * Y(i, j, t)`.
@@ -30,32 +30,7 @@ use snappix_tensor::Tensor;
 /// # }
 /// ```
 pub fn encode(video: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
-    if video.rank() != 3 {
-        return Err(CeError::Tensor(snappix_tensor::TensorError::RankMismatch {
-            expected: 3,
-            got: video.rank(),
-        }));
-    }
-    let (t, h, w) = (video.shape()[0], video.shape()[1], video.shape()[2]);
-    if t != mask.num_slots() {
-        return Err(CeError::InvalidMask {
-            context: format!(
-                "mask has {} slots but video has {t} frames",
-                mask.num_slots()
-            ),
-        });
-    }
-    let full = mask.expand_to(h, w)?;
-    let mut out = Tensor::zeros(&[h, w]);
-    let (vs, ms) = (video.as_slice(), full.as_slice());
-    let os = out.as_mut_slice();
-    for f in 0..t {
-        let base = f * h * w;
-        for i in 0..h * w {
-            os[i] += ms[base + i] * vs[base + i];
-        }
-    }
-    Ok(out)
+    integrate(video, 3, mask, false)
 }
 
 /// Like [`encode`] but divides every pixel by its exposure count, the
@@ -66,29 +41,17 @@ pub fn encode(video: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
 ///
 /// Same conditions as [`encode`].
 pub fn encode_normalized(video: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
-    let coded = encode(video, mask)?;
-    Ok(apply_normalization(&coded, mask))
+    integrate(video, 3, mask, true)
 }
 
 /// Encodes a `[batch, t, h, w]` batch into `[batch, h, w]` coded images.
 ///
 /// # Errors
 ///
-/// Same conditions as [`encode`], plus rank validation of the batch.
+/// Same conditions as [`encode`], plus rank validation of the batch; an
+/// empty batch is a [`CeError::Tensor`] invalid-argument error.
 pub fn encode_batch(videos: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
-    if videos.rank() != 4 {
-        return Err(CeError::Tensor(snappix_tensor::TensorError::RankMismatch {
-            expected: 4,
-            got: videos.rank(),
-        }));
-    }
-    let batch = videos.shape()[0];
-    let mut coded = Vec::with_capacity(batch);
-    for b in 0..batch {
-        coded.push(encode(&videos.index_axis(0, b)?, mask)?);
-    }
-    let refs: Vec<&Tensor> = coded.iter().collect();
-    Ok(Tensor::stack(&refs, 0)?)
+    integrate(videos, 4, mask, false)
 }
 
 /// Batched [`encode_normalized`].
@@ -97,14 +60,7 @@ pub fn encode_batch(videos: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
 ///
 /// Same conditions as [`encode_batch`].
 pub fn encode_batch_normalized(videos: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
-    let coded = encode_batch(videos, mask)?;
-    let batch = coded.shape()[0];
-    let mut out = Vec::with_capacity(batch);
-    for b in 0..batch {
-        out.push(apply_normalization(&coded.index_axis(0, b)?, mask));
-    }
-    let refs: Vec<&Tensor> = out.iter().collect();
-    Ok(Tensor::stack(&refs, 0)?)
+    integrate(videos, 4, mask, true)
 }
 
 /// Divides a raw `[h, w]` coded image by each pixel's exposure count (the
@@ -113,25 +69,97 @@ pub fn encode_batch_normalized(videos: &Tensor, mask: &ExposureMask) -> Result<T
 /// Useful when the coded image came from the hardware simulator rather
 /// than [`encode`], e.g. a digitized sensor readout.
 pub fn normalize_coded(coded: &Tensor, mask: &ExposureMask) -> Tensor {
-    apply_normalization(coded, mask)
+    let (h, w) = (coded.shape()[0], coded.shape()[1]);
+    let count_rows = widen_rows(mask.exposure_counts().as_slice(), mask.tile().1, w);
+    let mut out = coded.clone();
+    divide_by_counts(&mut out.as_mut_slice()[..h * w], w, &count_rows);
+    out
 }
 
-fn apply_normalization(coded: &Tensor, mask: &ExposureMask) -> Tensor {
-    let (h, w) = (coded.shape()[0], coded.shape()[1]);
+/// The one integration loop behind the four encoders: `clips` is one
+/// `[t, h, w]` clip (`rank` 3) or a `[batch, t, h, w]` batch (`rank` 4),
+/// and every clip is integrated straight into its slot of the output,
+/// which drops the `t` axis.
+///
+/// Per pixel the frames add in ascending order from `0.0`, each as
+/// `mask * value`, so a clip codes to the same bits alone or in any
+/// batch.
+fn integrate(clips: &Tensor, rank: usize, mask: &ExposureMask, normalize: bool) -> Result<Tensor> {
+    if clips.rank() != rank {
+        return Err(CeError::Tensor(TensorError::RankMismatch {
+            expected: rank,
+            got: clips.rank(),
+        }));
+    }
+    let (lead, frame) = clips.shape().split_at(rank - 3);
+    let (t, h, w) = (frame[0], frame[1], frame[2]);
+    if lead == [0] {
+        return Err(CeError::Tensor(TensorError::InvalidArgument {
+            context: "cannot encode an empty batch".to_string(),
+        }));
+    }
+    if t != mask.num_slots() {
+        return Err(CeError::InvalidMask {
+            context: format!(
+                "mask has {} slots but video has {t} frames",
+                mask.num_slots()
+            ),
+        });
+    }
     let (th, tw) = mask.tile();
-    let counts = mask.exposure_counts();
-    let cs = counts.as_slice();
-    let mut out = coded.clone();
-    let os = out.as_mut_slice();
-    for y in 0..h {
-        for x in 0..w {
-            let c = cs[(y % th) * tw + (x % tw)];
+    if h == 0 || w == 0 || !h.is_multiple_of(th) || !w.is_multiple_of(tw) {
+        return Err(CeError::InvalidMask {
+            context: format!("tile {th}x{tw} does not divide frame {h}x{w}"),
+        });
+    }
+    let out_shape: Vec<usize> = lead.iter().copied().chain([h, w]).collect();
+    let mut out = Tensor::zeros(&out_shape);
+    // `[t, th, w]`: every tile row of every slot, repeated across the frame
+    // width once per call, so the loop below runs over whole frame rows.
+    let mask_rows = widen_rows(mask.pattern().as_slice(), tw, w);
+    let count_rows = normalize.then(|| widen_rows(mask.exposure_counts().as_slice(), tw, w));
+    let images = out.as_mut_slice().chunks_exact_mut(h * w);
+    for (clip, image) in clips.as_slice().chunks_exact(t * h * w).zip(images) {
+        let slots = mask_rows.chunks_exact(th * w);
+        for (video_frame, slot) in clip.chunks_exact(h * w).zip(slots) {
+            let rows = image.chunks_exact_mut(w).zip(video_frame.chunks_exact(w));
+            for (y, (coded_row, video_row)) in rows.enumerate() {
+                let mask_row = &slot[(y % th) * w..(y % th + 1) * w];
+                for ((c, &v), &m) in coded_row.iter_mut().zip(video_row).zip(mask_row) {
+                    *c += m * v;
+                }
+            }
+        }
+        if let Some(count_rows) = &count_rows {
+            divide_by_counts(image, w, count_rows);
+        }
+    }
+    Ok(out)
+}
+
+/// Repeats each `tw`-wide tile row of `rows` across a frame `w` wide.
+fn widen_rows(rows: &[f32], tw: usize, w: usize) -> Vec<f32> {
+    rows.chunks_exact(tw)
+        .flat_map(|row| row.iter().cycle().take(w))
+        .copied()
+        .collect()
+}
+
+/// Divides each pixel of a row-major image `w` wide by its exposure
+/// count, read from `count_rows` (the `[th, w]` widened counts), leaving
+/// pixels no slot exposes untouched.
+fn divide_by_counts(image: &mut [f32], w: usize, count_rows: &[f32]) {
+    if image.is_empty() {
+        return;
+    }
+    let counts = count_rows.chunks_exact(w).cycle();
+    for (row, count_row) in image.chunks_exact_mut(w).zip(counts) {
+        for (x, &c) in row.iter_mut().zip(count_row) {
             if c > 0.0 {
-                os[y * w + x] /= c;
+                *x /= c;
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -226,5 +254,130 @@ mod tests {
         assert!(encode(&Tensor::zeros(&[4, 5, 4]), &mask).is_err()); // tile mismatch
         assert!(encode(&Tensor::zeros(&[4, 4]), &mask).is_err()); // rank
         assert!(encode_batch(&Tensor::zeros(&[4, 4, 4]), &mask).is_err());
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Eqn. 1 one pixel at a time, reading the tile pattern by coordinate
+    /// modulo the tile: frames add in ascending order from `0.0`.
+    fn reference(video: &Tensor, mask: &ExposureMask, normalize: bool) -> Tensor {
+        let (t, h, w) = (video.shape()[0], video.shape()[1], video.shape()[2]);
+        let (th, tw) = mask.tile();
+        let (p, v) = (mask.pattern().as_slice(), video.as_slice());
+        let counts = mask.exposure_counts();
+        let mut out = vec![0.0f32; h * w];
+        for y in 0..h {
+            for x in 0..w {
+                let tile_px = (y % th) * tw + x % tw;
+                let mut acc = 0.0f32;
+                for f in 0..t {
+                    acc += p[f * th * tw + tile_px] * v[(f * h + y) * w + x];
+                }
+                let c = counts.as_slice()[tile_px];
+                out[y * w + x] = if normalize && c > 0.0 { acc / c } else { acc };
+            }
+        }
+        Tensor::from_vec(out, &[h, w]).unwrap()
+    }
+
+    /// A random `[t, tile, tile]` mask whose tile pixel (0, 1) is never
+    /// exposed.
+    fn mask_with_dead_pixel(rng: &mut StdRng, t: usize, tile: usize) -> ExposureMask {
+        let mut p = patterns::random(t, (tile, tile), 0.5, rng)
+            .unwrap()
+            .pattern()
+            .clone();
+        for f in 0..t {
+            p.set(&[f, 0, 1], 0.0).unwrap();
+        }
+        ExposureMask::new(p).unwrap()
+    }
+
+    #[test]
+    fn batch_encode_equals_per_clip_encode_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for tile in [2usize, 4, 8] {
+            let (t, h, w) = (5, 2 * tile, 3 * tile);
+            let masks = [
+                patterns::random(t, (tile, tile), 0.5, &mut rng).unwrap(),
+                mask_with_dead_pixel(&mut rng, t, tile),
+            ];
+            let videos = Tensor::rand_uniform(&mut rng, &[3, t, h, w], -1.0, 2.0);
+            for mask in &masks {
+                let raw = encode_batch(&videos, mask).unwrap();
+                let normalized = encode_batch_normalized(&videos, mask).unwrap();
+                assert_eq!(raw.shape(), &[3, h, w]);
+                assert_eq!(normalized.shape(), &[3, h, w]);
+                for b in 0..3 {
+                    let clip = videos.index_axis(0, b).unwrap();
+                    let single = encode(&clip, mask).unwrap();
+                    let single_n = encode_normalized(&clip, mask).unwrap();
+                    assert_eq!(bits(&raw.index_axis(0, b).unwrap()), bits(&single));
+                    assert_eq!(bits(&normalized.index_axis(0, b).unwrap()), bits(&single_n));
+                    assert_eq!(bits(&single), bits(&reference(&clip, mask, false)));
+                    assert_eq!(bits(&single_n), bits(&reference(&clip, mask, true)));
+                    assert_eq!(bits(&single_n), bits(&normalize_coded(&single, mask)));
+                }
+            }
+            // The dead tile pixel stays 0 wherever the tile repeats.
+            for coded in [
+                encode_batch(&videos, &masks[1]).unwrap(),
+                encode_batch_normalized(&videos, &masks[1]).unwrap(),
+            ] {
+                for b in 0..3 {
+                    for y in (0..h).step_by(tile) {
+                        for x in (1..w).step_by(tile) {
+                            assert_eq!(coded.get(&[b, y, x]).unwrap().to_bits(), 0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn error_variants_are_stable() {
+        let mask = patterns::long_exposure(4, (2, 2)).unwrap();
+        let rank = |r: &Result<Tensor>, want: usize| {
+            matches!(
+                r,
+                Err(CeError::Tensor(TensorError::RankMismatch { expected, .. })) if *expected == want
+            )
+        };
+        let invalid_mask = |r: &Result<Tensor>| matches!(r, Err(CeError::InvalidMask { .. }));
+        for normalize in [false, true] {
+            let single = |v: &Tensor| {
+                if normalize {
+                    encode_normalized(v, &mask)
+                } else {
+                    encode(v, &mask)
+                }
+            };
+            let batch = |v: &Tensor| {
+                if normalize {
+                    encode_batch_normalized(v, &mask)
+                } else {
+                    encode_batch(v, &mask)
+                }
+            };
+            assert!(rank(&single(&Tensor::zeros(&[4, 4])), 3));
+            assert!(rank(&single(&Tensor::zeros(&[1, 4, 4, 4])), 3));
+            assert!(rank(&batch(&Tensor::zeros(&[4, 4, 4])), 4));
+            assert!(invalid_mask(&single(&Tensor::zeros(&[3, 4, 4]))));
+            assert!(invalid_mask(&batch(&Tensor::zeros(&[2, 3, 4, 4]))));
+            assert!(invalid_mask(&single(&Tensor::zeros(&[4, 5, 4]))));
+            assert!(invalid_mask(&batch(&Tensor::zeros(&[2, 4, 4, 3]))));
+            assert!(invalid_mask(&single(&Tensor::zeros(&[4, 0, 4]))));
+            // An empty batch is an invalid-argument tensor error whatever
+            // its trailing extents, as when batches were stacked per clip.
+            for empty in [[0, 4, 4, 4], [0, 3, 5, 4]] {
+                assert!(matches!(
+                    batch(&Tensor::zeros(&empty)),
+                    Err(CeError::Tensor(TensorError::InvalidArgument { .. }))
+                ));
+            }
+        }
     }
 }

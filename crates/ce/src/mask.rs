@@ -92,32 +92,6 @@ impl ExposureMask {
             .expect("rank-3 invariant guarantees axis 0")
     }
 
-    /// Expands the tile pattern to a full `[t, h, w]` frame mask.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CeError::InvalidMask`] unless the tile divides `h x w`.
-    pub fn expand_to(&self, h: usize, w: usize) -> Result<Tensor> {
-        let (th, tw) = self.tile();
-        if h == 0 || w == 0 || !h.is_multiple_of(th) || !w.is_multiple_of(tw) {
-            return Err(CeError::InvalidMask {
-                context: format!("tile {th}x{tw} does not divide frame {h}x{w}"),
-            });
-        }
-        let t = self.num_slots();
-        let mut out = Tensor::zeros(&[t, h, w]);
-        let src = self.pattern.as_slice();
-        let dst = out.as_mut_slice();
-        for f in 0..t {
-            for y in 0..h {
-                for x in 0..w {
-                    dst[f * h * w + y * w + x] = src[f * th * tw + (y % th) * tw + (x % tw)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// The compression ratio achieved by this mask: `t` frames become one
     /// coded image, so the ratio equals [`ExposureMask::num_slots`].
     pub fn compression_ratio(&self) -> usize {
@@ -163,28 +137,6 @@ mod tests {
         let m = ExposureMask::new(p).unwrap();
         assert_eq!(m.exposure_counts().as_slice(), &[1.0; 4]);
         assert_eq!(m.open_fraction(), 0.5);
-    }
-
-    #[test]
-    fn expand_tiles_pattern() {
-        let mut p = Tensor::zeros(&[1, 2, 2]);
-        p.set(&[0, 0, 0], 1.0).unwrap();
-        let m = ExposureMask::new(p).unwrap();
-        let full = m.expand_to(4, 4).unwrap();
-        assert_eq!(full.shape(), &[1, 4, 4]);
-        // The 1 repeats at even coordinates.
-        assert_eq!(full.get(&[0, 0, 0]).unwrap(), 1.0);
-        assert_eq!(full.get(&[0, 2, 2]).unwrap(), 1.0);
-        assert_eq!(full.get(&[0, 1, 1]).unwrap(), 0.0);
-        assert_eq!(full.sum(), 4.0);
-    }
-
-    #[test]
-    fn expand_requires_divisibility() {
-        let m = ExposureMask::new(Tensor::ones(&[1, 3, 3])).unwrap();
-        assert!(m.expand_to(9, 9).is_ok());
-        assert!(m.expand_to(8, 9).is_err());
-        assert!(m.expand_to(0, 9).is_err());
     }
 
     #[test]

@@ -17,18 +17,10 @@ use snappix_tensor::Tensor;
 /// [`crate::encode_batch`]).
 pub fn coded_tile_samples(videos: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
     let coded = encode_batch(videos, mask)?;
-    let (batch, h, w) = (coded.shape()[0], coded.shape()[1], coded.shape()[2]);
     let (th, tw) = mask.tile();
-    let tiles_per_image = (h / th) * (w / tw);
-    let mut all = Vec::with_capacity(batch);
-    for b in 0..batch {
-        let img = coded.index_axis(0, b)?;
-        all.push(img.extract_patches(th, tw)?);
-    }
-    let refs: Vec<&Tensor> = all.iter().collect();
-    let stacked = Tensor::concat(&refs, 0)?;
-    debug_assert_eq!(stacked.shape()[0], batch * tiles_per_image);
-    Ok(stacked)
+    let tiles = coded.extract_patches(th, tw)?; // [batch, tiles, th * tw]
+    let (batch, per_image) = (tiles.shape()[0], tiles.shape()[1]);
+    Ok(tiles.reshape(&[batch * per_image, th * tw])?)
 }
 
 /// Zero-mean contrast encoding (Fig. 3): removes each sample tile's DC

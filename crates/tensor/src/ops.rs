@@ -43,10 +43,19 @@ impl Tensor {
                         rhs: other.shape().to_vec(),
                     });
                 }
+                // Row-major `[b, m, k]` is already the flat `[b*m, k]`
+                // left-hand side: one product over the whole batch.
                 let n = other.shape()[1];
-                let flat = self.reshape(&[b * m, k])?;
-                let out = flat.matmul2(other)?;
-                out.reshape(&[b, m, n])
+                let mut out = Tensor::zeros(&[b, m, n]);
+                matmul_kernel(
+                    self.as_slice(),
+                    other.as_slice(),
+                    out.as_mut_slice(),
+                    b * m,
+                    k,
+                    n,
+                );
+                Ok(out)
             }
             (3, 3) => {
                 let (b1, m, k1) = (self.shape()[0], self.shape()[1], self.shape()[2]);
@@ -212,6 +221,32 @@ impl Tensor {
         }
         let mut data = vec![0.0f32; outer * inner];
         let src = self.as_slice();
+        if inner == 1 {
+            // Last-axis sums: one add chain per row, so keep `ROWS` rows
+            // in flight to overlap their latencies. Each row still adds
+            // its elements in ascending order from `0.0`.
+            const ROWS: usize = 8;
+            let blocks = outer / ROWS;
+            for (block, dst) in data.chunks_exact_mut(ROWS).enumerate() {
+                let rows: [&[f32]; ROWS] = std::array::from_fn(|r| {
+                    let row = block * ROWS + r;
+                    &src[row * mid..(row + 1) * mid]
+                });
+                let mut acc = [0.0f32; ROWS];
+                for m in 0..mid {
+                    for (a, row) in acc.iter_mut().zip(&rows) {
+                        *a += row[m];
+                    }
+                }
+                dst.copy_from_slice(&acc);
+            }
+            for row in blocks * ROWS..outer {
+                for &x in &src[row * mid..(row + 1) * mid] {
+                    data[row] += x;
+                }
+            }
+            return Tensor::from_vec(data, &out_shape);
+        }
         for o in 0..outer {
             for m in 0..mid {
                 let base = (o * mid + m) * inner;
@@ -328,12 +363,14 @@ impl Tensor {
         Tensor::from_vec(data, &out_shape)
     }
 
-    /// Stacks equal-shape tensors along a new leading `axis`.
+    /// Stacks equal-shape tensors along a new `axis`, copying each input
+    /// once.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] for an empty list or
-    /// [`TensorError::IncompatibleShapes`] when shapes differ.
+    /// Returns [`TensorError::InvalidArgument`] for an empty list,
+    /// [`TensorError::IncompatibleShapes`] when shapes differ, or
+    /// [`TensorError::AxisOutOfRange`] if `axis > rank`.
     pub fn stack(tensors: &[&Tensor], axis: usize) -> Result<Tensor> {
         let first = tensors
             .first()
@@ -347,12 +384,24 @@ impl Tensor {
                 });
             }
         }
-        let unsqueezed: Vec<Tensor> = tensors
-            .iter()
-            .map(|t| t.unsqueeze(axis))
-            .collect::<Result<_>>()?;
-        let refs: Vec<&Tensor> = unsqueezed.iter().collect();
-        Tensor::concat(&refs, axis)
+        let shape = first.shape();
+        if axis > shape.len() {
+            return Err(TensorError::AxisOutOfRange {
+                axis,
+                rank: shape.len(),
+            });
+        }
+        let mut out_shape = shape.to_vec();
+        out_shape.insert(axis, tensors.len());
+        let outer: usize = shape[..axis].iter().product();
+        let inner: usize = shape[axis..].iter().product();
+        let mut data = Vec::with_capacity(out_shape.iter().product());
+        for o in 0..outer {
+            for t in tensors {
+                data.extend_from_slice(&t.as_slice()[o * inner..(o + 1) * inner]);
+            }
+        }
+        Tensor::from_vec(data, &out_shape)
     }
 
     /// Softmax along the last axis.
@@ -389,40 +438,45 @@ impl Tensor {
     }
 
     /// Extracts non-overlapping `ph x pw` patches from a `[h, w]` tensor,
-    /// returning `[num_patches, ph * pw]` in row-major patch order.
+    /// returning `[num_patches, ph * pw]` in row-major patch order. A
+    /// `[batch, h, w]` tensor gives `[batch, num_patches, ph * pw]`, each
+    /// frame patchified on its own.
     ///
     /// This is the ViT "patchify" primitive; the coded-exposure crate uses
     /// it with the CE tile size.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] for non-rank-2 input or
-    /// [`TensorError::InvalidArgument`] when `h`/`w` are not multiples of the
-    /// patch extents.
+    /// Returns [`TensorError::RankMismatch`] unless the input has rank 2
+    /// or 3, or [`TensorError::InvalidArgument`] when `h`/`w` are not
+    /// multiples of the patch extents.
     pub fn extract_patches(&self, ph: usize, pw: usize) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                got: self.rank(),
-            });
-        }
-        let (h, w) = (self.shape()[0], self.shape()[1]);
+        let (lead, h, w) = match *self.shape() {
+            [h, w] => (None, h, w),
+            [b, h, w] => (Some(b), h, w),
+            _ => {
+                return Err(TensorError::RankMismatch {
+                    expected: 2,
+                    got: self.rank(),
+                })
+            }
+        };
         if ph == 0 || pw == 0 || h % ph != 0 || w % pw != 0 {
             return Err(TensorError::InvalidArgument {
                 context: format!("patches {ph}x{pw} do not tile {h}x{w}"),
             });
         }
-        let (gh, gw) = (h / ph, w / pw);
-        let mut out = Tensor::zeros(&[gh * gw, ph * pw]);
-        let src = self.as_slice();
-        let dst = out.as_mut_slice();
-        for gy in 0..gh {
-            for gx in 0..gw {
-                let p = gy * gw + gx;
-                for y in 0..ph {
-                    for x in 0..pw {
-                        dst[p * ph * pw + y * pw + x] = src[(gy * ph + y) * w + (gx * pw + x)];
-                    }
+        let out_shape: Vec<usize> = lead
+            .into_iter()
+            .chain([h * w / (ph * pw), ph * pw])
+            .collect();
+        let mut out = Tensor::zeros(&out_shape);
+        if !out.is_empty() {
+            let frames = self.as_slice().chunks_exact(h * w);
+            for (frame, patches) in frames.zip(out.as_mut_slice().chunks_exact_mut(h * w)) {
+                let rows = patches.chunks_exact_mut(pw);
+                for (dst, start) in rows.zip(patch_row_starts(h, w, ph, pw)) {
+                    dst.copy_from_slice(&frame[start..start + pw]);
                 }
             }
         }
@@ -430,26 +484,32 @@ impl Tensor {
     }
 
     /// Inverse of [`Tensor::extract_patches`]: reassembles
-    /// `[num_patches, ph * pw]` into `[h, w]`.
+    /// `[num_patches, ph * pw]` into `[h, w]`, or
+    /// `[batch, num_patches, ph * pw]` into `[batch, h, w]`.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] when the patch grid does not
-    /// match `h x w`.
+    /// Returns [`TensorError::RankMismatch`] unless the input has rank 2
+    /// or 3, or [`TensorError::InvalidArgument`] when the patch grid does
+    /// not match `h x w`.
     pub fn assemble_patches(&self, ph: usize, pw: usize, h: usize, w: usize) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                got: self.rank(),
-            });
-        }
+        let (lead, grid) = match *self.shape() {
+            [p, pp] => (None, [p, pp]),
+            [b, p, pp] => (Some(b), [p, pp]),
+            _ => {
+                return Err(TensorError::RankMismatch {
+                    expected: 2,
+                    got: self.rank(),
+                })
+            }
+        };
         if ph == 0 || pw == 0 || !h.is_multiple_of(ph) || !w.is_multiple_of(pw) {
             return Err(TensorError::InvalidArgument {
                 context: format!("patches {ph}x{pw} do not tile {h}x{w}"),
             });
         }
         let (gh, gw) = (h / ph, w / pw);
-        if self.shape()[0] != gh * gw || self.shape()[1] != ph * pw {
+        if grid != [gh * gw, ph * pw] {
             return Err(TensorError::InvalidArgument {
                 context: format!(
                     "patch tensor {:?} does not match {gh}x{gw} grid of {ph}x{pw}",
@@ -457,16 +517,14 @@ impl Tensor {
                 ),
             });
         }
-        let mut out = Tensor::zeros(&[h, w]);
-        let src = self.as_slice();
-        let dst = out.as_mut_slice();
-        for gy in 0..gh {
-            for gx in 0..gw {
-                let p = gy * gw + gx;
-                for y in 0..ph {
-                    for x in 0..pw {
-                        dst[(gy * ph + y) * w + (gx * pw + x)] = src[p * ph * pw + y * pw + x];
-                    }
+        let out_shape: Vec<usize> = lead.into_iter().chain([h, w]).collect();
+        let mut out = Tensor::zeros(&out_shape);
+        if !out.is_empty() {
+            let frames = out.as_mut_slice().chunks_exact_mut(h * w);
+            for (frame, patches) in frames.zip(self.as_slice().chunks_exact(h * w)) {
+                let rows = patches.chunks_exact(pw);
+                for (src, start) in rows.zip(patch_row_starts(h, w, ph, pw)) {
+                    frame[start..start + pw].copy_from_slice(src);
                 }
             }
         }
@@ -500,6 +558,15 @@ impl Tensor {
         }
         Tensor::from_vec(data, &[indices.len(), cols])
     }
+}
+
+/// Where each `pw`-wide patch row starts in a row-major `[h, w]` frame,
+/// in the order the rows sit in `[num_patches, ph * pw]`: patches in
+/// row-major grid order, each patch's rows top to bottom.
+fn patch_row_starts(h: usize, w: usize, ph: usize, pw: usize) -> impl Iterator<Item = usize> {
+    (0..h / ph).flat_map(move |gy| {
+        (0..w / pw).flat_map(move |gx| (0..ph).map(move |y| (gy * ph + y) * w + gx * pw))
+    })
 }
 
 /// Rows per register micro-tile of the blocked matmul kernel.

@@ -408,18 +408,35 @@ impl Tensor {
             seen[p] = true;
         }
         let out_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
+        let mut out = Tensor::zeros(&out_shape);
+        if out.is_empty() {
+            return Ok(out);
+        }
+        // Trailing axes the permutation leaves in place are one contiguous
+        // run in both source and output (the attention head split keeps
+        // the head dimension last), so they are copied run by run; the
+        // odometer walks only the axes in front of them.
+        let kept = (0..rank)
+            .rev()
+            .take_while(|&axis| perm[axis] == axis)
+            .count();
+        let outer = rank - kept;
+        let run: usize = out_shape[outer..].iter().product();
         let in_strides = self.strides();
         // Source strides reordered into output-axis order; the odometer
         // walk below then visits the source without per-element
-        // coordinate math (attention permutes twice per head split).
-        let src_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
+        // coordinate math.
+        let src_strides: Vec<usize> = perm[..outer].iter().map(|&p| in_strides[p]).collect();
         let src_data = self.as_slice();
-        let mut out = Tensor::zeros(&out_shape);
-        let mut coords = vec![0usize; rank];
+        let mut coords = vec![0usize; outer];
         let mut src = 0usize;
-        for o in out.data.make_mut().iter_mut() {
-            *o = src_data[src];
-            for axis in (0..rank).rev() {
+        for dst in out.data.make_mut().chunks_exact_mut(run) {
+            if run == 1 {
+                dst[0] = src_data[src];
+            } else {
+                dst.copy_from_slice(&src_data[src..src + run]);
+            }
+            for axis in (0..outer).rev() {
                 coords[axis] += 1;
                 src += src_strides[axis];
                 if coords[axis] < out_shape[axis] {
@@ -570,22 +587,48 @@ impl Tensor {
             });
         }
         let out_shape = broadcast_shapes(&self.shape, &other.shape)?;
-        let rank = out_shape.len();
-        // Odometer walk: per-operand strides are precomputed (0 on
-        // broadcast axes), so each element costs a couple of adds
-        // instead of the coordinate unravel + stride rebuild the naive
-        // formulation pays — the pre-ViT stack is dominated by exactly
+        let mut out = Tensor::zeros(&out_shape);
+        if out.is_empty() {
+            return Ok(out);
+        }
+        // Two rank-0 operands have equal shapes, so the output has a last
+        // axis. Per-operand strides are precomputed (0 on broadcast axes)
+        // and an odometer walks the outer axes once per output row; along
+        // the row each operand is either contiguous (stride 1) or one
+        // repeated element (stride 0), so the inner loops below carry no
+        // index arithmetic — the pre-ViT stack is dominated by exactly
         // these broadcast ops (bias adds, layer-norm scaling).
-        let a_strides = broadcast_strides(&self.shape, rank);
-        let b_strides = broadcast_strides(&other.shape, rank);
+        let outer = out_shape.len() - 1;
+        let n = out_shape[outer];
+        let a_strides = broadcast_strides(&self.shape, outer + 1);
+        let b_strides = broadcast_strides(&other.shape, outer + 1);
         let a_data = self.as_slice();
         let b_data = other.as_slice();
-        let mut out = Tensor::zeros(&out_shape);
-        let mut coords = vec![0usize; rank];
+        let mut coords = vec![0usize; outer];
         let (mut ai, mut bi) = (0usize, 0usize);
-        for o in out.data.make_mut().iter_mut() {
-            *o = f(a_data[ai], b_data[bi]);
-            for axis in (0..rank).rev() {
+        for row in out.data.make_mut().chunks_exact_mut(n) {
+            match (a_strides[outer], b_strides[outer]) {
+                (1, 1) => {
+                    let (a_row, b_row) = (&a_data[ai..ai + n], &b_data[bi..bi + n]);
+                    for ((o, &a), &b) in row.iter_mut().zip(a_row).zip(b_row) {
+                        *o = f(a, b);
+                    }
+                }
+                (1, _) => {
+                    let b = b_data[bi];
+                    for (o, &a) in row.iter_mut().zip(&a_data[ai..ai + n]) {
+                        *o = f(a, b);
+                    }
+                }
+                (_, 1) => {
+                    let a = a_data[ai];
+                    for (o, &b) in row.iter_mut().zip(&b_data[bi..bi + n]) {
+                        *o = f(a, b);
+                    }
+                }
+                _ => row.fill(f(a_data[ai], b_data[bi])),
+            }
+            for axis in (0..outer).rev() {
                 coords[axis] += 1;
                 ai += a_strides[axis];
                 bi += b_strides[axis];
