@@ -3,10 +3,11 @@
 //!
 //! [`Pipeline`] replaced the one-clip-at-a-time `SnapPixSystem` (retired
 //! after its deprecation release): it owns
-//! a persistent [`SessionPool`] so the autograd graph and parameter
+//! persistent [`SessionPool`]s so the autograd graph and parameter
 //! bindings are reused across calls instead of being reallocated per
 //! clip, it accepts `[batch, t, h, w]` clip batches so the whole batch
-//! shares one forward pass, and it is generic over the [`Sense`] backend
+//! shares one forward pass (sharded by clip across the pipeline's
+//! threads), and it is generic over the [`Sense`] backend
 //! so the training-time algorithmic encoder and the deployment-time
 //! hardware simulation run through identical code.
 
@@ -55,13 +56,17 @@ impl StageProfile {
         }
     }
 
-    /// Mean wall time per call (zero before the first call).
+    /// Mean wall time per call, truncated to whole nanoseconds (zero
+    /// before the first call).
     pub fn mean(&self) -> Duration {
         if self.calls == 0 {
-            Duration::ZERO
-        } else {
-            self.total / u32::try_from(self.calls).unwrap_or(u32::MAX)
+            return Duration::ZERO;
         }
+        // In u128 nanoseconds, so any `calls` count divides exactly. The
+        // mean is at most `total`, so its seconds fit back in a u64.
+        let nanos = self.total.as_nanos() / u128::from(self.calls);
+        let secs = u64::try_from(nanos / 1_000_000_000).expect("mean <= total");
+        Duration::new(secs, (nanos % 1_000_000_000) as u32)
     }
 
     /// Fold `other`'s calls into this profile.
@@ -450,7 +455,7 @@ impl<S: Sense> PipelineBuilder<S> {
         Ok(Pipeline {
             model: self.model,
             backend: self.backend,
-            pool: SessionPool::new(),
+            pools: Vec::new(),
             threads: self.threads,
             tracer: self.tracer,
             profile: PipelineProfile::default(),
@@ -494,9 +499,10 @@ impl<S: Sense> PipelineBuilder<S> {
 ///
 /// Clips go through the [`Sense`] backend (algorithmic encoder or
 /// hardware simulation), the coded images drive the co-designed ViT in
-/// *one* forward pass per batch, and the session behind that pass is
-/// reused across calls via a persistent [`SessionPool`] — the structure
-/// a node serving heavy traffic needs, instead of the per-clip
+/// *one* forward pass per batch — split into clip shards across the
+/// pipeline's threads — and the sessions behind that pass are reused
+/// across calls via persistent [`SessionPool`]s, the structure a node
+/// serving heavy traffic needs, instead of the per-clip
 /// allocate-and-drop of the retired `SnapPixSystem`.
 ///
 /// Single-clip callers on many threads reach batched throughput through
@@ -521,7 +527,9 @@ impl<S: Sense> PipelineBuilder<S> {
 pub struct Pipeline<S: Sense = AlgorithmicEncoder> {
     model: SnapPixAr,
     backend: S,
-    pool: SessionPool,
+    /// One session pool per forward shard, grown on demand; slot 0
+    /// serves the serial path.
+    pools: Vec<SessionPool>,
     threads: Option<usize>,
     tracer: Tracer,
     profile: PipelineProfile,
@@ -568,7 +576,7 @@ impl<S: Sense + Clone> Pipeline<S> {
         Pipeline {
             model: self.model.clone(),
             backend: self.backend.clone(),
-            pool: SessionPool::new(),
+            pools: Vec::new(),
             threads: self.threads,
             tracer: self.tracer.clone(),
             profile: PipelineProfile::default(),
@@ -660,8 +668,12 @@ where
     /// simulation captures clip by clip, as a physical sensor would).
     ///
     /// Batching is the throughput path: per-clip graph construction and
-    /// tensor allocation are amortized over the whole batch (see the
-    /// `pipeline` criterion bench and BENCHMARKS.md).
+    /// tensor allocation are amortized over the whole batch. With more
+    /// than one thread the forward pass is sharded by clip, about two
+    /// shards per thread, on the calling thread plus scoped helpers;
+    /// sensing stays on the calling thread. Logits are bit-for-bit the
+    /// same at every thread count. The `offline_batch` workload of the
+    /// `perfbench` benchmark measures this path.
     ///
     /// An *empty* batch (`[0, t, h, w]`, any trailing extents) is
     /// well-defined and returns an empty [`Inference`] without touching
@@ -724,17 +736,12 @@ where
     }
 
     /// One batched forward pass over already-coded `[batch, h, w]`
-    /// images, reusing the pooled session.
+    /// images, reusing the pooled sessions.
     fn infer_coded(&mut self, coded: &Tensor) -> Result<Inference, Error> {
         let tracer = self.tracer.clone();
         let started = Instant::now();
         let span = tracer.span("forward");
-        let mut sess = self.pool.inference(self.model.store());
-        let logits = self
-            .model
-            .build_logits_from_coded(&mut sess, coded)
-            .map(|var| sess.graph.value(var).clone());
-        self.pool.reclaim(sess);
+        let logits = self.forward(coded);
         drop(span);
         self.profile.forward.record(started.elapsed());
         let logits = logits?;
@@ -748,6 +755,68 @@ where
         self.profile.clips += labels.len() as u64;
         Ok(Inference { logits, labels })
     }
+
+    /// The model pass over `[batch, h, w]` coded images, sharded by clip.
+    ///
+    /// Every op in the forward treats each clip independently, so the
+    /// batch splits into contiguous shards of
+    /// `batch.div_ceil(2 * threads)` clips — about two per worker, for
+    /// balance — that run in their own pooled sessions on the calling
+    /// thread plus scoped helpers, and their logits concatenate in shard
+    /// order to the same bits one pass would give. With one thread or
+    /// one clip the whole batch is one pass on the calling thread.
+    fn forward(&mut self, coded: &Tensor) -> Result<Tensor, Error> {
+        let batch = coded.shape().first().copied().unwrap_or(0);
+        let shard = match parallel::current_threads() {
+            1 => batch,
+            threads => batch.div_ceil(2 * threads),
+        }
+        .max(1);
+        let shards = batch.div_ceil(shard).max(1);
+        if self.pools.len() < shards {
+            self.pools.resize_with(shards, SessionPool::new);
+        }
+        let model = &self.model;
+        if shards == 1 {
+            return forward_shard(model, &mut self.pools[0], coded);
+        }
+        let mut slots: Vec<_> = self.pools[..shards]
+            .iter_mut()
+            .map(|pool| (pool, None))
+            .collect();
+        parallel::par_chunks_mut(&mut slots, 1, |index, slot| {
+            let (pool, logits) = &mut slot[0];
+            let start = index * shard;
+            let end = (start + shard).min(batch);
+            *logits = Some(
+                coded
+                    .slice_axis(0, start, end)
+                    .map_err(Error::Tensor)
+                    .and_then(|part| forward_shard(model, pool, &part)),
+            );
+        });
+        let logits = slots
+            .into_iter()
+            .map(|(_, logits)| logits.expect("every shard ran"))
+            .collect::<Result<Vec<_>, _>>()?;
+        let parts: Vec<&Tensor> = logits.iter().collect();
+        Ok(Tensor::concat(&parts, 0)?)
+    }
+}
+
+/// One forward pass of `model` over coded images in a session opened
+/// from `pool`, returning the logits.
+fn forward_shard(
+    model: &SnapPixAr,
+    pool: &mut SessionPool,
+    coded: &Tensor,
+) -> Result<Tensor, Error> {
+    let mut sess = pool.inference(model.store());
+    let logits = model
+        .build_logits_from_coded(&mut sess, coded)
+        .map(|var| sess.graph.value(var).clone());
+    pool.reclaim(sess);
+    Ok(logits?)
 }
 
 /// Bytes of weight memory actually resident across `pipelines`,
@@ -1075,6 +1144,56 @@ mod tests {
         let untraced = plain.infer(&clips(3)).unwrap();
         assert!(traced.logits.approx_eq(&untraced.logits, 0.0));
         assert_eq!(traced.labels, untraced.labels);
+    }
+
+    #[test]
+    fn sharded_forward_records_one_stage_call_and_span_per_batch() {
+        let tracer = Tracer::new();
+        let mut p = Pipeline::builder(model())
+            .with_threads(2)
+            .with_tracer(tracer.clone())
+            .build()
+            .unwrap();
+        // Batch 8 at 2 threads: four 2-clip shards, two per worker.
+        for _ in 0..2 {
+            p.infer(&clips(8)).unwrap();
+        }
+        let profile = p.profile();
+        assert_eq!(profile.batches, 2);
+        assert_eq!(profile.clips, 16);
+        assert_eq!(profile.forward.calls, 2, "one forward record per batch");
+
+        let snap = tracer.snapshot();
+        let names: Vec<&str> = snap.records.iter().map(|r| r.name).collect();
+        assert_eq!(
+            names,
+            ["sense", "forward", "readout", "sense", "forward", "readout"],
+            "one span per stage per batch"
+        );
+        let caller = snap.records[0].lane;
+        assert!(
+            snap.records.iter().all(|r| r.lane == caller),
+            "no spans from the shard helpers"
+        );
+    }
+
+    #[test]
+    fn stage_mean_divides_past_u32_calls() {
+        let calls = u64::from(u32::MAX) + 2;
+        let stage = StageProfile {
+            calls,
+            total: Duration::from_secs(1000 * calls),
+            max: Duration::from_secs(1000),
+        };
+        assert_eq!(stage.mean(), Duration::from_secs(1000));
+        // Whole nanoseconds, truncated like `Duration` division.
+        let small = StageProfile {
+            calls: 3,
+            total: Duration::from_nanos(10),
+            max: Duration::from_nanos(5),
+        };
+        assert_eq!(small.mean(), Duration::from_nanos(3));
+        assert_eq!(StageProfile::default().mean(), Duration::ZERO);
     }
 
     #[test]

@@ -118,15 +118,18 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// fanning out across [`current_threads`] scoped workers.
 ///
 /// Chunks are claimed dynamically from a shared queue, so uneven
-/// per-chunk cost still load-balances. With one
-/// worker — or when there is at most one chunk — everything runs on the
-/// calling thread in index order with no thread spawned: that is the
-/// serial reference path.
+/// per-chunk cost still load-balances. The calling thread is one of the
+/// workers: it spawns `threads - 1` scoped helpers and claims chunks
+/// alongside them. With one worker — or when there is at most one
+/// chunk — everything runs on the calling thread in index order with no
+/// thread spawned: that is the serial reference path.
 ///
 /// Each `(chunk_index, chunk)` pair is visited exactly once, and distinct
 /// chunks never alias, so kernels that partition their output tensor by
-/// rows/batches write lock-free. A panic in `f` propagates to the caller
-/// once all workers have stopped.
+/// rows/batches write lock-free. Every worker, the caller included, runs
+/// `f` under `with_threads(1)`. A panic in `f` — on the caller's chunk
+/// or a helper's — propagates to the caller once all workers have
+/// stopped; the other workers drain the remaining chunks first.
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
@@ -146,23 +149,27 @@ where
     // chunks are coarse, so contention is noise next to the work).
     let queue = std::sync::Mutex::new(data.chunks_mut(chunk_len).enumerate());
     let (queue, f) = (&queue, &f);
+    // Workers run nested kernels serially: the split at this level
+    // already saturates the requested parallelism.
+    let work = move || {
+        with_threads(1, || loop {
+            let next = queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .next();
+            match next {
+                Some((index, chunk)) => f(index, chunk),
+                None => break,
+            }
+        });
+    };
+    // `scope` joins every helper before it returns or resumes a panic
+    // raised on the calling thread.
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(move || {
-                // Workers run nested kernels serially: the split at this
-                // level already saturates the requested parallelism.
-                with_threads(1, || loop {
-                    let next = queue
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .next();
-                    match next {
-                        Some((index, chunk)) => f(index, chunk),
-                        None => break,
-                    }
-                });
-            });
+        for _ in 1..threads {
+            scope.spawn(work);
         }
+        work();
     });
 }
 
@@ -319,6 +326,81 @@ mod tests {
             });
         });
         assert!(data.iter().all(|&t| t == 1), "workers must report 1 thread");
+    }
+
+    #[test]
+    fn par_chunks_mut_caller_is_one_of_the_workers() {
+        use std::collections::HashSet;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        use std::time::{Duration, Instant};
+
+        let caller = std::thread::current().id();
+        let workers = Mutex::new(HashSet::new());
+        let started = AtomicUsize::new(0);
+        let mut data = vec![0u8; 8];
+        with_threads(2, || {
+            par_chunks_mut(&mut data, 1, |_, _| {
+                workers.lock().unwrap().insert(std::thread::current().id());
+                // Hold each first chunk until both workers have claimed
+                // one (bounded, so a regression fails instead of hanging).
+                started.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            });
+        });
+        let workers = workers.into_inner().unwrap();
+        assert_eq!(workers.len(), 2, "two workers share the chunks");
+        assert!(workers.contains(&caller), "the caller claims chunks too");
+    }
+
+    /// Runs 16 one-element chunks on 2 workers; the first chunk claimed
+    /// by the caller (`on_caller`) or by the helper panics. The other
+    /// worker's first chunk waits until the panicking worker has started,
+    /// so exactly one chunk panics. Returns whether the panic reached the
+    /// caller, and how many chunks had finished by then.
+    fn panic_on_worker(on_caller: bool) -> (bool, usize) {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+
+        let caller = std::thread::current().id();
+        let panicker_started = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let mut data = vec![0u8; 16];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_threads(2, || {
+                par_chunks_mut(&mut data, 1, |_, _| {
+                    let is_panicker = (std::thread::current().id() == caller) == on_caller;
+                    if is_panicker && !panicker_started.swap(true, Ordering::SeqCst) {
+                        panic!("chunk panicked");
+                    }
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while !panicker_started.load(Ordering::SeqCst) && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            });
+        }));
+        (result.is_err(), finished.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn par_chunks_mut_propagates_a_panic_on_the_callers_chunk() {
+        let (panicked, finished) = panic_on_worker(true);
+        assert!(panicked, "the caller's panic must reach the caller");
+        assert_eq!(finished, 15, "the helper drained every other chunk first");
+        assert_eq!(current_threads(), default_threads(), "override restored");
+    }
+
+    #[test]
+    fn par_chunks_mut_propagates_a_panic_on_a_helpers_chunk() {
+        let (panicked, finished) = panic_on_worker(false);
+        assert!(panicked, "a helper's panic must reach the caller");
+        assert_eq!(finished, 15, "the caller drained every other chunk first");
+        assert_eq!(current_threads(), default_threads(), "override restored");
     }
 
     #[test]

@@ -55,6 +55,48 @@ fn pipeline_inference_is_thread_count_invariant() {
     }
 }
 
+/// `infer` shards each batch by clip across the pipeline's threads
+/// (about two shards per thread, the caller working one of them). The
+/// sharded logits must equal the serial pass bit for bit at every batch
+/// size, including batches smaller than, equal to and not divisible by
+/// the shard count. One pipeline per thread count serves every batch
+/// size in turn, so its per-shard session pools grow, sit partly idle
+/// and are reused across calls.
+#[test]
+fn sharded_inference_matches_serial_at_every_batch_size() {
+    const BATCHES: [usize; 5] = [1, 2, 3, 8, 9];
+    let all = clips(9);
+    let batch = |n: usize| all.slice_axis(0, 0, n).expect("prefix batch");
+    let mut serial = Pipeline::builder(model())
+        .with_threads(1)
+        .build()
+        .expect("assembly");
+    let reference: Vec<Inference> = BATCHES
+        .iter()
+        .map(|&n| serial.infer(&batch(n)).expect("serial inference"))
+        .collect();
+    for threads in [2usize, 3, 6, 64] {
+        let mut p = Pipeline::builder(model())
+            .with_threads(threads)
+            .build()
+            .expect("assembly");
+        // The shard count rises and falls: 1, 2, 3, 8, 9, 8, then 1 clip.
+        for k in [0usize, 1, 2, 3, 4, 3, 0] {
+            let n = BATCHES[k];
+            let out = p.infer(&batch(n)).expect("sharded inference");
+            assert_eq!(
+                out.labels, reference[k].labels,
+                "batch {n}, {threads} threads"
+            );
+            assert_eq!(
+                out.logits.as_slice(),
+                reference[k].logits.as_slice(),
+                "logits must be bit-for-bit at batch {n}, {threads} threads"
+            );
+        }
+    }
+}
+
 /// The hardware-simulation path (banded capture + readout) is
 /// thread-count invariant too, and the scoped ambient override
 /// (`parallel::with_threads`) behaves like the builder knob.
