@@ -5,10 +5,14 @@ use crate::{CePixel, Readout, Result, SensorError};
 use snappix_ce::ExposureMask;
 use snappix_tensor::{parallel, Tensor};
 
-/// Shift-register clock edges each scoped worker must receive before it
-/// is worth spawning, fed to [`parallel::workers_for`] (a shift is a few
-/// ops, so this slab runs on the order of 250 µs).
-const PAR_SHIFTS_PER_WORKER: usize = 1 << 20;
+/// Pixel-slots (one pixel through one exposure slot: two packed streams,
+/// reset, expose, transfer) each scoped worker must receive before it is
+/// worth spawning, fed to [`parallel::workers_for`]. A pixel-slot costs
+/// ~7 ns on a 2-core x86-64 box, so this slab runs on the order of
+/// 100 µs: a 48x48, T=16 capture splits in two (~240 → ~200 µs there),
+/// while a 32x32 one (~110 µs), where the split measured no gain, stays
+/// serial.
+const PAR_PIXEL_SLOTS_PER_WORKER: usize = 1 << 14;
 
 /// Cycle and pulse accounting for one capture, used by the energy model to
 /// price the CE control overhead (the paper reports 9 pJ/pixel at a
@@ -114,11 +118,15 @@ impl CeSensor {
     /// The simulation runs the protocol per *band* of `th` pixel rows:
     /// shift chains never leave their tile, and per-pixel reset, exposure
     /// and transfer are purely local, so bands are fully independent.
-    /// Large captures split the bands across the shared worker pool (see
-    /// [`snappix_tensor::parallel`]); with `SNAPPIX_THREADS=1` — or a
-    /// small array — all bands run on the calling thread. Either way
-    /// every pixel sees the exact same operation sequence, so results
-    /// are bit-for-bit identical at every thread count.
+    /// Each stream clocks every edge of a tile's chain on a bit-packed
+    /// register, 64 DFFs per word op, so a capture costs a few steps per
+    /// pixel and slot.
+    /// Large captures (tens of thousands of pixel-slots) split the bands
+    /// across the shared worker pool (see [`snappix_tensor::parallel`]);
+    /// with `SNAPPIX_THREADS=1` — or a small array — all bands run on
+    /// the calling thread. Either way every pixel sees the exact same
+    /// operation sequence, so results are bit-for-bit identical at every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -148,19 +156,22 @@ impl CeSensor {
         let (th, tw) = self.mask.tile();
         let chain_len = th * tw;
         let pattern = self.mask.pattern().as_slice();
-        // Chain position k of a tile sits at tile row k / tw, tile column
-        // k % tw; precomputing the band-slice offsets removes a div/mod
-        // from every shift of the innermost loop.
-        let chain: Vec<usize> = (0..chain_len).map(|k| (k / tw) * w + (k % tw)).collect();
+        let chain = chain_offsets(th, tw, w);
         let tiles_x = w / tw;
+        let words = chain_len.div_ceil(64);
+        let mut edge_bits = vec![0u64; t * words];
+        for (slot, seq) in edge_bits.chunks_mut(words).enumerate() {
+            pack_edge_bits(&pattern[slot * chain_len..(slot + 1) * chain_len], seq);
+        }
         let frames = video.as_slice();
         let run_band = |band_index: usize, band: &mut [CePixel]| {
             let row0 = band_index * th;
+            let mut scratch = vec![0u64; 2 * words];
             for slot in 0..t {
-                let slot_bits = &pattern[slot * chain_len..(slot + 1) * chain_len];
+                let slot_edges = &edge_bits[slot * words..(slot + 1) * words];
                 // Phase 1: program the slot's bits and conditionally
                 // reset PDs.
-                stream_band(band, slot_bits, &chain, tiles_x, tw);
+                stream_band(band, slot_edges, &chain, tiles_x, tw, &mut scratch);
                 for p in band.iter_mut() {
                     p.pattern_reset();
                 }
@@ -172,16 +183,16 @@ impl CeSensor {
                 }
                 // Phase 3: re-stream the same bits and conditionally
                 // transfer.
-                stream_band(band, slot_bits, &chain, tiles_x, tw);
+                stream_band(band, slot_edges, &chain, tiles_x, tw, &mut scratch);
                 for p in band.iter_mut() {
                     p.pattern_transfer();
                 }
             }
         };
         let band_pixels = th * w;
-        // Dominant cost: two streams per slot, each clocking every pixel
-        // `chain_len` times.
-        let workers = parallel::workers_for(2 * t * h * w * chain_len, PAR_SHIFTS_PER_WORKER);
+        // Every pixel takes the same few steps per slot; clocking the
+        // packed chain adds `2 * words` word steps per pixel and slot.
+        let workers = parallel::workers_for(t * h * w, PAR_PIXEL_SLOTS_PER_WORKER);
         parallel::with_threads(workers, || {
             parallel::par_chunks_mut(&mut self.pixels, band_pixels, run_band)
         });
@@ -218,6 +229,24 @@ impl CeSensor {
     }
 }
 
+/// Band-slice offset of each chain position from its tile's origin in a
+/// band `width` pixels wide: position `k` sits at tile row `k / tw`,
+/// tile column `k % tw`. Precomputing them removes a div/mod per DFF
+/// from every stream.
+fn chain_offsets(th: usize, tw: usize, width: usize) -> Vec<usize> {
+    (0..th * tw).map(|k| (k / tw) * width + (k % tw)).collect()
+}
+
+/// Packs one slot's CE bits into the edge sequence a stream clocks in:
+/// bit `c` of `seq` is the bit entering every chain on clock edge `c`,
+/// the slot's bits last-position-first. `seq` must be zeroed and hold
+/// `slot_bits.len().div_ceil(64)` words.
+fn pack_edge_bits(slot_bits: &[f32], seq: &mut [u64]) {
+    for (c, &bit) in slot_bits.iter().rev().enumerate() {
+        seq[c / 64] |= u64::from(bit != 0.0) << (c % 64);
+    }
+}
+
 /// Streams one slot's CE bits into every shift register of a band of
 /// `th` pixel rows (one tile-row of the array).
 ///
@@ -225,13 +254,85 @@ impl CeSensor {
 /// interface); the pattern clock runs `chain.len()` cycles and bits are
 /// pushed last-pixel-first so that after the final cycle pixel `k` of
 /// each tile holds bit `k`. Tiles never interact, so the simulation walks
-/// them one at a time (all cycles of a tile before the next tile) —
-/// the per-pixel operation sequence is identical to clocking all tiles
-/// in lockstep, and the tile's pixels stay cache-hot across cycles.
+/// them one at a time.
+///
+/// Each tile's chain is simulated as a bit-packed register: bit `k % 64`
+/// of `register[k / 64]` holds chain position `k`. The tile's DFF bits
+/// are loaded into the register, every clock edge is one shift-or per
+/// word (64 DFFs per op), and each DFF then latches its position's bit.
+/// The DFF states afterwards equal those of the clocked chain, one
+/// [`CePixel::shift`] call per DFF per edge, which the tests keep as the
+/// reference.
 ///
 /// `chain[k]` is the precomputed band-slice offset of chain position `k`
-/// from the tile's origin.
+/// from the tile's origin. `edge_bits` packs the bit entering the chain
+/// on each edge (bit `c` for edge `c`, see [`pack_edge_bits`]) in
+/// `chain.len().div_ceil(64)` words; `scratch` holds twice as many, for
+/// the register and the carries between its words.
 fn stream_band(
+    band: &mut [CePixel],
+    edge_bits: &[u64],
+    chain: &[usize],
+    tiles_x: usize,
+    tw: usize,
+    scratch: &mut [u64],
+) {
+    let chain_len = chain.len();
+    let (register, carries) = scratch.split_at_mut(edge_bits.len());
+    for tx in 0..tiles_x {
+        let origin = tx * tw;
+        // Ungate every DFF for streaming and load its bit.
+        for (word, offsets) in register.iter_mut().zip(chain.chunks(64)) {
+            let mut bits = 0u64;
+            for &offset in offsets.iter().rev() {
+                let p = &mut band[origin + offset];
+                p.set_gated(false);
+                bits = (bits << 1) | u64::from(p.dff_bit());
+            }
+            *word = bits;
+        }
+        // Clock all `chain_len` edges a word at a time. Word `i`'s carry
+        // in on edge `c` is word `i - 1`'s bit 63 just before edge `c`,
+        // so each word runs every edge once its predecessor has: it reads
+        // its carries as a packed edge sequence and leaves its own carry
+        // outs in their place for the next word. Within a block of up to
+        // 64 edges, edge `c` carries out the block's starting bit
+        // `63 - c`, so a block's carry outs are its starting word
+        // bit-reversed (the next word reads only the block's `edges`
+        // low bits). Bits carried out of the last chain position leave
+        // the chain.
+        carries.copy_from_slice(edge_bits);
+        for word in register.iter_mut() {
+            let mut bits = *word;
+            for (e, seq) in carries.iter_mut().enumerate() {
+                let edges = (chain_len - 64 * e).min(64);
+                let mut carry_in = *seq;
+                *seq = bits.reverse_bits();
+                for _ in 0..edges {
+                    bits = (bits << 1) | (carry_in & 1);
+                    carry_in >>= 1;
+                }
+            }
+            *word = bits;
+        }
+        // Latch the streamed bits, then power-gate again.
+        for (&word, offsets) in register.iter().zip(chain.chunks(64)) {
+            let mut bits = word;
+            for &offset in offsets {
+                let p = &mut band[origin + offset];
+                p.latch(bits & 1 != 0);
+                p.set_gated(true);
+                bits >>= 1;
+            }
+        }
+    }
+}
+
+/// The clocked reference [`stream_band`] must match: every DFF of the
+/// band takes one [`CePixel::shift`] call per clock edge, all cycles of a
+/// tile before the next tile.
+#[cfg(test)]
+fn stream_band_clocked(
     band: &mut [CePixel],
     slot_bits: &[f32],
     chain: &[usize],
@@ -264,8 +365,73 @@ fn stream_band(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use snappix_ce::{encode, patterns};
+
+    /// Tile shapes for the packed-chain property: a 1-DFF chain,
+    /// non-square tiles, chains one short of, exactly and one past a
+    /// word (63/64/65), and multi-word chains (81, 84 and 256 DFFs).
+    const TILES: [(usize, usize); 9] = [
+        (1, 1),
+        (2, 4),
+        (3, 1),
+        (7, 9),
+        (8, 8),
+        (5, 13),
+        (9, 9),
+        (12, 7),
+        (16, 16),
+    ];
+
+    /// Bits equal under `to_bits`, so `-0.0 != 0.0` and NaN == NaN.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The packed register leaves every pixel exactly as the clocked
+        /// per-DFF chain does, from arbitrary DFF and gate states, over
+        /// two back-to-back streams sharing the scratch words: each DFF
+        /// holds its chain position's CE bit and is power-gated again.
+        #[test]
+        fn packed_stream_matches_clocked_chain(
+            tile in 0usize..TILES.len(),
+            tiles_x in 1usize..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let (th, tw) = TILES[tile];
+            let (width, chain_len) = (tiles_x * tw, th * tw);
+            let chain = chain_offsets(th, tw, width);
+            let words = chain_len.div_ceil(64);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut packed = vec![CePixel::new(); th * width];
+            for p in &mut packed {
+                p.shift(rng.random());
+                p.set_gated(rng.random());
+            }
+            let mut clocked = packed.clone();
+            let mut scratch = vec![0u64; 2 * words];
+            for stream in 0..2 {
+                let slot_bits: Vec<f32> =
+                    (0..chain_len).map(|_| f32::from(u8::from(rng.random::<bool>()))).collect();
+                let mut edge_bits = vec![0u64; words];
+                pack_edge_bits(&slot_bits, &mut edge_bits);
+                stream_band(&mut packed, &edge_bits, &chain, tiles_x, tw, &mut scratch);
+                stream_band_clocked(&mut clocked, &slot_bits, &chain, tiles_x, tw);
+                prop_assert!(packed == clocked, "tile {th}x{tw} stream {stream}: chains differ");
+                for tx in 0..tiles_x {
+                    for (k, &offset) in chain.iter().enumerate() {
+                        let p = &packed[tx * tw + offset];
+                        prop_assert_eq!(p.dff_bit(), slot_bits[k] != 0.0);
+                        prop_assert!(p.is_gated());
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn geometry_validation() {
@@ -294,8 +460,9 @@ mod tests {
             let mut sensor = CeSensor::new(8, 8, mask.clone()).unwrap();
             let hw = sensor.capture(&video).unwrap();
             let sw = encode(&video, &mask).unwrap();
-            assert!(
-                hw.approx_eq(&sw, 1e-5),
+            assert_eq!(
+                bits(&hw),
+                bits(&sw),
                 "hardware and Eqn. 1 disagree for seed {seed}"
             );
         }
@@ -309,7 +476,7 @@ mod tests {
         let mut sensor = CeSensor::new(6, 6, mask.clone()).unwrap();
         let hw = sensor.capture(&video).unwrap();
         let sw = encode(&video, &mask).unwrap();
-        assert!(hw.approx_eq(&sw, 1e-5));
+        assert_eq!(bits(&hw), bits(&sw));
     }
 
     /// A capture must be bit-for-bit identical across thread counts 1, 2
@@ -319,8 +486,8 @@ mod tests {
     fn capture_parallel_matches_serial_bit_for_bit() {
         use snappix_tensor::parallel::with_threads;
         let mut rng = StdRng::seed_from_u64(5);
-        // 48x48 with 8x8 tiles at t=16: 6 bands, ~4.7M shift edges —
-        // several workers' worth of PAR_SHIFTS_PER_WORKER.
+        // 48x48 with 8x8 tiles at t=16: 6 bands, 36,864 pixel-slots —
+        // two workers' worth of PAR_PIXEL_SLOTS_PER_WORKER.
         let mask = patterns::random(16, (8, 8), 0.5, &mut rng).unwrap();
         let video = Tensor::rand_uniform(&mut rng, &[16, 48, 48], 0.0, 1.0);
         let (reference, ref_stats) = with_threads(1, || {

@@ -21,6 +21,12 @@ pub enum SensorError {
         /// Human-readable description of the problem.
         context: String,
     },
+    /// A readout's ADC depth lies outside
+    /// [`ReadoutConfig::ADC_BITS`](crate::ReadoutConfig::ADC_BITS).
+    AdcBits {
+        /// The rejected depth.
+        bits: u32,
+    },
 }
 
 impl fmt::Display for SensorError {
@@ -30,6 +36,12 @@ impl fmt::Display for SensorError {
             SensorError::Ce(e) => write!(f, "coded-exposure error: {e}"),
             SensorError::Geometry { context } => write!(f, "invalid geometry: {context}"),
             SensorError::Stimulus { context } => write!(f, "invalid stimulus: {context}"),
+            SensorError::AdcBits { bits } => write!(
+                f,
+                "unsupported ADC depth: {bits} bits (supported: {}..={})",
+                crate::ReadoutConfig::ADC_BITS.start(),
+                crate::ReadoutConfig::ADC_BITS.end()
+            ),
         }
     }
 }
@@ -72,5 +84,8 @@ mod tests {
             context: "tile".into(),
         };
         assert!(g.to_string().contains("tile"));
+        let adc = SensorError::AdcBits { bits: 0 };
+        assert!(adc.to_string().contains("0 bits"));
+        assert!(std::error::Error::source(&adc).is_none());
     }
 }

@@ -70,6 +70,15 @@ impl CePixel {
         out
     }
 
+    /// Sets the DFF to `bit`, the value a packed simulation of the
+    /// whole shift register computed for it. A power-gated DFF holds its
+    /// state, as it does under [`shift`](Self::shift).
+    pub(crate) fn latch(&mut self, bit: bool) {
+        if !self.gated {
+            self.dff = bit;
+        }
+    }
+
     /// Power-gates or ungates the DFF.
     pub fn set_gated(&mut self, gated: bool) {
         self.gated = gated;

@@ -5,14 +5,22 @@
 //! downstream models can be evaluated on realistically quantized coded
 //! images.
 
+use crate::{Result, SensorError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snappix_tensor::Tensor;
+use std::ops::RangeInclusive;
 
 /// Configuration of the readout chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadoutConfig {
     /// ADC resolution in bits (the paper's energy numbers assume 8).
+    ///
+    /// Must lie in [`ReadoutConfig::ADC_BITS`], `1..=24`: below one bit
+    /// there is no code to quantize to, and above 24 the codes are no
+    /// longer exact in the `f32` the image carries.
+    /// [`validate`](Self::validate) checks it, and
+    /// [`Readout::digitize`] returns garbage outside it.
     pub adc_bits: u32,
     /// Analog full scale: FD charge mapping to the top code. For a
     /// `t`-slot capture of unit-range irradiance this is normally `t`.
@@ -41,6 +49,26 @@ impl Default for ReadoutConfig {
 }
 
 impl ReadoutConfig {
+    /// The ADC depths [`Readout::digitize`] handles: one bit up to the
+    /// 24 bits whose codes an `f32` holds exactly.
+    pub const ADC_BITS: RangeInclusive<u32> = 1..=24;
+
+    /// Checks that the configuration digitizes meaningfully.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SensorError::AdcBits`] when `adc_bits` lies outside
+    /// [`ADC_BITS`](Self::ADC_BITS).
+    pub fn validate(&self) -> Result<()> {
+        if Self::ADC_BITS.contains(&self.adc_bits) {
+            Ok(())
+        } else {
+            Err(SensorError::AdcBits {
+                bits: self.adc_bits,
+            })
+        }
+    }
+
     /// A noiseless, quantization-only configuration (useful for tests and
     /// for isolating codec behaviour).
     pub fn noiseless(adc_bits: u32, full_scale: f32) -> Self {
@@ -177,6 +205,19 @@ mod tests {
             bright_std > dim_std,
             "shot noise must grow with signal: {bright_std} vs {dim_std}"
         );
+    }
+
+    #[test]
+    fn adc_depth_outside_one_to_24_bits_is_rejected() {
+        for bits in [0, 25, 64] {
+            assert!(matches!(
+                ReadoutConfig::noiseless(bits, 1.0).validate(),
+                Err(SensorError::AdcBits { bits: b }) if b == bits
+            ));
+        }
+        for bits in [1, 8, 24] {
+            assert!(ReadoutConfig::noiseless(bits, 1.0).validate().is_ok());
+        }
     }
 
     #[test]

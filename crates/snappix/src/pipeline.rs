@@ -338,11 +338,15 @@ impl<S: Sense> PipelineBuilder<S> {
     /// # Errors
     ///
     /// Returns [`Error::Sensor`] when the model's geometry cannot form a
-    /// sensor.
+    /// sensor, or with
+    /// [`SensorError::AdcBits`](snappix_sensor::SensorError::AdcBits) when
+    /// `readout.adc_bits` lies outside
+    /// [`ReadoutConfig::ADC_BITS`] (`1..=24`).
     pub fn with_hardware_sensor(
         self,
         readout: ReadoutConfig,
     ) -> Result<PipelineBuilder<HardwareSensor>, Error> {
+        readout.validate()?;
         let cfg = self.model.encoder().config();
         let backend = HardwareSensor::new(cfg.height, cfg.width, self.model.mask().clone())?
             .with_readout(ReadoutConfig {
@@ -903,6 +907,31 @@ mod tests {
             "12-bit noiseless ADC must not flip the decision"
         );
         assert!(hw.backend().stats().pixels_read > 0);
+    }
+
+    #[test]
+    fn hardware_sensor_rejects_adc_depths_outside_one_to_24_bits() {
+        use snappix_sensor::SensorError;
+        for bits in [0, 25, 64] {
+            let err = Pipeline::builder(model())
+                .with_hardware_sensor(ReadoutConfig::noiseless(bits, 4.0));
+            assert!(
+                matches!(err, Err(Error::Sensor(SensorError::AdcBits { bits: b })) if b == bits),
+                "{bits}-bit ADC must be rejected"
+            );
+        }
+        for bits in [1, 24] {
+            let mut p = Pipeline::builder(model())
+                .with_hardware_sensor(ReadoutConfig::noiseless(bits, 4.0))
+                .unwrap()
+                .build()
+                .unwrap();
+            let logits = p.infer(&clips(1)).unwrap().logits;
+            assert!(
+                logits.as_slice().iter().all(|v| v.is_finite()),
+                "{bits} bits"
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,12 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use snappix::prelude::*;
 
+/// Every element's bit pattern: equality here is bit-for-bit, with no
+/// tolerance (`-0.0` and `0.0` differ).
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -18,7 +24,7 @@ proptest! {
         let mut sensor = CeSensor::new(8, 8, mask.clone()).expect("geometry");
         let hw = sensor.capture(&video).expect("capture");
         let sw = encode(&video, &mask).expect("encode");
-        prop_assert!(hw.approx_eq(&sw, 1e-5), "seed {seed}: hw != Eqn. 1");
+        prop_assert!(bits(&hw) == bits(&sw), "seed {seed}: hw != Eqn. 1");
     }
 
     /// Sparse-random masks (exactly one slot per pixel) also agree —
@@ -31,7 +37,26 @@ proptest! {
         let mut sensor = CeSensor::new(6, 6, mask.clone()).expect("geometry");
         let hw = sensor.capture(&video).expect("capture");
         let sw = encode(&video, &mask).expect("encode");
-        prop_assert!(hw.approx_eq(&sw, 1e-5));
+        prop_assert_eq!(bits(&hw), bits(&sw));
+    }
+
+    /// The deployment geometry — 8x8 tiles, so each shift chain fills
+    /// one 64-bit word, at T=16 — through both the raw capture and the
+    /// normalizing `HardwareSensor` backend.
+    #[test]
+    fn deployment_geometry_equals_codec(seed in 0u64..10_000, open in 0.1f32..0.9) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mask = patterns::random(16, (8, 8), open, &mut rng).expect("valid dims");
+        let video = Tensor::rand_uniform(&mut rng, &[16, 16, 16], 0.0, 1.0);
+        let mut sensor = CeSensor::new(16, 16, mask.clone()).expect("geometry");
+        let hw = sensor.capture(&video).expect("capture");
+        prop_assert!(bits(&hw) == bits(&encode(&video, &mask).expect("encode")),
+            "seed {seed}: capture != Eqn. 1");
+        let mut backend = HardwareSensor::new(16, 16, mask.clone()).expect("geometry");
+        let mut reference = AlgorithmicEncoder::new(mask);
+        let sensed = backend.sense(&video).expect("sense");
+        let encoded = reference.sense(&video).expect("encode");
+        prop_assert!(bits(&sensed) == bits(&encoded), "seed {seed}: sense != encoder");
     }
 
     /// With a noiseless ADC, digitization error is bounded by half an LSB
