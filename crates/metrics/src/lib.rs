@@ -8,8 +8,8 @@
 //! fleet layers kept private stat structs that never reached
 //! `/metrics`. This crate replaces all three with one subsystem:
 //!
-//! * **[`Registry`]** — named [`Counter`]/[`Gauge`]/[`Summary`]/
-//!   [`Histogram`] families with label sets. Registration is
+//! * **[`Registry`]** — named [`Counter`]/[`Gauge`]/[`Histogram`]
+//!   families with label sets. Registration is
 //!   idempotent (same name + labels → same cell), handles are cheap
 //!   clones, and the whole registry renders itself as classic
 //!   Prometheus text ([`Registry::render`]) or OpenMetrics
@@ -62,12 +62,11 @@ mod registry;
 mod render;
 
 pub use hist::{BucketCount, HistogramOpts, HistogramSnapshot};
-pub use registry::{Counter, Gauge, Histogram, Kind, Registry, Summary};
+pub use registry::{Counter, Gauge, Histogram, Kind, Registry};
 
 /// One-stop imports for metrics producers and exporters.
 pub mod prelude {
     pub use crate::{
         BucketCount, Counter, Gauge, Histogram, HistogramOpts, HistogramSnapshot, Kind, Registry,
-        Summary,
     };
 }

@@ -5,15 +5,13 @@ use crate::hist::{HistCore, HistogramOpts, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// The four Prometheus metric kinds the registry can hold.
+/// The three Prometheus metric kinds the registry can hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// A monotonically increasing `u64` (rendered as `counter`).
     Counter,
     /// An instantaneous `f64` (rendered as `gauge`).
     Gauge,
-    /// A `_sum`/`_count` pair without quantiles (rendered as `summary`).
-    Summary,
     /// A log-linear histogram with `_bucket`/`_sum`/`_count` series.
     Histogram,
 }
@@ -24,7 +22,6 @@ impl Kind {
         match self {
             Kind::Counter => "counter",
             Kind::Gauge => "gauge",
-            Kind::Summary => "summary",
             Kind::Histogram => "histogram",
         }
     }
@@ -34,7 +31,6 @@ impl Kind {
 pub(crate) enum MetricCore {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
-    Summary(Arc<SummaryCore>),
     Histogram(Arc<HistCore>),
 }
 
@@ -205,31 +201,6 @@ impl Registry {
         }
     }
 
-    /// Registers (or re-fetches) a `_sum`/`_count` summary under a
-    /// label set. `scale` converts raw recorded values to rendered
-    /// units (e.g. `1e-9` for nanoseconds rendered in seconds).
-    pub fn summary_with(
-        &self,
-        name: &str,
-        help: &str,
-        scale: f64,
-        labels: &[(&str, &str)],
-    ) -> Summary {
-        let core = self.register(name, Kind::Summary, help, labels, || {
-            MetricCore::Summary(Arc::new(SummaryCore {
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                scale,
-            }))
-        });
-        Summary {
-            core: core.map(|c| match c {
-                MetricCore::Summary(core) => core,
-                _ => unreachable!("registered as summary"),
-            }),
-        }
-    }
-
     /// Registers (or re-fetches) an unlabelled log-linear histogram.
     pub fn histogram(&self, name: &str, help: &str, opts: HistogramOpts) -> Histogram {
         self.histogram_with(name, help, opts, &[])
@@ -391,56 +362,6 @@ impl Gauge {
     }
 }
 
-/// The atomic state behind a [`Summary`] handle.
-#[derive(Debug)]
-pub(crate) struct SummaryCore {
-    pub(crate) count: AtomicU64,
-    pub(crate) sum: AtomicU64,
-    pub(crate) scale: f64,
-}
-
-/// A `_sum`/`_count` summary handle (no quantiles — use a
-/// [`Histogram`] where percentiles matter).
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    core: Option<Arc<SummaryCore>>,
-}
-
-impl Summary {
-    /// A detached no-op handle.
-    pub fn noop() -> Self {
-        Summary { core: None }
-    }
-
-    /// Records one observation of `value` raw units.
-    pub fn observe(&self, value: u64) {
-        self.observe_many(1, value);
-    }
-
-    /// Folds a pre-aggregated delta in: `count` observations totalling
-    /// `sum` raw units (how per-replica stage profiles merge).
-    pub fn observe_many(&self, count: u64, sum: u64) {
-        if let Some(core) = &self.core {
-            core.count.fetch_add(count, Ordering::Relaxed);
-            core.sum.fetch_add(sum, Ordering::Relaxed);
-        }
-    }
-
-    /// Observations so far (0 for a disabled handle).
-    pub fn count(&self) -> u64 {
-        self.core
-            .as_ref()
-            .map_or(0, |core| core.count.load(Ordering::Relaxed))
-    }
-
-    /// Raw (unscaled) sum so far (0 for a disabled handle).
-    pub fn sum_raw(&self) -> u64 {
-        self.core
-            .as_ref()
-            .map_or(0, |core| core.sum.load(Ordering::Relaxed))
-    }
-}
-
 /// A log-linear histogram handle; see [`HistogramOpts`] for the error
 /// bound and [`HistogramSnapshot`] for the export side.
 #[derive(Debug, Clone, Default)]
@@ -532,15 +453,12 @@ mod tests {
         assert!(!registry.is_enabled());
         let c = registry.counter("c_total", "c");
         let g = registry.gauge("g", "g");
-        let s = registry.summary_with("s", "s", 1.0, &[]);
         let h = registry.histogram("h", "h", HistogramOpts::default());
         c.inc();
         g.set(4.2);
-        s.observe(7);
         h.record(9);
         assert_eq!(c.get(), 0);
         assert_eq!(g.get(), 0.0);
-        assert_eq!((s.count(), s.sum_raw()), (0, 0));
         assert_eq!(h.snapshot().count, 0);
         assert!(!h.is_enabled());
         assert_eq!(registry.render(), "");

@@ -54,16 +54,6 @@ fn render_metric(
             let value = f64::from_bits(cell.load(Ordering::Relaxed));
             let _ = writeln!(out, "{name}{set} {value}");
         }
-        MetricCore::Summary(core) => {
-            let set = label_set(labels, &[]);
-            let sum = core.sum.load(Ordering::Relaxed) as f64 * core.scale;
-            let _ = writeln!(out, "{name}_sum{set} {sum}");
-            let _ = writeln!(
-                out,
-                "{name}_count{set} {}",
-                core.count.load(Ordering::Relaxed)
-            );
-        }
         MetricCore::Histogram(core) => {
             render_histogram(out, name, labels, &core.snapshot(), openmetrics);
         }
@@ -149,14 +139,15 @@ mod tests {
         registry
             .gauge("demo_depth", "Queue depth right now.")
             .set(2.5);
-        registry
-            .summary_with(
-                "demo_stage_seconds",
-                "Stage time.",
-                1e-9,
-                &[("stage", "sense")],
-            )
-            .observe_many(4, 2_000_000_000);
+        let stage = registry.histogram_with(
+            "demo_stage_seconds",
+            "Stage time.",
+            HistogramOpts::nanos(),
+            &[("stage", "sense")],
+        );
+        for _ in 0..4 {
+            stage.record(500_000_000);
+        }
         let hist = registry.histogram(
             "demo_latency_seconds",
             "Latency.",
@@ -177,6 +168,7 @@ mod tests {
             "# TYPE demo_depth gauge\ndemo_depth 2.5\n",
             "demo_stage_seconds_sum{stage=\"sense\"} 2\n",
             "demo_stage_seconds_count{stage=\"sense\"} 4\n",
+            "demo_stage_seconds_bucket{stage=\"sense\",le=\"+Inf\"} 4\n",
             "# TYPE demo_latency_seconds histogram\n",
             // 1000 ns lands in the [1000, 1007] bucket (6 sub-bucket
             // bits); the bucket's upper bound is its `le`.

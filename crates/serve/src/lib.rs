@@ -32,15 +32,16 @@
 //!   it late.
 //! * **Telemetry** — every counter and latency sample lands in a
 //!   [`snappix_metrics::Registry`] (attach a shared one via
-//!   [`ServerBuilder::with_metrics`]): request counters, mergeable
-//!   log-linear queue/compute latency histograms covering *every*
-//!   sample since start (no sliding window, bounded relative error,
-//!   trace-id exemplars), a batch-size histogram, and per-stage
-//!   summaries, all as `snappix_server_*` Prometheus families.
-//!   [`Server::stats`] derives [`ServerStats`] — throughput,
-//!   p50/p95/p99 latency, queue depth, a per-stage
-//!   [`PipelineProfile`](snappix::PipelineProfile) — from the same
-//!   cells, so the struct and the rendered `/metrics` page always
+//!   [`ServerBuilder::with_metrics`]) and nowhere else: request
+//!   counters, mergeable log-linear queue/compute latency histograms
+//!   covering *every* sample since start (no sliding window, bounded
+//!   relative error, trace-id exemplars), a batch-size histogram, and
+//!   per-stage latency histograms, all as `snappix_server_*`
+//!   Prometheus families. [`Server::stats`] derives [`ServerStats`] —
+//!   throughput, p50/p95/p99 latency, queue depth, the batch-size
+//!   snapshot, a per-stage
+//!   [`PipelineProfile`](snappix::PipelineProfile) — from those cells
+//!   alone, so the struct and the rendered `/metrics` page always
 //!   agree.
 //! * **Tracing** — attach a [`Tracer`](snappix_trace::Tracer) via
 //!   [`ServerBuilder::with_tracer`] and every request is stamped with a
@@ -105,6 +106,6 @@ pub mod prelude {
         BatchPolicy, LatencySummary, ServeError, Server, ServerBuilder, ServerStats, Ticket,
     };
     pub use snappix::prelude::*;
-    pub use snappix_metrics::{HistogramOpts, Registry};
+    pub use snappix_metrics::{HistogramOpts, HistogramSnapshot, Registry};
     pub use snappix_trace::Tracer;
 }

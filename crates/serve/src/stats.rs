@@ -2,20 +2,17 @@
 //! quantiles, snapshotted as [`ServerStats`].
 //!
 //! Every number here lives in a [`snappix_metrics::Registry`]: the
-//! request counters are registry [`Counter`]s, queue and compute
-//! latency are log-linear [`Histogram`]s (every sample since process
-//! start is counted — no sliding window — with bounded relative error
-//! and trace-id exemplars), and scrape-time gauges are refreshed on
-//! each [`Recorder::snapshot`]. [`ServerStats`] is *derived from* the
-//! registry, so the struct the Rust API returns and the Prometheus page
-//! the registry renders can never disagree.
+//! request counters are registry [`Counter`]s; queue, compute and
+//! per-stage latency and the executed batch sizes are log-linear
+//! [`Histogram`]s (every sample since process start is counted — no
+//! sliding window — with exact count, sum and max); and scrape-time
+//! gauges are refreshed on each [`Recorder::snapshot`]. [`ServerStats`]
+//! is *derived from* the registry, so the struct the Rust API returns
+//! and the Prometheus page the registry renders can never disagree.
 
-use snappix::PipelineProfile;
-use snappix_metrics::{
-    Counter, Gauge, Histogram, HistogramOpts, HistogramSnapshot, Registry, Summary,
-};
+use snappix::{PipelineProfile, StageProfile};
+use snappix_metrics::{Counter, Gauge, Histogram, HistogramOpts, HistogramSnapshot, Registry};
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Order statistics over a latency stream.
@@ -29,7 +26,7 @@ use std::time::{Duration, Instant};
 pub struct LatencySummary {
     /// All-time number of samples recorded.
     pub samples: u64,
-    /// All-time running total of the stream — the summary's `_sum`.
+    /// All-time running total of the stream — the histogram's `_sum`.
     pub total: Duration,
     /// Median latency.
     pub p50: Duration,
@@ -42,33 +39,6 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Nearest-rank percentiles over a finite sample set (`samples` is
-    /// the set's length; empty input yields the all-zero default).
-    ///
-    /// Exact ranking over materialized samples — used where the full
-    /// sample set is at hand (e.g. the streaming layer's per-stream
-    /// reports). The server derives its summaries from histograms via
-    /// [`from_histogram`](Self::from_histogram) instead.
-    pub fn from_samples(samples: &[Duration]) -> Self {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let nearest_rank = |p: f64| {
-            let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        };
-        LatencySummary {
-            samples: samples.len() as u64,
-            total: samples.iter().sum(),
-            p50: nearest_rank(50.0),
-            p95: nearest_rank(95.0),
-            p99: nearest_rank(99.0),
-            max: *sorted.last().expect("non-empty"),
-        }
-    }
-
     /// Derives the summary from a nanosecond-valued histogram snapshot:
     /// count, total, and max are exact; percentiles carry the
     /// histogram's bounded relative error.
@@ -85,13 +55,6 @@ impl LatencySummary {
             max: Duration::from_nanos(snap.max),
         }
     }
-
-    /// The summary's percentiles as `(quantile, value)` pairs, in
-    /// ascending quantile order — the exportable form consumed by
-    /// metrics encoders.
-    pub fn quantiles(&self) -> [(f64, Duration); 3] {
-        [(0.5, self.p50), (0.95, self.p95), (0.99, self.p99)]
-    }
 }
 
 /// A point-in-time snapshot of a [`Server`](crate::Server)'s telemetry,
@@ -102,9 +65,12 @@ impl LatencySummary {
 /// `submitted = completed + expired + failed + in-flight`.
 ///
 /// With a [disabled](snappix_metrics::Registry::disabled) metrics
-/// registry every field is zero — like a disabled tracer, turning
-/// telemetry off turns the readouts off, while serving results stay
-/// bit-for-bit identical.
+/// registry every registry-derived field is zero — the counters, the
+/// latency summaries, `batch_size` and `profile` — like a disabled
+/// tracer, turning telemetry off turns those readouts off, while
+/// serving results stay bit-for-bit identical. `uptime`, `queue_depth`
+/// and `resident_weight_bytes` are read from the server itself and stay
+/// live.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerStats {
     /// Requests admitted into the queue (all-time).
@@ -120,9 +86,10 @@ pub struct ServerStats {
     pub failed: u64,
     /// Batched forward passes executed.
     pub batches: u64,
-    /// Histogram of executed batch sizes: `batch_sizes[k]` counts the
-    /// batches that ran exactly `k` clips (index 0 is never used).
-    pub batch_sizes: Vec<u64>,
+    /// Executed batch sizes (clips per forward pass): a snapshot of the
+    /// `snappix_server_batch_size` histogram, whose `count` and `sum`
+    /// are the exact batch and clip totals at any batch size.
+    pub batch_size: HistogramSnapshot,
     /// Requests sitting in the admission queue right now.
     pub queue_depth: usize,
     /// Bytes of model weights resident in memory across all worker
@@ -140,8 +107,11 @@ pub struct ServerStats {
     pub compute_latency: LatencySummary,
     /// Where batch compute time goes by pipeline stage
     /// (`sense`/`forward`/`readout`), aggregated across every worker
-    /// replica. Populated whenever metrics are enabled — stage timing
-    /// does not require a tracer.
+    /// replica: derived from the `snappix_server_stage_latency_seconds`
+    /// histograms (exact calls, total and max per stage), with
+    /// `batches` the compute-latency count and `clips` equal to
+    /// `completed`. Populated whenever metrics are enabled — stage
+    /// timing does not require a tracer.
     pub profile: PipelineProfile,
 }
 
@@ -158,22 +128,18 @@ impl ServerStats {
     /// Mean clips per executed batch — the direct measure of how much
     /// the dynamic batcher is coalescing.
     pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
+        if self.batch_size.count == 0 {
             return 0.0;
         }
-        self.clips_batched() as f64 / self.batches as f64
+        self.batch_size.sum as f64 / self.batch_size.count as f64
     }
 
     /// Total clips that rode in executed batches (the batch-size
-    /// histogram's weighted sum). Every such clip was answered — with a
+    /// histogram's exact sum). Every such clip was answered — with a
     /// prediction or a batch failure — so this always equals
     /// `completed + failed`.
     pub fn clips_batched(&self) -> u64 {
-        self.batch_sizes
-            .iter()
-            .enumerate()
-            .map(|(size, &count)| size as u64 * count)
-            .sum()
+        self.batch_size.sum
     }
 
     /// Requests admitted but not yet resolved: queued, riding in a
@@ -285,15 +251,6 @@ impl fmt::Display for ServerStats {
     }
 }
 
-/// Exact side data the registry's fixed-shape metrics cannot carry: the
-/// per-size batch histogram (the conserved-accounting witness) and the
-/// per-stage profile with its `max` fields.
-#[derive(Debug, Default)]
-struct Aux {
-    batch_sizes: Vec<u64>,
-    profile: PipelineProfile,
-}
-
 /// The shared recorder workers and the submission path write into. All
 /// counters and latency samples land in [`Registry`] cells — atomics on
 /// the hot path — so the same numbers surface as [`ServerStats`] *and*
@@ -313,11 +270,11 @@ pub(crate) struct Recorder {
     batch_size: Histogram,
     queue_latency: Histogram,
     compute_latency: Histogram,
-    stages: [(Summary, &'static str); 3],
+    /// `sense`, `forward` and `readout`, in that order.
+    stages: [Histogram; 3],
     in_flight: Gauge,
     queue_depth: Gauge,
     uptime: Gauge,
-    aux: Mutex<Aux>,
 }
 
 impl Recorder {
@@ -367,14 +324,11 @@ impl Recorder {
             HistogramOpts::nanos().with_exemplars(),
         );
         let stages = ["sense", "forward", "readout"].map(|stage| {
-            (
-                registry.summary_with(
-                    "snappix_server_stage_latency_seconds",
-                    "Forward-pass wall time by pipeline stage, aggregated across worker replicas.",
-                    1e-9,
-                    &[("stage", stage)],
-                ),
-                stage,
+            registry.histogram_with(
+                "snappix_server_stage_latency_seconds",
+                "Forward-pass wall time by pipeline stage, aggregated across worker replicas.",
+                HistogramOpts::nanos(),
+                &[("stage", stage)],
             )
         });
         let in_flight = registry.gauge(
@@ -413,17 +367,12 @@ impl Recorder {
             in_flight,
             queue_depth,
             uptime,
-            aux: Mutex::new(Aux::default()),
         }
     }
 
     /// The registry the recorder's families live in.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Aux> {
-        self.aux.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub fn record_admitted(&self) {
@@ -447,18 +396,13 @@ impl Recorder {
     /// into the server-wide aggregate. Workers call this after every
     /// batch.
     pub fn record_profile(&self, delta: &PipelineProfile) {
-        if delta.is_empty() || !self.registry.is_enabled() {
-            return;
+        for (hist, stage) in self
+            .stages
+            .iter()
+            .zip([&delta.sense, &delta.forward, &delta.readout])
+        {
+            record_stage(hist, stage);
         }
-        for (summary, stage) in &self.stages {
-            let s = match *stage {
-                "sense" => delta.sense,
-                "forward" => delta.forward,
-                _ => delta.readout,
-            };
-            summary.observe_many(s.calls, s.total.as_nanos() as u64);
-        }
-        self.lock().profile.merge(delta);
     }
 
     /// Records one claimed batch: per-request queue latencies (each
@@ -480,13 +424,6 @@ impl Recorder {
         if executed > 0 {
             self.batches.inc();
             self.batch_size.record(executed as u64);
-            if self.registry.is_enabled() {
-                let mut aux = self.lock();
-                if aux.batch_sizes.len() <= executed {
-                    aux.batch_sizes.resize(executed + 1, 0);
-                }
-                aux.batch_sizes[executed] += 1;
-            }
             if let Some((compute, trace_id)) = compute {
                 self.compute_latency
                     .record_with_trace(compute.as_nanos() as u64, trace_id);
@@ -498,24 +435,36 @@ impl Recorder {
     }
 
     pub fn snapshot(&self, queue_depth: usize) -> ServerStats {
-        let (batch_sizes, profile) = {
-            let aux = self.lock();
-            (aux.batch_sizes.clone(), aux.profile)
-        };
+        let compute_latency = self.compute_latency.snapshot();
+        let completed = self.completed.get();
+        let [sense, forward, readout] = self.stages.each_ref().map(|hist| {
+            let snap = hist.snapshot();
+            StageProfile {
+                calls: snap.count,
+                total: Duration::from_nanos(snap.sum),
+                max: Duration::from_nanos(snap.max),
+            }
+        });
         let stats = ServerStats {
             submitted: self.submitted.get(),
-            completed: self.completed.get(),
+            completed,
             rejected: self.rejected.get(),
             expired: self.expired.get(),
             failed: self.failed.get(),
             batches: self.batches.get(),
-            batch_sizes,
+            batch_size: self.batch_size.snapshot(),
             queue_depth,
             resident_weight_bytes: self.resident_weight_bytes,
             uptime: self.started.elapsed(),
             queue_latency: LatencySummary::from_histogram(&self.queue_latency.snapshot()),
-            compute_latency: LatencySummary::from_histogram(&self.compute_latency.snapshot()),
-            profile,
+            compute_latency: LatencySummary::from_histogram(&compute_latency),
+            profile: PipelineProfile {
+                sense,
+                forward,
+                readout,
+                batches: compute_latency.count,
+                clips: completed,
+            },
         };
         // Refresh the scrape-time gauges: a registry render right after
         // a snapshot (the gateway's `/metrics` path) sees current
@@ -524,6 +473,26 @@ impl Recorder {
         self.queue_depth.set(queue_depth as f64);
         self.uptime.set(stats.uptime.as_secs_f64());
         stats
+    }
+}
+
+/// Records one stage's profile delta as `calls` samples with the
+/// delta's exact count, sum and max: the slowest call once, then the
+/// rest of the total split over the other calls to the nanosecond.
+/// Workers drain their profile after every batch, so a delta is almost
+/// always a single call, recorded as is.
+fn record_stage(hist: &Histogram, stage: &StageProfile) {
+    let Some(others) = stage.calls.checked_sub(1) else {
+        return;
+    };
+    let max = stage.max.as_nanos() as u64;
+    hist.record(max);
+    let rest = (stage.total.as_nanos() as u64).saturating_sub(max);
+    // `rest <= others * max`, so no split sample exceeds `max`.
+    if let (Some(share), Some(extra)) = (rest.checked_div(others), rest.checked_rem(others)) {
+        for i in 0..others {
+            hist.record(share + u64::from(i < extra));
+        }
     }
 }
 
@@ -566,8 +535,13 @@ mod tests {
             "3 in flight"
         );
         assert_eq!(s.batches, 2, "empty batches are not executions");
-        assert_eq!(s.batch_sizes[3], 1);
-        assert_eq!(s.batch_sizes[2], 1);
+        let sizes: Vec<(u64, u64)> = s
+            .batch_size
+            .buckets
+            .iter()
+            .map(|b| (b.upper, b.count))
+            .collect();
+        assert_eq!(sizes, [(2, 1), (3, 1)]);
         assert_eq!(s.queue_depth, 4);
         assert_eq!(s.resident_weight_bytes, 1024);
         assert_eq!(s.queue_latency.samples, 7);
@@ -626,9 +600,16 @@ mod tests {
         assert_eq!(s.profile.sense.total, Duration::from_millis(14));
         assert_eq!(s.profile.sense.max, Duration::from_millis(10));
         assert_eq!(s.profile.forward.calls, 1);
-        assert_eq!((s.profile.batches, s.profile.clips), (3, 8));
+        assert_eq!(s.profile.forward.total, Duration::from_millis(6));
+        assert_eq!(s.profile.forward.max, Duration::from_millis(6));
+        assert_eq!(s.profile.readout, StageProfile::default());
+        // Batches and clips come from the compute histogram and the
+        // completed counter, not from the stage deltas.
+        r.record_batch(&[], 0, 4, Some((Duration::from_millis(1), 0)));
+        let s = r.snapshot(0);
+        assert_eq!((s.profile.batches, s.profile.clips), (1, 4));
         assert!(s.to_string().contains("stages:"));
-        // The stage summaries mirror the profile on the rendered page.
+        // The stage histograms mirror the profile on the rendered page.
         let page = r.registry().render();
         assert!(
             page.contains("snappix_server_stage_latency_seconds_sum{stage=\"sense\"} 0.014\n"),
@@ -642,6 +623,28 @@ mod tests {
             page.contains("snappix_server_stage_latency_seconds_count{stage=\"forward\"} 1\n"),
             "{page}"
         );
+        assert!(
+            page.contains("# TYPE snappix_server_stage_latency_seconds histogram\n"),
+            "{page}"
+        );
+    }
+
+    #[test]
+    fn batches_beyond_the_singleton_buckets_stay_conserved() {
+        // 130 and 200 clips lie past the 7-bit histogram's singleton
+        // buckets (sizes below 128); its exact sum still conserves.
+        let r = recorder();
+        for _ in 0..330 {
+            r.record_admitted();
+        }
+        r.record_batch(&[], 0, 130, Some((Duration::from_millis(1), 0)));
+        r.record_batch(&[], 0, 200, Some((Duration::from_millis(1), 0)));
+        let s = r.snapshot(0);
+        assert_eq!(s.check_conserved(), Ok(0));
+        assert_eq!(s.clips_batched(), s.completed);
+        assert_eq!(s.completed, 330);
+        assert_eq!((s.batch_size.count, s.batch_size.max), (2, 200));
+        assert!((s.mean_batch_size() - 165.0).abs() < 1e-9);
     }
 
     #[test]
@@ -665,16 +668,14 @@ mod tests {
         // Drift type 1: more resolutions than admissions.
         let mut drifted = healthy.clone();
         drifted.completed += 10;
-        drifted.batch_sizes[3] = 0;
-        drifted.batch_sizes.resize(14, 0);
-        drifted.batch_sizes[13] = 1;
+        drifted.batch_size.sum = 13;
         assert_eq!(drifted.in_flight(), 0, "saturating, never wrapping");
         let err = drifted.check_conserved().expect_err("over-resolved");
         assert!(err.contains("exceeds submitted"), "{err}");
 
         // Drift type 2: histogram disagrees with the outcome counters.
         let mut skewed = healthy;
-        skewed.batch_sizes[3] = 2;
+        skewed.batch_size.sum = 6;
         let err = skewed.check_conserved().expect_err("histogram drift");
         assert!(err.contains("histogram"), "{err}");
     }
@@ -691,36 +692,6 @@ mod tests {
             // should_panic expectation explicitly.
             panic!("accounting drift checks are debug-only");
         }
-    }
-
-    #[test]
-    fn quantiles_export_in_ascending_order() {
-        let samples: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let q = LatencySummary::from_samples(&samples).quantiles();
-        assert_eq!(
-            q,
-            [
-                (0.5, Duration::from_millis(50)),
-                (0.95, Duration::from_millis(95)),
-                (0.99, Duration::from_millis(99)),
-            ]
-        );
-    }
-
-    #[test]
-    fn from_samples_is_nearest_rank() {
-        let samples: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let s = LatencySummary::from_samples(&samples);
-        assert_eq!(s.samples, 100);
-        assert_eq!(s.total, Duration::from_millis(5050));
-        assert_eq!(s.p50, Duration::from_millis(50));
-        assert_eq!(s.p95, Duration::from_millis(95));
-        assert_eq!(s.p99, Duration::from_millis(99));
-        assert_eq!(s.max, Duration::from_millis(100));
-        assert_eq!(LatencySummary::from_samples(&[]), LatencySummary::default());
-        // Order-independent: ranking sorts internally.
-        let reversed: Vec<Duration> = samples.iter().rev().copied().collect();
-        assert_eq!(LatencySummary::from_samples(&reversed), s);
     }
 
     #[test]
@@ -770,10 +741,29 @@ mod tests {
             1,
             Some((Duration::from_millis(1), 0)),
         );
-        let s = r.snapshot(0);
+        let call = StageProfile {
+            calls: 1,
+            total: Duration::from_millis(1),
+            max: Duration::from_millis(1),
+        };
+        r.record_profile(&PipelineProfile {
+            sense: call,
+            forward: call,
+            readout: call,
+            batches: 1,
+            clips: 1,
+        });
+        let s = r.snapshot(3);
         assert_eq!(s.submitted, 0, "disabled registry counts nothing");
-        assert_eq!(s.batch_sizes, Vec::<u64>::new());
+        assert_eq!((s.completed, s.batches), (0, 0));
+        assert_eq!((s.batch_size.count, s.batch_size.sum), (0, 0));
         assert_eq!(s.queue_latency, LatencySummary::default());
+        assert_eq!(s.compute_latency, LatencySummary::default());
+        assert!(s.profile.is_empty());
+        // What the server reads from itself stays live.
+        assert_eq!(s.queue_depth, 3);
+        assert_eq!(s.resident_weight_bytes, 512);
+        assert!(s.uptime > Duration::ZERO);
         s.debug_assert_conserved();
         assert_eq!(r.registry().render(), "");
     }

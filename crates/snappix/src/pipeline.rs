@@ -654,14 +654,8 @@ where
     ///
     /// Fails when the clip does not match the backend.
     pub fn sense(&mut self, clip: &Tensor) -> Result<Tensor, Error> {
-        let tracer = self.tracer.clone();
         with_pool(self.threads, || {
-            let started = Instant::now();
-            let span = tracer.span("sense");
-            let coded = self.backend.sense(clip);
-            drop(span);
-            self.profile.sense.record(started.elapsed());
-            coded
+            self.stage("sense", None, |p| p.backend.sense(clip))
         })
         .map_err(Error::from)
     }
@@ -692,15 +686,9 @@ where
         if clips.rank() == 4 && clips.shape()[0] == 0 {
             return Ok(Inference::empty(self.model.num_classes()));
         }
-        let tracer = self.tracer.clone();
         let batch = clips.shape().first().copied().unwrap_or(0);
         with_pool(self.threads, || {
-            let started = Instant::now();
-            let mut span = tracer.span("sense");
-            span.arg("clips", batch);
-            let coded = self.backend.sense_batch(clips);
-            drop(span);
-            self.profile.sense.record(started.elapsed());
+            let coded = self.stage("sense", Some(batch), |p| p.backend.sense_batch(clips));
             self.infer_coded(&coded?)
         })
     }
@@ -715,15 +703,8 @@ where
     ///
     /// Fails when the clip does not match the backend or the model.
     pub fn infer_clip(&mut self, clip: &Tensor) -> Result<Prediction, Error> {
-        let tracer = self.tracer.clone();
         with_pool(self.threads, || {
-            let started = Instant::now();
-            let mut span = tracer.span("sense");
-            span.arg("clips", 1usize);
-            let coded = self.backend.sense(clip);
-            drop(span);
-            self.profile.sense.record(started.elapsed());
-            let coded = coded?;
+            let coded = self.stage("sense", Some(1), |p| p.backend.sense(clip))?;
             let batch = coded.reshape(&[1, coded.shape()[0], coded.shape()[1]])?;
             self.infer_coded(&batch)
         })?
@@ -742,22 +723,38 @@ where
     /// One batched forward pass over already-coded `[batch, h, w]`
     /// images, reusing the pooled sessions.
     fn infer_coded(&mut self, coded: &Tensor) -> Result<Inference, Error> {
-        let tracer = self.tracer.clone();
-        let started = Instant::now();
-        let span = tracer.span("forward");
-        let logits = self.forward(coded);
-        drop(span);
-        self.profile.forward.record(started.elapsed());
-        let logits = logits?;
-        let started = Instant::now();
-        let span = tracer.span("readout");
-        let labels = logits.argmax_axis(1);
-        drop(span);
-        self.profile.readout.record(started.elapsed());
-        let labels = labels?;
+        let logits = self.stage("forward", None, |p| p.forward(coded))?;
+        let labels = self.stage("readout", None, |_| logits.argmax_axis(1))?;
         self.profile.batches += 1;
         self.profile.clips += labels.len() as u64;
         Ok(Inference { logits, labels })
+    }
+
+    /// Runs one pipeline stage inside a tracer span named `name` (with
+    /// a `clips` argument when given) and records its wall time in the
+    /// stage's [`StageProfile`].
+    fn stage<R>(
+        &mut self,
+        name: &'static str,
+        clips: Option<usize>,
+        run: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let tracer = self.tracer.clone();
+        let started = Instant::now();
+        let mut span = tracer.span(name);
+        if let Some(clips) = clips {
+            span.arg("clips", clips);
+        }
+        let out = run(self);
+        drop(span);
+        let profile = match name {
+            "sense" => &mut self.profile.sense,
+            "forward" => &mut self.profile.forward,
+            "readout" => &mut self.profile.readout,
+            other => unreachable!("no pipeline stage named {other}"),
+        };
+        profile.record(started.elapsed());
+        out
     }
 
     /// The model pass over `[batch, h, w]` coded images, sharded by clip.

@@ -42,8 +42,8 @@ impl Pacing {
 pub struct RunReport {
     /// Per-stream reports, indexed by stream id.
     pub streams: Vec<StreamReport>,
-    /// Counters summed across streams; latency percentiles re-ranked
-    /// over the pooled samples.
+    /// Counters summed across streams; latency percentiles from the
+    /// merged per-stream latency histograms.
     pub aggregate: StreamStats,
     /// Wall-clock duration of the whole run.
     pub wall: Duration,
@@ -193,11 +193,7 @@ impl<'a> StreamRunner<'a> {
         for outcome in outcomes {
             streams.push(outcome?);
         }
-        let pooled: Vec<Duration> = streams
-            .iter()
-            .flat_map(|r| r.results.iter().map(|w| w.latency))
-            .collect();
-        let aggregate = StreamStats::aggregate(streams.iter().map(|r| &r.stats), &pooled);
+        let aggregate = StreamStats::aggregate(&streams);
         Ok(RunReport {
             streams,
             aggregate,

@@ -12,11 +12,10 @@
 //! cross-stream dynamic batching happens.
 
 use crate::smooth::Smoother;
-use crate::stats::summarize;
 use crate::{Event, EventDetector, Smoothing, StreamError, StreamStats, WindowAssembler};
 use snappix::Prediction;
-use snappix_metrics::{Counter, Histogram, HistogramOpts, Registry};
-use snappix_serve::{ServeError, Server, Ticket};
+use snappix_metrics::{Counter, Histogram, HistogramOpts, HistogramSnapshot, Registry};
+use snappix_serve::{LatencySummary, ServeError, Server, Ticket};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -165,6 +164,10 @@ pub struct StreamReport {
     pub dropped: Vec<(usize, DropReason)>,
     /// Confirmed label-change events, in emission order.
     pub events: Vec<Event>,
+    /// The stream's end-to-end window latencies in nanoseconds — the
+    /// histogram `stats.latency` is derived from, kept so runs over
+    /// many streams merge it loss-free.
+    pub latency_histogram: HistogramSnapshot,
 }
 
 /// Handles into the server's [`Registry`] for the `snappix_stream_*`
@@ -274,7 +277,12 @@ pub struct StreamSession<'a> {
     in_flight: VecDeque<InFlightWindow>,
     results: Vec<WindowResult>,
     dropped: Vec<(usize, DropReason)>,
+    shed: u64,
+    expired: u64,
     events: Vec<Event>,
+    /// This stream's window latencies, next to the registry's shared
+    /// cell (which aggregates every stream on the server).
+    latency: Histogram,
     telemetry: Telemetry,
 }
 
@@ -311,7 +319,10 @@ impl<'a> StreamSession<'a> {
             in_flight: VecDeque::new(),
             results: Vec::new(),
             dropped: Vec::new(),
+            shed: 0,
+            expired: 0,
             events: Vec::new(),
+            latency: Histogram::standalone(HistogramOpts::nanos()),
             telemetry: Telemetry::new(server.metrics()),
         })
     }
@@ -339,23 +350,14 @@ impl<'a> StreamSession<'a> {
     /// A point-in-time stats snapshot (latency percentiles over the
     /// results completed so far).
     pub fn stats(&self) -> StreamStats {
-        let latencies: Vec<Duration> = self.results.iter().map(|r| r.latency).collect();
         StreamStats {
             frames: self.assembler.frames_in() as u64,
             windows: self.assembler.windows_out() as u64,
             inferred: self.results.len() as u64,
-            shed: self
-                .dropped
-                .iter()
-                .filter(|(_, r)| *r == DropReason::Shed)
-                .count() as u64,
-            expired: self
-                .dropped
-                .iter()
-                .filter(|(_, r)| *r == DropReason::Expired)
-                .count() as u64,
+            shed: self.shed,
+            expired: self.expired,
             events: self.events.len() as u64,
-            latency: summarize(&latencies),
+            latency: LatencySummary::from_histogram(&self.latency.snapshot()),
         }
     }
 
@@ -426,14 +428,21 @@ impl<'a> StreamSession<'a> {
             results: self.results,
             dropped: self.dropped,
             events: self.events,
+            latency_histogram: self.latency.snapshot(),
         })
     }
 
     /// Logs one dropped window in the report *and* the registry.
     fn drop_window(&mut self, index: usize, reason: DropReason) {
         match reason {
-            DropReason::Shed => self.telemetry.shed.inc(),
-            DropReason::Expired => self.telemetry.expired.inc(),
+            DropReason::Shed => {
+                self.shed += 1;
+                self.telemetry.shed.inc();
+            }
+            DropReason::Expired => {
+                self.expired += 1;
+                self.telemetry.expired.inc();
+            }
         }
         self.dropped.push((index, reason));
     }
@@ -535,8 +544,10 @@ impl<'a> StreamSession<'a> {
     /// results log.
     fn complete(&mut self, index: usize, completed_at: Instant, prediction: Prediction) {
         let latency = completed_at.elapsed();
+        let nanos = latency.as_nanos() as u64;
         self.telemetry.inferred.inc();
-        self.telemetry.latency.record(latency.as_nanos() as u64);
+        self.telemetry.latency.record(nanos);
+        self.latency.record(nanos);
         let smoothed = self.smoother.observe(&prediction);
         let at_frame = index * self.hop + self.window_len - 1;
         if let Some(event) = self.detector.observe(self.id, index, at_frame, smoothed) {

@@ -1,9 +1,10 @@
 //! Streaming telemetry: per-stream (and aggregate) counters plus
 //! end-to-end latency percentiles.
 
+use crate::StreamReport;
+use snappix_metrics::HistogramSnapshot;
 use snappix_serve::LatencySummary;
 use std::fmt;
-use std::time::Duration;
 
 /// Counters and latency percentiles for one stream — or, via
 /// [`StreamStats::aggregate`], for a whole multi-stream run.
@@ -14,8 +15,10 @@ use std::time::Duration;
 /// End-to-end latency is measured per inferred window from the instant
 /// its last frame arrived (the window *could* first exist) to the
 /// instant its prediction was received back from the server — it spans
-/// admission queueing, batching delay, and compute. Percentiles are
-/// nearest-rank over all of the stream's samples.
+/// admission queueing, batching delay, and compute. It is derived from
+/// a log-linear histogram of every sample: count, total and max are
+/// exact, and each percentile is within the histogram's relative error
+/// bound of 2⁻⁶ (~1.6%) of the true order statistic.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamStats {
     /// Frames ingested from the source.
@@ -45,23 +48,30 @@ impl StreamStats {
         self.inferred as f64 / self.windows as f64
     }
 
-    /// Sums counters across streams and re-ranks latency percentiles
-    /// over the pooled samples (percentiles do not average; they must be
-    /// recomputed from the union).
-    pub fn aggregate<'a>(
-        per_stream: impl IntoIterator<Item = &'a StreamStats>,
-        pooled_latencies: &[Duration],
-    ) -> StreamStats {
+    /// Sums counters across streams and derives latency percentiles
+    /// from the merged per-stream histograms (percentiles do not
+    /// average; they must be recomputed from the union, which the
+    /// loss-free [`merge`](snappix_metrics::HistogramSnapshot::merge)
+    /// gives).
+    pub fn aggregate<'a>(per_stream: impl IntoIterator<Item = &'a StreamReport>) -> StreamStats {
         let mut total = StreamStats::default();
-        for s in per_stream {
+        let mut latency: Option<HistogramSnapshot> = None;
+        for report in per_stream {
+            let s = &report.stats;
             total.frames += s.frames;
             total.windows += s.windows;
             total.inferred += s.inferred;
             total.shed += s.shed;
             total.expired += s.expired;
             total.events += s.events;
+            latency = Some(match latency {
+                None => report.latency_histogram.clone(),
+                Some(merged) => merged.merge(&report.latency_histogram),
+            });
         }
-        total.latency = summarize(pooled_latencies);
+        if let Some(merged) = latency {
+            total.latency = LatencySummary::from_histogram(&merged);
+        }
         total
     }
 }
@@ -86,26 +96,30 @@ impl fmt::Display for StreamStats {
     }
 }
 
-/// Nearest-rank percentiles over a finite latency sample set — the
-/// serving layer's shared implementation.
-pub(crate) fn summarize(samples: &[Duration]) -> LatencySummary {
-    LatencySummary::from_samples(samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snappix_metrics::{Histogram, HistogramOpts};
+    use std::time::Duration;
 
-    #[test]
-    fn summarize_is_nearest_rank() {
-        let samples: Vec<Duration> = (1..=200).map(Duration::from_millis).collect();
-        let s = summarize(&samples);
-        assert_eq!(s.samples, 200);
-        assert_eq!(s.p50, Duration::from_millis(100));
-        assert_eq!(s.p95, Duration::from_millis(190));
-        assert_eq!(s.p99, Duration::from_millis(198));
-        assert_eq!(s.max, Duration::from_millis(200));
-        assert_eq!(summarize(&[]), LatencySummary::default());
+    /// A report whose stats and latency histogram hold `latencies`.
+    fn report(stats: StreamStats, latencies: &[Duration]) -> StreamReport {
+        let hist = Histogram::standalone(HistogramOpts::nanos());
+        for latency in latencies {
+            hist.record(latency.as_nanos() as u64);
+        }
+        let latency_histogram = hist.snapshot();
+        StreamReport {
+            id: 0,
+            stats: StreamStats {
+                latency: LatencySummary::from_histogram(&latency_histogram),
+                ..stats
+            },
+            results: Vec::new(),
+            dropped: Vec::new(),
+            events: Vec::new(),
+            latency_histogram,
+        }
     }
 
     #[test]
@@ -117,7 +131,7 @@ mod tests {
             shed: 2,
             expired: 0,
             events: 3,
-            latency: summarize(&[Duration::from_millis(1)]),
+            latency: LatencySummary::default(),
         };
         let b = StreamStats {
             frames: 50,
@@ -126,10 +140,11 @@ mod tests {
             shed: 1,
             expired: 2,
             events: 1,
-            latency: summarize(&[Duration::from_millis(9)]),
+            latency: LatencySummary::default(),
         };
-        let pooled = [Duration::from_millis(1), Duration::from_millis(9)];
-        let total = StreamStats::aggregate([&a, &b], &pooled);
+        let a = report(a, &[Duration::from_millis(1)]);
+        let b = report(b, &[Duration::from_millis(9)]);
+        let total = StreamStats::aggregate([&a, &b]);
         assert_eq!(total.frames, 150);
         assert_eq!(total.windows, 30);
         assert_eq!(total.inferred, 25);
@@ -138,9 +153,11 @@ mod tests {
         assert_eq!(total.events, 4);
         assert_eq!(total.inferred + total.shed + total.expired, total.windows);
         assert_eq!(total.latency.samples, 2);
+        assert_eq!(total.latency.total, Duration::from_millis(10));
         assert_eq!(total.latency.max, Duration::from_millis(9));
         assert!((total.service_ratio() - 25.0 / 30.0).abs() < 1e-12);
         assert_eq!(StreamStats::default().service_ratio(), 1.0);
+        assert_eq!(StreamStats::aggregate([]), StreamStats::default());
         let text = total.to_string();
         assert!(text.contains("25 inferred"));
         assert!(text.contains("p99"));

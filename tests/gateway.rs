@@ -420,10 +420,15 @@ fn concurrent_tcp_clients_match_serial_inference_and_metrics_are_conserved() {
 #[test]
 fn metrics_reference_table_matches_a_live_scrape() {
     let table = include_str!("../docs/METRICS.md");
-    let rows = |text: &'static str| -> Vec<&'static str> {
+    // (name without the `snappix_` prefix, documented type) per row.
+    let rows = |text: &'static str| -> Vec<(&'static str, &'static str)> {
         text.lines()
             .filter_map(|line| line.strip_prefix("| `snappix_"))
-            .map(|rest| rest.split('`').next().expect("closing backtick"))
+            .map(|rest| {
+                let (name, cells) = rest.split_once('`').expect("closing backtick");
+                let kind = cells.split('|').nth(1).expect("type column").trim();
+                (name, kind)
+            })
             .collect()
     };
     let documented = rows(table);
@@ -453,18 +458,33 @@ fn metrics_reference_table_matches_a_live_scrape() {
     assert_eq!(client.send("GET", "/stats", &[], &[]).status, 200);
     let page = scrape(gateway.local_addr());
 
-    for name in &required {
+    for (name, kind) in &documented {
+        assert!(
+            ["counter", "gauge", "histogram"].contains(kind),
+            "docs/METRICS.md documents snappix_{name} as a {kind:?}, not a registry kind"
+        );
+    }
+    for (name, _) in &required {
         let full = format!("snappix_{name}");
         assert!(
             page.families.contains_key(&full),
             "docs/METRICS.md documents {full} but /metrics does not export it"
         );
     }
-    for family in page.families.keys() {
+    for (family, scraped) in &page.families {
         let short = family.strip_prefix("snappix_").expect("snappix_ prefix");
+        let kind = documented
+            .iter()
+            .find(|(name, _)| *name == short)
+            .map(|&(_, kind)| kind);
         assert!(
-            documented.contains(&short),
+            kind.is_some(),
             "/metrics exports {family} but docs/METRICS.md does not document it"
+        );
+        assert_eq!(
+            kind,
+            Some(scraped.as_str()),
+            "docs/METRICS.md types {family} differently from its scraped # TYPE"
         );
     }
     // The latency families are real histograms now — buckets a scraper
@@ -474,6 +494,7 @@ fn metrics_reference_table_matches_a_live_scrape() {
         "snappix_server_compute_latency_seconds",
         "snappix_gateway_request_latency_seconds",
         "snappix_server_batch_size",
+        "snappix_server_stage_latency_seconds",
     ] {
         assert_eq!(
             page.families.get(family).map(String::as_str),

@@ -104,11 +104,12 @@ fn concurrent_batched_serving_matches_serial_inference_exactly() {
     assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.rejected + stats.expired + stats.failed, 0);
     assert!(stats.batches >= 1);
+    // Batch sizes here stay below 128, in exact singleton buckets.
     let clips_through_batches: u64 = stats
-        .batch_sizes
+        .batch_size
+        .buckets
         .iter()
-        .enumerate()
-        .map(|(size, &count)| size as u64 * count)
+        .map(|bucket| bucket.upper * bucket.count)
         .sum();
     assert_eq!(clips_through_batches, stats.completed);
     assert!(stats.queue_latency.samples >= stats.completed);
@@ -238,7 +239,10 @@ fn wait_timeout_mid_compute_leaves_the_ticket_redeemable() {
     assert_eq!(stats.expired, 0);
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.batches, 1, "all B rode one batch");
-    assert_eq!(stats.batch_sizes[B], 1);
+    assert_eq!(
+        (stats.batch_size.count, stats.batch_size.max),
+        (1, B as u64)
+    );
 }
 
 /// Geometry is validated at admission so one bad clip cannot poison a

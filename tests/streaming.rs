@@ -383,6 +383,38 @@ fn real_time_pacing_serves_every_window_when_unloaded() {
     assert!(report.wall >= Duration::from_millis(20), "pacing slept");
 }
 
+/// A stream's latency summary comes from the same samples as the
+/// server registry's window-latency histogram: with one session on the
+/// server, the two agree exactly.
+#[test]
+fn single_stream_latency_matches_the_registry_histogram() {
+    let (video, hop) = (&workload()[3].0, 3);
+    let server = Server::builder(Pipeline::builder(model()))
+        .with_workers(1)
+        .build()
+        .expect("server assembly");
+    let mut session = StreamSession::new(0, &server, raw_config(hop)).expect("session");
+    for i in 0..FRAMES {
+        session.push(&video.frame(i).expect("frame")).expect("push");
+    }
+    let report = session.finish().expect("finish");
+    let registered = server
+        .metrics()
+        .histogram(
+            "snappix_stream_window_latency_seconds",
+            "End-to-end window latency.",
+            HistogramOpts::nanos(),
+        )
+        .snapshot();
+    assert_eq!(registered.count, ((FRAMES - T) / hop + 1) as u64);
+    assert_eq!(registered.count, report.stats.inferred);
+    assert_eq!(report.latency_histogram, registered);
+    assert_eq!(
+        report.stats.latency,
+        LatencySummary::from_histogram(&registered)
+    );
+}
+
 /// Compile-time pin: the whole streaming object graph crosses threads.
 #[test]
 fn streaming_types_are_send() {
