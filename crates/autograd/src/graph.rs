@@ -76,6 +76,16 @@ impl Graph {
         self.nodes.len()
     }
 
+    /// Bytes held by the values of all recorded nodes (`f32` elements
+    /// times four, leaves included): the activation footprint of a
+    /// forward pass.
+    pub fn value_bytes(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|n| n.value.len() * std::mem::size_of::<f32>())
+            .sum()
+    }
+
     /// Clears the tape so the allocation can be reused for another step.
     ///
     /// All [`Var`] handles issued before the reset are invalidated; the
@@ -126,6 +136,27 @@ impl Graph {
             backward: if needs_grad { Some(backward) } else { None },
             needs_grad,
         })
+    }
+
+    /// Records a unary op whose backward reads its own output (`exp`,
+    /// `tanh`, softmax). `backward` maps (upstream gradient, output) to
+    /// the input's gradient. The output is copied for it only when a
+    /// gradient is needed, so an inference tape copies nothing.
+    pub(crate) fn push_op_keeping_output(
+        &mut self,
+        value: Tensor,
+        parent: Var,
+        backward: fn(&Tensor, &Tensor) -> Tensor,
+    ) -> Var {
+        let output = self.nodes[parent.0].needs_grad.then(|| value.clone());
+        self.push_op(
+            value,
+            vec![parent],
+            Box::new(move |g, _| {
+                let output = output.as_ref().expect("kept when a gradient is needed");
+                vec![backward(g, output)]
+            }),
+        )
     }
 
     /// Records a custom differentiable operation.

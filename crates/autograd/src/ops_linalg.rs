@@ -1,5 +1,6 @@
 //! Linear algebra, reshaping and reduction operations with gradients.
 
+use crate::graph::reduce_to_shape;
 use crate::{AutogradError, Graph, Result, Var};
 use snappix_tensor::Tensor;
 
@@ -15,43 +16,11 @@ impl Graph {
         self.check(a)?;
         self.check(b)?;
         let value = self.value(a).matmul(self.value(b))?;
-        let (ra, rb) = (self.value(a).rank(), self.value(b).rank());
+        let ranks = (self.value(a).rank(), self.value(b).rank());
         Ok(self.push_op(
             value,
             vec![a, b],
-            Box::new(move |g, parents| {
-                let (av, bv) = (parents[0], parents[1]);
-                match (ra, rb) {
-                    (2, 2) | (3, 3) => {
-                        let da = g
-                            .matmul(&bv.transpose().expect("rank >= 2"))
-                            .expect("shapes match forward");
-                        let db = av
-                            .transpose()
-                            .expect("rank >= 2")
-                            .matmul(g)
-                            .expect("shapes match forward");
-                        vec![da, db]
-                    }
-                    (3, 2) => {
-                        // a: [batch, m, k], b: [k, n], g: [batch, m, n]
-                        let da = g
-                            .matmul(&bv.transpose().expect("rank 2"))
-                            .expect("shapes match forward");
-                        let (batch, m, k) = (av.shape()[0], av.shape()[1], av.shape()[2]);
-                        let n = bv.shape()[1];
-                        let a_flat = av.reshape(&[batch * m, k]).expect("same length");
-                        let g_flat = g.reshape(&[batch * m, n]).expect("same length");
-                        let db = a_flat
-                            .transpose()
-                            .expect("rank 2")
-                            .matmul(&g_flat)
-                            .expect("shapes match forward");
-                        vec![da, db]
-                    }
-                    _ => unreachable!("forward would have rejected these ranks"),
-                }
-            }),
+            Box::new(move |g, parents| matmul_grads(ranks, g, parents[0], parents[1]).into()),
         ))
     }
 
@@ -193,46 +162,103 @@ impl Graph {
     pub fn softmax(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
         let value = self.value(a).softmax_last()?;
-        let cached = value.clone();
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, _| {
-                // dX = S * (dY - sum(dY * S, last))
-                let gs = g.mul(&cached).expect("same shape");
-                let last = cached.rank() - 1;
-                let row_sum = gs.sum_axis(last, true).expect("axis valid");
-                let centered = g.sub(&row_sum).expect("broadcast row");
-                vec![centered.mul(&cached).expect("same shape")]
-            }),
-        ))
+        Ok(self.push_op_keeping_output(value, a, |g, s| {
+            // dX = S * (dY - sum(dY * S, last))
+            let gs = g.mul(s).expect("same shape");
+            let row_sum = gs.sum_axis(s.rank() - 1, true).expect("axis valid");
+            let centered = g.sub(&row_sum).expect("broadcast row");
+            centered.mul(s).expect("same shape")
+        }))
     }
 
     /// Layer normalization over the last axis with learnable `gamma`/`beta`
-    /// composed from primitive ops (so gradients need no bespoke code).
+    /// of shape `[d]` for input `[..., d]`, as one tape node.
     ///
-    /// `gamma` and `beta` must be broadcastable against the input (typically
-    /// shape `[d]` for input `[..., d]`).
+    /// Each row runs the f32 sequence of the primitive composite
+    /// `mean_axis`, `sub`, `mul`, `mean_axis`, `add_scalar`, `powf(-0.5)`,
+    /// `mul`, `mul`, `add`: an ascending sum times `1/d`, centre, square,
+    /// an ascending sum times `1/d`, `+ eps`, `powf(-0.5)`, `× gamma`,
+    /// `+ beta`. The output is therefore bit-identical to that composite.
+    /// The backward is analytic.
     ///
     /// # Errors
     ///
-    /// Fails on shape mismatches.
+    /// Fails for a rank-0 input, or when `gamma` or `beta` is not `[d]`.
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Result<Var> {
         self.check(x)?;
-        let last = self
-            .value(x)
-            .rank()
-            .checked_sub(1)
+        self.check(gamma)?;
+        self.check(beta)?;
+        let (xv, gv, bv) = (self.value(x), self.value(gamma), self.value(beta));
+        let d = *xv
+            .shape()
+            .last()
             .ok_or(AutogradError::NotScalar { shape: vec![] })?;
-        let mu = self.mean_axis(x, last, true)?;
-        let centered = self.sub(x, mu)?;
-        let sq = self.mul(centered, centered)?;
-        let var = self.mean_axis(sq, last, true)?;
-        let var_eps = self.add_scalar(var, eps)?;
-        let inv_std = self.powf(var_eps, -0.5)?;
-        let normed = self.mul(centered, inv_std)?;
-        let scaled = self.mul(normed, gamma)?;
-        self.add(scaled, beta)
+        if gv.shape() != [d] || bv.shape() != [d] {
+            return Err(AutogradError::Tensor(
+                snappix_tensor::TensorError::IncompatibleShapes {
+                    context: format!(
+                        "layer_norm of {:?} needs gamma and beta of [{d}], got {:?} and {:?}",
+                        xv.shape(),
+                        gv.shape(),
+                        bv.shape()
+                    ),
+                },
+            ));
+        }
+        let mut value = xv.clone();
+        let (gs, bs) = (gv.as_slice(), bv.as_slice());
+        let stats = row_stats(xv.as_slice(), d, eps);
+        for (row, (mean, inv_std)) in value.as_mut_slice().chunks_exact_mut(d.max(1)).zip(stats) {
+            for ((y, &g), &b) in row.iter_mut().zip(gs).zip(bs) {
+                *y = (*y - mean) * inv_std * g + b;
+            }
+        }
+        Ok(self.push_op(
+            value,
+            vec![x, gamma, beta],
+            Box::new(move |g, parents| layer_norm_backward(g, parents[0], parents[1], eps)),
+        ))
+    }
+
+    /// Affine map `x W + b` as one tape node: [`Graph::matmul`] with the
+    /// bias `b` (shape `[n]` for `W` of `[k, n]`) added in place to the
+    /// product. Bit-identical to `matmul` followed by `add`.
+    ///
+    /// # Errors
+    ///
+    /// Fails where [`Graph::matmul`] does, or when `b` is not `[n]`.
+    pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Result<Var> {
+        self.check(x)?;
+        self.check(w)?;
+        self.check(b)?;
+        let mut value = self.value(x).matmul(self.value(w))?;
+        let bias = self.value(b).as_slice();
+        let n = *value.shape().last().expect("matmul output has rank >= 2");
+        if self.value(b).shape() != [n] {
+            return Err(AutogradError::Tensor(
+                snappix_tensor::TensorError::IncompatibleShapes {
+                    context: format!(
+                        "linear bias {:?} for output {:?}",
+                        self.value(b).shape(),
+                        value.shape()
+                    ),
+                },
+            ));
+        }
+        for row in value.as_mut_slice().chunks_exact_mut(n.max(1)) {
+            for (y, &c) in row.iter_mut().zip(bias) {
+                *y += c;
+            }
+        }
+        let ranks = (self.value(x).rank(), self.value(w).rank());
+        Ok(self.push_op(
+            value,
+            vec![x, w, b],
+            Box::new(move |g, parents| {
+                let [dx, dw] = matmul_grads(ranks, g, parents[0], parents[1]);
+                vec![dx, dw, reduce_to_shape(g, parents[2].shape())]
+            }),
+        ))
     }
 
     /// Fused softmax-cross-entropy between `logits` (`[batch, classes]`) and
@@ -315,6 +341,122 @@ impl Graph {
         let sq = self.mul(diff, diff)?;
         self.mean(sq)
     }
+}
+
+/// Gradients of `a.matmul(b)` for operand ranks `ranks` and upstream `g`.
+fn matmul_grads(ranks: (usize, usize), g: &Tensor, av: &Tensor, bv: &Tensor) -> [Tensor; 2] {
+    match ranks {
+        (2, 2) | (3, 3) => {
+            let da = g
+                .matmul(&bv.transpose().expect("rank >= 2"))
+                .expect("shapes match forward");
+            let db = av
+                .transpose()
+                .expect("rank >= 2")
+                .matmul(g)
+                .expect("shapes match forward");
+            [da, db]
+        }
+        (3, 2) => {
+            // a: [batch, m, k], b: [k, n], g: [batch, m, n]
+            let da = g
+                .matmul(&bv.transpose().expect("rank 2"))
+                .expect("shapes match forward");
+            let (batch, m, k) = (av.shape()[0], av.shape()[1], av.shape()[2]);
+            let n = bv.shape()[1];
+            let a_flat = av.reshape(&[batch * m, k]).expect("same length");
+            let g_flat = g.reshape(&[batch * m, n]).expect("same length");
+            let db = a_flat
+                .transpose()
+                .expect("rank 2")
+                .matmul(&g_flat)
+                .expect("shapes match forward");
+            [da, db]
+        }
+        _ => unreachable!("forward would have rejected these ranks"),
+    }
+}
+
+/// Rows whose reductions run interleaved, so their add chains overlap.
+const STAT_ROWS: usize = 8;
+
+/// Mean and `1 / sqrt(var + eps)` of each length-`d` row of `x`, with
+/// the f32 operations of the primitive layer-norm composite: ascending
+/// sums from `0.0`, each times `1/d`.
+fn row_stats(x: &[f32], d: usize, eps: f32) -> Vec<(f32, f32)> {
+    let rows = x.len().checked_div(d).unwrap_or(0);
+    let mut stats = Vec::with_capacity(rows);
+    let full = rows / STAT_ROWS * STAT_ROWS;
+    for start in (0..full).step_by(STAT_ROWS) {
+        stats.extend(block_stats::<STAT_ROWS>(x, start, d, eps));
+    }
+    for row in full..rows {
+        stats.extend(block_stats::<1>(x, row, d, eps));
+    }
+    stats
+}
+
+/// [`row_stats`] of the `R` rows from `start`.
+fn block_stats<const R: usize>(x: &[f32], start: usize, d: usize, eps: f32) -> [(f32, f32); R] {
+    let inv_n = 1.0 / (d as f32).max(1.0);
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &x[(start + r) * d..(start + r + 1) * d]);
+    let mut sum = [0.0f32; R];
+    for m in 0..d {
+        for (s, row) in sum.iter_mut().zip(&rows) {
+            *s += row[m];
+        }
+    }
+    let mean = sum.map(|s| s * inv_n);
+    let mut sq = [0.0f32; R];
+    for m in 0..d {
+        for ((s, row), mu) in sq.iter_mut().zip(&rows).zip(&mean) {
+            let c = row[m] - mu;
+            *s += c * c;
+        }
+    }
+    std::array::from_fn(|r| (mean[r], (sq[r] * inv_n + eps).powf(-0.5)))
+}
+
+/// Gradients of [`Graph::layer_norm`] for `x`, `gamma` and `beta`. With
+/// `xhat = (x - mean) * inv_std` and `dxhat = g * gamma`, per row:
+/// `dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`;
+/// `dgamma` and `dbeta` sum `g * xhat` and `g` over the rows.
+fn layer_norm_backward(g: &Tensor, x: &Tensor, gamma: &Tensor, eps: f32) -> Vec<Tensor> {
+    let d = gamma.len();
+    let gammas = gamma.as_slice();
+    let inv_n = 1.0 / (d as f32).max(1.0);
+    let mut dx = Tensor::zeros(x.shape());
+    let mut dgamma = vec![0.0f32; d];
+    let mut dbeta = vec![0.0f32; d];
+    let stats = row_stats(x.as_slice(), d, eps);
+    let rows = x
+        .as_slice()
+        .chunks_exact(d.max(1))
+        .zip(g.as_slice().chunks_exact(d.max(1)));
+    let mut xhat = vec![0.0f32; d];
+    for ((out, (xs, gs)), (mean, inv_std)) in dx
+        .as_mut_slice()
+        .chunks_exact_mut(d.max(1))
+        .zip(rows)
+        .zip(stats)
+    {
+        let (mut sum_dxhat, mut sum_dxhat_xhat) = (0.0f32, 0.0f32);
+        for i in 0..d {
+            xhat[i] = (xs[i] - mean) * inv_std;
+            let dxhat = gs[i] * gammas[i];
+            sum_dxhat += dxhat;
+            sum_dxhat_xhat += dxhat * xhat[i];
+            dgamma[i] += gs[i] * xhat[i];
+            dbeta[i] += gs[i];
+        }
+        let (a, b) = (sum_dxhat * inv_n, sum_dxhat_xhat * inv_n);
+        for i in 0..d {
+            out[i] = inv_std * (gs[i] * gammas[i] - a - xhat[i] * b);
+        }
+    }
+    let dgamma = Tensor::from_vec(dgamma, &[d]).expect("length d");
+    let dbeta = Tensor::from_vec(dbeta, &[d]).expect("length d");
+    vec![dx, dgamma, dbeta]
 }
 
 #[cfg(test)]
@@ -446,6 +588,39 @@ mod tests {
             g.sum(m)
         })
         .unwrap();
+    }
+
+    #[test]
+    fn fused_layer_norm_numeric_over_rank3_with_a_row_remainder() {
+        // 2 x 5 = 10 rows: one 8-row reduction block plus two left over.
+        let mut rng = StdRng::seed_from_u64(10);
+        let x = Tensor::rand_uniform(&mut rng, &[2, 5, 6], -2.0, 2.0);
+        let gamma = Tensor::rand_uniform(&mut rng, &[6], 0.5, 1.5);
+        let beta = Tensor::rand_uniform(&mut rng, &[6], -0.5, 0.5);
+        let probe = Tensor::rand_uniform(&mut rng, &[2, 5, 6], -1.0, 1.0);
+        check_gradients(&[x, gamma, beta], |g, vars| {
+            let y = g.layer_norm(vars[0], vars[1], vars[2], 1e-5)?;
+            let p = g.leaf(probe.clone(), false);
+            let m = g.mul(y, p)?;
+            g.sum(m)
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn linear_numeric() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let w = Tensor::rand_uniform(&mut rng, &[4, 3], -1.0, 1.0);
+        let b = Tensor::rand_uniform(&mut rng, &[3], -1.0, 1.0);
+        for shape in [&[5, 4][..], &[2, 3, 4]] {
+            let x = Tensor::rand_uniform(&mut rng, shape, -1.0, 1.0);
+            check_gradients(&[x, w.clone(), b.clone()], |g, vars| {
+                let y = g.linear(vars[0], vars[1], vars[2])?;
+                let sq = g.mul(y, y)?;
+                g.sum(sq)
+            })
+            .unwrap();
+        }
     }
 
     #[test]

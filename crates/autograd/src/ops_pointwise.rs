@@ -2,7 +2,7 @@
 
 use crate::graph::reduce_to_shape;
 use crate::{Graph, Result, Var};
-use snappix_tensor::Tensor;
+use snappix_tensor::{math, Tensor};
 
 impl Graph {
     /// Elementwise sum with broadcasting.
@@ -152,7 +152,7 @@ impl Graph {
         ))
     }
 
-    /// Elementwise exponential.
+    /// Elementwise exponential ([`math::exp`]).
     ///
     /// # Errors
     ///
@@ -160,12 +160,7 @@ impl Graph {
     pub fn exp(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
         let value = self.value(a).exp();
-        let cached = value.clone();
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, _| vec![g.mul(&cached).expect("same shape")]),
-        ))
+        Ok(self.push_op_keeping_output(value, a, |g, out| g.mul(out).expect("same shape")))
     }
 
     /// Elementwise natural logarithm.
@@ -204,7 +199,8 @@ impl Graph {
         ))
     }
 
-    /// Gaussian error linear unit (tanh approximation).
+    /// Gaussian error linear unit (tanh approximation), with
+    /// [`math::tanh`] in both directions.
     ///
     /// # Errors
     ///
@@ -215,7 +211,7 @@ impl Graph {
         const A: f32 = 0.044_715;
         let value = self.value(a).map(|x| {
             let inner = C * (x + A * x * x * x);
-            0.5 * x * (1.0 + inner.tanh())
+            0.5 * x * (1.0 + math::tanh(inner))
         });
         Ok(self.push_op(
             value,
@@ -223,7 +219,7 @@ impl Graph {
             Box::new(|g, parents| {
                 let d = parents[0].map(|x| {
                     let inner = C * (x + A * x * x * x);
-                    let t = inner.tanh();
+                    let t = math::tanh(inner);
                     let sech2 = 1.0 - t * t;
                     0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * A * x * x)
                 });
@@ -232,42 +228,30 @@ impl Graph {
         ))
     }
 
-    /// Logistic sigmoid.
+    /// Logistic sigmoid, `1 / (1 + exp(-x))` with [`math::exp`].
     ///
     /// # Errors
     ///
     /// Fails for a foreign handle.
     pub fn sigmoid(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
-        let cached = value.clone();
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, _| {
-                let d = cached.map(|s| s * (1.0 - s));
-                vec![g.mul(&d).expect("same shape")]
-            }),
-        ))
+        let value = self.value(a).map(|x| 1.0 / (1.0 + math::exp(-x)));
+        Ok(self.push_op_keeping_output(value, a, |g, out| {
+            g.mul(&out.map(|s| s * (1.0 - s))).expect("same shape")
+        }))
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`math::tanh`]).
     ///
     /// # Errors
     ///
     /// Fails for a foreign handle.
     pub fn tanh(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).map(f32::tanh);
-        let cached = value.clone();
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, _| {
-                let d = cached.map(|t| 1.0 - t * t);
-                vec![g.mul(&d).expect("same shape")]
-            }),
-        ))
+        let value = self.value(a).map(math::tanh);
+        Ok(self.push_op_keeping_output(value, a, |g, out| {
+            g.mul(&out.map(|t| 1.0 - t * t)).expect("same shape")
+        }))
     }
 
     /// Straight-through binarization (paper Sec. III).
@@ -422,6 +406,19 @@ mod tests {
             })
             .unwrap_or_else(|e| panic!("{f}: {e}"));
         }
+    }
+
+    #[test]
+    fn gelu_numeric_across_the_tanh_range() {
+        // Covers the rational core, the clamp and the saturated tails of
+        // `math::tanh` (GELU's inner argument reaches ~9 at x = 4).
+        let x = Tensor::linspace(-6.0, 6.0, 25).add_scalar(0.013);
+        check_gradients(&[x], |g, vars| {
+            let y = g.gelu(vars[0])?;
+            let sq = g.mul(y, y)?;
+            g.sum(sq)
+        })
+        .unwrap();
     }
 
     #[test]

@@ -77,8 +77,7 @@ impl Linear {
     pub fn forward(&self, sess: &mut Session<'_>, x: Var) -> Result<Var> {
         let w = sess.param(self.weight);
         let b = sess.param(self.bias);
-        let y = sess.graph.matmul(x, w)?;
-        Ok(sess.graph.add(y, b)?)
+        Ok(sess.graph.linear(x, w, b)?)
     }
 }
 

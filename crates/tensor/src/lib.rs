@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 mod error;
+pub mod math;
 mod ops;
 pub mod parallel;
 mod random;

@@ -1,7 +1,7 @@
 //! Linear algebra, reductions and multi-tensor operations.
 
 use crate::shape::unravel;
-use crate::{Result, Tensor, TensorError};
+use crate::{math, Result, Tensor, TensorError};
 
 impl Tensor {
     // ------------------------------------------------------------------
@@ -406,7 +406,8 @@ impl Tensor {
 
     /// Softmax along the last axis.
     ///
-    /// Numerically stabilized by subtracting the row maximum.
+    /// Numerically stabilized by subtracting the row maximum; the
+    /// exponentials come from [`math::exp`].
     ///
     /// # Errors
     ///
@@ -425,11 +426,12 @@ impl Tensor {
         for r in 0..rows {
             let row = &mut data[r * n..(r + 1) * n];
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut total = 0.0;
+            // Exponentiate in one pass (it vectorizes) and sum in
+            // ascending order in another.
             for x in row.iter_mut() {
-                *x = (*x - m).exp();
-                total += *x;
+                *x = math::exp(*x - m);
             }
+            let total: f32 = row.iter().sum();
             for x in row.iter_mut() {
                 *x /= total;
             }

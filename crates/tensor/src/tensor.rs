@@ -720,9 +720,9 @@ impl Tensor {
         self.map(|x| -x)
     }
 
-    /// Elementwise exponential.
+    /// Elementwise exponential, via [`crate::math::exp`].
     pub fn exp(&self) -> Self {
-        self.map(f32::exp)
+        self.map(crate::math::exp)
     }
 
     /// Elementwise natural logarithm.
