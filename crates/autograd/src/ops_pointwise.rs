@@ -392,33 +392,25 @@ mod tests {
 
     #[test]
     fn activations_numeric() {
-        // Avoid 0.0 for relu (kink).
+        // Avoid 0.0 for relu (kink). The sweep crosses every region of
+        // `math::tanh`: the rational core, the clamp and the saturated
+        // tails (GELU's inner argument passes 9 near x = 5).
         let x = Tensor::from_vec(vec![0.7, -1.3, 2.1, -0.4], &[4]).unwrap();
-        for f in ["relu", "gelu", "sigmoid", "tanh"] {
-            check_gradients(std::slice::from_ref(&x), |g, vars| {
-                let y = match f {
-                    "relu" => g.relu(vars[0])?,
-                    "gelu" => g.gelu(vars[0])?,
-                    "sigmoid" => g.sigmoid(vars[0])?,
-                    _ => g.tanh(vars[0])?,
-                };
-                g.sum(y)
-            })
-            .unwrap_or_else(|e| panic!("{f}: {e}"));
+        let sweep = Tensor::linspace(-6.0, 6.0, 25).add_scalar(0.013);
+        for x in [x, sweep] {
+            for f in ["relu", "gelu", "sigmoid", "tanh"] {
+                check_gradients(std::slice::from_ref(&x), |g, vars| {
+                    let y = match f {
+                        "relu" => g.relu(vars[0])?,
+                        "gelu" => g.gelu(vars[0])?,
+                        "sigmoid" => g.sigmoid(vars[0])?,
+                        _ => g.tanh(vars[0])?,
+                    };
+                    g.sum(y)
+                })
+                .unwrap_or_else(|e| panic!("{f}: {e}"));
+            }
         }
-    }
-
-    #[test]
-    fn gelu_numeric_across_the_tanh_range() {
-        // Covers the rational core, the clamp and the saturated tails of
-        // `math::tanh` (GELU's inner argument reaches ~9 at x = 4).
-        let x = Tensor::linspace(-6.0, 6.0, 25).add_scalar(0.013);
-        check_gradients(&[x], |g, vars| {
-            let y = g.gelu(vars[0])?;
-            let sq = g.mul(y, y)?;
-            g.sum(sq)
-        })
-        .unwrap();
     }
 
     #[test]

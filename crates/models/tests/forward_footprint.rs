@@ -18,8 +18,6 @@ fn snappix_s_batch8_forward_size_is_pinned() {
     let mut sess = Session::inference(model.store());
     let logits = model.build_logits(&mut sess, &clips).expect("forward");
     assert_eq!(sess.graph.value(logits).shape(), &[8, 10]);
-    // One node each for the fused LayerNorms and Linears: 154 nodes and
-    // 1_782_568 bytes when those were primitive composites.
     assert_eq!(sess.graph.len(), 100, "tape nodes per forward");
     assert_eq!(
         sess.graph.value_bytes(),

@@ -17,7 +17,7 @@
 //! | function | bound |
 //! |---|---|
 //! | [`exp`] | ≤ 1 ulp over normal outputs; subnormal outputs within 1 ulp of the subnormal grid, then `0`; `+inf` on overflow |
-//! | [`tanh`] | ≤ 8 ulp; exactly `±1` once the rounded result is `±1`, and at `±inf` |
+//! | [`tanh`] | ≤ 8 ulp; exactly `±1` from magnitude 7.905311 on (so wherever the rounded result is `±1`) and at `±inf` |
 //!
 //! Both return NaN for NaN. `tanh` keeps the sign of zero and returns
 //! subnormal inputs unchanged; `exp(±0)` and `exp` of a subnormal are
@@ -96,11 +96,9 @@ fn pow2(k: i32) -> f32 {
     f32::from_bits((k.wrapping_add(127) as u32) << 23)
 }
 
-/// From this magnitude on `tanh` rounds to `±1` (`13 ln 2`, where
-/// `1 - tanh(x)` falls to `2^-25`, half the spacing of `f32` below one).
-const TANH_ONE: f32 = 9.010_913;
-/// Inputs are clamped here before the rational form, which is accurate
-/// to within a few ulp up to it.
+/// Inputs are clamped here: the rational form evaluates to exactly `1.0`
+/// at this point, so `tanh` is exactly `±1` from here on (the true value
+/// is within 5 ulp of one; it rounds to one from `13 ln 2 ≈ 9.011`).
 const TANH_CLAMP: f32 = 7.905_311;
 /// Below this magnitude `tanh(x)` rounds to within one ulp of `x`.
 const TANH_TINY: f32 = 4e-4;
@@ -121,9 +119,9 @@ const TANH_DEN: [f32; 4] = [1.198_258_4e-6, 1.185_347_1e-4, 2.268_434_7e-3, 4.89
 
 /// `tanh(x)`.
 ///
-/// A `[13/6]` odd rational over the clamped input, with `x` itself for
-/// tiny inputs and `±1` once the result rounds there. See the
-/// [module docs](self) for the error bound.
+/// A `[13/6]` odd rational over the input clamped to `±7.905311`, with
+/// `x` itself for tiny inputs. See the [module docs](self) for the error
+/// bound.
 ///
 /// # Examples
 ///
@@ -148,12 +146,8 @@ pub fn tanh(x: f32) -> f32 {
         den = den * c2 + b;
     }
     let rational = c * num / den;
-    let magnitude = x.abs();
-    let saturated = 1.0f32.copysign(x);
-    if magnitude < TANH_TINY {
+    if x.abs() < TANH_TINY {
         x
-    } else if magnitude >= TANH_ONE {
-        saturated
     } else {
         rational
     }
@@ -211,9 +205,9 @@ mod tests {
     }
 
     /// Checks [`tanh`] at every input: within 8 ulp of the `f64`
-    /// reference, exactly `±1` where the reference rounds there, `x`
-    /// itself for zeros and subnormals, NaN for NaN. Returns the worst
-    /// ulp error seen.
+    /// reference, exactly `±1` past the clamp and wherever the reference
+    /// rounds there, `x` itself for zeros and subnormals, NaN for NaN.
+    /// Returns the worst ulp error seen.
     pub(crate) fn check_tanh(inputs: impl Iterator<Item = f32>) -> f64 {
         let mut worst = 0.0f64;
         for x in inputs {
@@ -226,8 +220,8 @@ mod tests {
                 assert_eq!(got.to_bits(), x.to_bits(), "tanh({x:e}) must return x");
             }
             let want = (x as f64).tanh();
-            if (want as f32).abs() == 1.0 {
-                assert_eq!(got, want as f32, "tanh({x:e}) must saturate exactly");
+            if (want as f32).abs() == 1.0 || x.abs() >= TANH_CLAMP {
+                assert_eq!(got, 1.0f32.copysign(x), "tanh({x:e}) must saturate exactly");
             }
             let e = ulps(got, want);
             assert!(e <= 8.0, "tanh({x:e}) = {got:e}: {e} ulp from {want:e}");
