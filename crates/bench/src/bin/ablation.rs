@@ -9,7 +9,7 @@
 use snappix_bench::{run_ablation, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env()?;
     println!("== Sec. VI-E: ablation study (scale {scale:?}) ==\n");
     let rows = run_ablation(&scale)?;
     let full = rows.first().map(|r| r.accuracy).unwrap_or(f32::NAN);

@@ -8,7 +8,7 @@
 use snappix_bench::{run_energy, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env()?;
     println!("== Sec. VI-D: edge energy analysis (scale {scale:?}) ==\n");
     let r = run_energy(&scale)?;
     println!("{:<44} {:>10} {:>10}", "quantity", "measured", "paper");

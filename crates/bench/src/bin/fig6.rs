@@ -7,7 +7,7 @@
 use snappix_bench::{run_fig6, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env()?;
     println!("== Fig. 6: task-agnostic CE patterns (scale {scale:?}) ==\n");
     let rows = run_fig6(&scale)?;
     println!(

@@ -8,7 +8,7 @@
 use snappix_bench::{run_table1, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env()?;
     println!("== Table I: comparison with previous systems (scale {scale:?}) ==\n");
     let rows = run_table1(&scale)?;
     println!(

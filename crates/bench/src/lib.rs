@@ -4,12 +4,13 @@
 //! comparison), [`run_table1`] (system comparison), [`run_energy`]
 //! (Sec. VI-D), [`run_ablation`] (Sec. VI-E) and [`run_area`] (Sec. V).
 //! The `snappix-bench` binaries are thin wrappers that call these and
-//! print the rows; EXPERIMENTS.md records paper-vs-measured values.
+//! print the measured rows with the paper's values for comparison.
 //!
-//! All experiments run at the reproduction scale documented in DESIGN.md:
-//! procedural datasets, `T = 16` exposure slots, 32x32 frames, 8x8 tiles,
-//! and CPU-sized ViTs. Absolute numbers therefore differ from the paper;
-//! the *orderings and ratios* are the reproduction targets.
+//! All experiments run at the reproduction scale of README.md's
+//! "Reproduction scale" section: procedural datasets, `T = 16` exposure
+//! slots, 32x32 frames, 8x8 tiles, and CPU-sized ViTs. Absolute numbers
+//! therefore differ from the paper; the *orderings and ratios* are the
+//! reproduction targets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,8 +53,8 @@ impl Scale {
         }
     }
 
-    /// Scale used for the recorded EXPERIMENTS.md numbers (a few minutes
-    /// per table on a laptop CPU).
+    /// Scale of the full experiment runs (a few minutes per table on a
+    /// laptop CPU).
     pub fn experiment() -> Self {
         Scale {
             dataset_size: 300,
@@ -64,12 +65,26 @@ impl Scale {
         }
     }
 
-    /// Picks the scale from the `SNAPPIX_SCALE` environment variable
-    /// (`smoke` or `experiment`, defaulting to `experiment`).
-    pub fn from_env() -> Self {
-        match std::env::var("SNAPPIX_SCALE").as_deref() {
-            Ok("smoke") => Scale::smoke(),
-            _ => Scale::experiment(),
+    /// Picks the scale from the `SNAPPIX_SCALE` environment variable:
+    /// `smoke` or `experiment`, and `experiment` when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// Any other value, so a typo such as `SMOKE` cannot silently start
+    /// the several-minute experiment run.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var_os("SNAPPIX_SCALE");
+        Scale::from_value(value.as_deref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// [`Scale::from_env`] on a given value (`None` when unset).
+    fn from_value(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("experiment") => Ok(Scale::experiment()),
+            Some("smoke") => Ok(Scale::smoke()),
+            Some(other) => Err(format!(
+                "unknown SNAPPIX_SCALE value '{other}': use `smoke` or `experiment`"
+            )),
         }
     }
 }
@@ -482,6 +497,23 @@ mod tests {
         let full = Scale::experiment();
         assert!(smoke.dataset_size < full.dataset_size);
         assert!(smoke.ar_epochs < full.ar_epochs);
+    }
+
+    #[test]
+    fn scale_values_map_to_scales_and_typos_are_rejected() {
+        assert_eq!(Scale::from_value(None), Ok(Scale::experiment()));
+        assert_eq!(
+            Scale::from_value(Some("experiment")),
+            Ok(Scale::experiment())
+        );
+        assert_eq!(Scale::from_value(Some("smoke")), Ok(Scale::smoke()));
+        for typo in ["SMOKE", "smok", "", " smoke", "bogus"] {
+            let err = Scale::from_value(Some(typo)).expect_err(typo);
+            assert!(
+                err.contains("`smoke`") && err.contains("`experiment`"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

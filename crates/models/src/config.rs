@@ -6,9 +6,9 @@ use crate::{ModelError, Result};
 ///
 /// The paper's SnapPix-B uses ViT-B (87M parameters) and SnapPix-S uses
 /// ViT-S (22M); the presets here keep the *architecture family and the
-/// S-to-B scaling relationship* at a CPU-trainable size (see DESIGN.md for
-/// the substitution rationale). The patch size is always set equal to the
-/// coded-exposure tile (Sec. IV).
+/// S-to-B scaling relationship* at a CPU-trainable size (README.md,
+/// "Reproduction scale", gives the substitution rationale). The patch size
+/// is always set equal to the coded-exposure tile (Sec. IV).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VitConfig {
     /// Variant name used in experiment tables.

@@ -7,7 +7,8 @@
 //! position inside the exposure tile: the kernel used at output pixel
 //! `(y, x)` is selected by `(y % th, x % tw)`. SnapPix's profiling found
 //! this layer slows inference by ~4x, which motivates the ViT co-design —
-//! our criterion bench `vit_inference` reproduces that comparison.
+//! the inf/sec column of the `table1` bin (`snappix-bench`) reproduces
+//! that comparison.
 
 use crate::{kaiming_uniform, NnError, ParamId, ParamStore, Result, Session};
 use rand::Rng;

@@ -48,7 +48,7 @@
 //! use snappix::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // 1. Data: a procedural stand-in for SSV2 (see DESIGN.md).
+//! // 1. Data: a procedural stand-in for SSV2 (see the snappix-video crate docs).
 //! let data = Dataset::new(ssv2_like(16, 32, 32), 200);
 //! let (train, test) = data.split(0.8);
 //!

@@ -227,7 +227,7 @@ where
 /// workspace. An on/off threshold is not enough: a kernel barely above
 /// such a threshold would fan tiny slices across every core and pay more
 /// in spawn/join than the slices are worth (an early version cost the
-/// ViT forward 2.3x when oversubscribed — see BENCHMARKS.md). Scaling
+/// ViT forward 2.3x when oversubscribed; CHANGES.md records it). Scaling
 /// the worker count by the work keeps each spawn paid for, on any
 /// machine and under any `SNAPPIX_THREADS` setting. Callers pick
 /// `min_per_worker` so a slice runs on the order of 100 µs — an order

@@ -10,8 +10,8 @@
 //! * **[`Tracer`]** — a cheap clonable handle. A *disabled* tracer
 //!   ([`Tracer::disabled`]) is a `None` inside; every call on it is a
 //!   branch on an `Option` and returns inert guards, so the hot path
-//!   pays almost nothing when tracing is off (gated by the
-//!   `trace_overhead` bench: <2% on the serve benchmark).
+//!   pays one branch per call when tracing is off (perfbench's
+//!   `trace.overhead_share` measures what an enabled tracer costs).
 //! * **[`SpanGuard`]** — RAII: [`Tracer::span`] opens a span and the
 //!   guard's `Drop` closes it, recording
 //!   `(trace_id, span_id, parent, name, t_start, t_end, lane)` into a

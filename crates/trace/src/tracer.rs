@@ -26,8 +26,9 @@ static TRACER_IDS: AtomicU64 = AtomicU64::new(1);
 ///
 /// * [`Tracer::disabled`] holds no recorder at all. Every method is a
 ///   branch on an `Option` returning an inert value, so threading a
-///   disabled tracer through the hot path costs <2% on the serve
-///   benchmark (gated by `benches/trace_overhead.rs`).
+///   disabled tracer through the hot path costs one branch per call
+///   site. perfbench's `trace.overhead_share` measures what an enabled
+///   tracer costs the benchmark workloads.
 /// * [`Tracer::new`] / [`TracerBuilder::build`] hold a shared recorder:
 ///   spans go into per-thread bounded ring buffers (no contention
 ///   between recording threads; a mutex per ring is only ever fought

@@ -5,8 +5,9 @@
 //!
 //! Run with `cargo run --release --example gateway`. Environment knobs:
 //! `SNAPPIX_THREADS` bounds the machine parallelism the server divides
-//! among its replicas. The numbers in `BENCHMARKS.md` come from this
-//! example.
+//! among its replicas. The gateway's measured numbers come from
+//! perfbench's traced `fleet_hw` run (`gateway.request_ms_p50`,
+//! `gateway.wire_ms_p50`).
 
 use rand::{rngs::StdRng, SeedableRng};
 use snappix_gateway::prelude::*;

@@ -182,8 +182,17 @@ fn a_tiny_tracer_ring_truncates_the_export_not_the_report() {
 
 #[test]
 fn ledgers_are_conserved_fleet_wide() {
-    let report = run_mixed_fleet(2, 2, 6);
-    assert!(report.check_conserved(), "per-node and aggregate ledgers");
+    for nodes in [6, 64] {
+        ledgers_are_conserved_at(nodes);
+    }
+}
+
+fn ledgers_are_conserved_at(nodes: usize) {
+    let report = run_mixed_fleet(2, 2, nodes);
+    assert!(
+        report.check_conserved(),
+        "per-node and aggregate ledgers at {nodes} nodes"
+    );
     let mut windows = 0;
     let mut spent = 0.0;
     for node in &report.nodes {
@@ -200,7 +209,7 @@ fn ledgers_are_conserved_fleet_wide() {
     }
     assert_eq!(report.stats.windows, windows);
     assert!((report.stats.spent_pj - spent).abs() <= 1e-9 * spent.max(1.0));
-    assert_eq!(report.stats.nodes, 6);
+    assert_eq!(report.stats.nodes, nodes as u64);
     assert!(report.stats.energy_per_inference_pj() > 0.0);
 
     // Exporting the run reproduces the ledger as snappix_fleet_*
@@ -231,7 +240,10 @@ fn ledgers_are_conserved_fleet_wide() {
         "the exported window ledger is conserved"
     );
     assert_eq!(sum("snappix_fleet_events_total"), report.stats.events);
-    assert!(page.contains("snappix_fleet_nodes 6\n"), "{page}");
+    assert!(
+        page.contains(&format!("snappix_fleet_nodes {nodes}\n")),
+        "{page}"
+    );
 }
 
 #[test]
