@@ -2,9 +2,7 @@
 //! payload is loaded into memory **once** and handed out as zero-copy
 //! shared tensors.
 //!
-//! The legacy [`save_params`](crate::save_params) format streams
-//! heterogeneous records and must be deep-copied into every consumer;
-//! `.spx` instead separates *description* from *data*. A fixed 64-byte
+//! `.spx` separates *description* from *data*. A fixed 64-byte
 //! header and a tensor-info table describe every tensor (name, dtype,
 //! shape, payload offset); the payload is one contiguous, 64-byte-aligned
 //! block of little-endian element data; a trailing FNV-1a 64 checksum
@@ -18,7 +16,7 @@
 //! golden-header test in `crates/nn/tests/artifact.rs` pins it against
 //! accidental drift.
 
-use crate::serialize::{apply_entries, read_legacy, Cursor};
+use crate::serialize::{read_legacy, Cursor};
 use crate::{NnError, ParamStore, Result};
 use snappix_tensor::{DType, SharedBuffer, Tensor};
 use std::io::Write;
@@ -151,12 +149,11 @@ pub fn write_artifact(store: &ParamStore, path: impl AsRef<Path>) -> Result<()> 
     Ok(())
 }
 
-/// Converts a legacy [`save_params`](crate::save_params) file into a
-/// sealed `.spx` artifact.
+/// Converts a legacy `.snpx` weight file into a sealed `.spx` artifact.
 ///
 /// The legacy file is self-describing (names, shapes, data), so no
-/// model is needed — this is the upgrade path for weights saved before
-/// the artifact format existed.
+/// model is needed. This one-shot upgrade is the only reader of the
+/// legacy format.
 ///
 /// # Errors
 ///
@@ -391,12 +388,12 @@ impl ArtifactReader {
         )
     }
 
-    /// Loads every tensor into `store`, matching by name — the same
-    /// semantics as [`load_params`](crate::load_params) (all artifact
-    /// tensors must exist in the store with identical shapes; store
-    /// parameters absent from the artifact keep their values), except
-    /// the assigned tensors share this reader's payload buffer instead
-    /// of owning copies.
+    /// Loads every tensor into `store`, matching by name: every
+    /// artifact tensor must name a store parameter of identical shape,
+    /// and store parameters absent from the artifact keep their values
+    /// (this is how a pre-trained encoder is loaded underneath a fresh
+    /// task head). The assigned tensors share this reader's payload
+    /// buffer instead of owning copies.
     ///
     /// # Errors
     ///
@@ -432,6 +429,34 @@ impl ArtifactReader {
     fn info(&self, name: &str) -> Option<&TensorInfo> {
         self.infos.iter().find(|i| i.name == name)
     }
+}
+
+/// Writes `(name, tensor)` entries into `store`, matching by name.
+///
+/// The load rule of [`ArtifactReader::load_into`]: every entry must
+/// name a store parameter of identical shape; store parameters absent
+/// from `entries` keep their current values.
+fn apply_entries(store: &mut ParamStore, entries: Vec<(String, Tensor)>) -> Result<()> {
+    let by_name: std::collections::HashMap<String, crate::ParamId> = store
+        .iter()
+        .map(|(id, name, _)| (name.to_string(), id))
+        .collect();
+    for (name, tensor) in entries {
+        let id = *by_name.get(&name).ok_or_else(|| NnError::Format {
+            context: format!("file contains unknown parameter {name}"),
+        })?;
+        if store.value(id).shape() != tensor.shape() {
+            return Err(NnError::Format {
+                context: format!(
+                    "shape mismatch for {name}: file {:?} vs store {:?}",
+                    tensor.shape(),
+                    store.value(id).shape()
+                ),
+            });
+        }
+        *store.value_mut(id) = tensor;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! (Sec. IV): linear projections, layer normalization, multi-head
 //! attention, transformer blocks, 2-D/3-D convolutions (for the C3D and
 //! SVC2D baselines) and the shift-variant convolution of Okawara et al.,
-//! plus optimizers, learning-rate schedules and weight persistence.
+//! plus optimizers, learning-rate schedules and the sealed `.spx` weight
+//! artifact ([`write_artifact`] / [`ArtifactReader`]).
 //!
 //! The crate follows a define-by-run discipline: layers own their weights
 //! inside a [`ParamStore`]; each training step opens a [`Session`] that
@@ -69,7 +70,6 @@ pub use optim::{Adam, Optimizer, Sgd};
 pub use param::{resident_weight_bytes, Gradients, ParamId, ParamStore, Session, SessionPool};
 pub use pool::max_pool3d;
 pub use schedule::LrSchedule;
-pub use serialize::{load_params, save_params};
 pub use svc::ShiftVariantConv2d;
 pub use transformer::TransformerBlock;
 

@@ -1,72 +1,21 @@
-//! Weight persistence in a small self-describing binary format.
+//! The legacy `SNPX` weight stream, kept only as the input of
+//! [`convert_params_to_artifact`](crate::convert_params_to_artifact),
+//! plus the bounds-checked cursor both weight parsers share.
 //!
 //! Layout: magic `b"SNPX"`, format version `u32`, parameter count `u32`,
 //! then per parameter: name length `u32` + UTF-8 name, rank `u32` +
-//! little-endian `u64` extents, and the `f32` data. No external
-//! serialization crate is needed.
+//! little-endian `u64` extents, and the `f32` data.
 //!
-//! This legacy format has no checksum and no payload-length field, so the
-//! loader reads the whole file up front and bounds-checks every record
-//! against the real file size before allocating or interpreting data — a
-//! truncated or corrupt file fails with a typed [`NnError::Format`]
-//! instead of loading garbage weights. For a sealed, checksummed,
-//! zero-copy format see the [`artifact`](crate::artifact) module; this
-//! one stays as the writable interchange format that
-//! [`convert_params_to_artifact`](crate::convert_params_to_artifact)
-//! upgrades from.
+//! The stream has no checksum and no payload-length field, so the parser
+//! bounds-checks every record against the real byte count before
+//! allocating or interpreting data — a truncated or corrupt file fails
+//! with a typed [`NnError::Format`] instead of converting garbage.
 
-use crate::{NnError, ParamStore, Result};
+use crate::{NnError, Result};
 use snappix_tensor::Tensor;
-use std::io::Write;
-use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SNPX";
 const VERSION: u32 = 1;
-
-/// Saves every parameter of `store` to `path`.
-///
-/// # Errors
-///
-/// Returns [`NnError::Io`] on filesystem failures.
-pub fn save_params(store: &ParamStore, path: impl AsRef<Path>) -> Result<()> {
-    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-    file.write_all(MAGIC)?;
-    file.write_all(&VERSION.to_le_bytes())?;
-    file.write_all(&(store.len() as u32).to_le_bytes())?;
-    for (_, name, value) in store.iter() {
-        let name_bytes = name.as_bytes();
-        file.write_all(&(name_bytes.len() as u32).to_le_bytes())?;
-        file.write_all(name_bytes)?;
-        file.write_all(&(value.rank() as u32).to_le_bytes())?;
-        for &d in value.shape() {
-            file.write_all(&(d as u64).to_le_bytes())?;
-        }
-        for &x in value.as_slice() {
-            file.write_all(&x.to_le_bytes())?;
-        }
-    }
-    file.flush()?;
-    Ok(())
-}
-
-/// Loads parameters from `path` into `store`, matching by name.
-///
-/// Every parameter in the file must exist in the store with an identical
-/// shape; parameters in the store that are absent from the file keep their
-/// current values (this is how a pre-trained encoder is loaded underneath a
-/// fresh task head).
-///
-/// # Errors
-///
-/// Returns [`NnError::Io`] when the file cannot be read and
-/// [`NnError::Format`] for malformed files — including files truncated
-/// mid-record, whose declared payload no longer fits in the bytes
-/// actually present — unknown names, or shape mismatches.
-pub fn load_params(store: &mut ParamStore, path: impl AsRef<Path>) -> Result<()> {
-    let bytes = std::fs::read(path)?;
-    let entries = read_legacy(&bytes)?;
-    apply_entries(store, entries)
-}
 
 /// Parses a legacy `SNPX` weight file into `(name, tensor)` entries.
 ///
@@ -141,35 +90,6 @@ pub(crate) fn read_legacy(bytes: &[u8]) -> Result<Vec<(String, Tensor)>> {
     Ok(entries)
 }
 
-/// Writes `(name, tensor)` entries into `store`, matching by name.
-///
-/// The shared semantics of [`load_params`] and
-/// [`ArtifactReader::load_into`](crate::ArtifactReader::load_into):
-/// every entry must name a store parameter of identical shape; store
-/// parameters absent from `entries` keep their current values.
-pub(crate) fn apply_entries(store: &mut ParamStore, entries: Vec<(String, Tensor)>) -> Result<()> {
-    let by_name: std::collections::HashMap<String, crate::ParamId> = store
-        .iter()
-        .map(|(id, name, _)| (name.to_string(), id))
-        .collect();
-    for (name, tensor) in entries {
-        let id = *by_name.get(&name).ok_or_else(|| NnError::Format {
-            context: format!("file contains unknown parameter {name}"),
-        })?;
-        if store.value(id).shape() != tensor.shape() {
-            return Err(NnError::Format {
-                context: format!(
-                    "shape mismatch for {name}: file {:?} vs store {:?}",
-                    tensor.shape(),
-                    store.value(id).shape()
-                ),
-            });
-        }
-        *store.value_mut(id) = tensor;
-    }
-    Ok(())
-}
-
 /// A bounds-checked reader over an in-memory byte slice. Running past
 /// the end is always a typed [`NnError::Format`] ("truncated"), never a
 /// panic — both weight-file parsers are built on it.
@@ -216,112 +136,37 @@ impl<'a> Cursor<'a> {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/legacy.rs"]
+mod legacy;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "snappix_nn_test_{}_{name}.snpx",
-            std::process::id()
-        ));
-        p
-    }
-
-    #[test]
-    fn round_trip_preserves_values() {
-        let mut store = ParamStore::new();
-        store.register("a.weight", Tensor::arange(6).reshape(&[2, 3]).unwrap());
-        store.register("a.bias", Tensor::full(&[3], -1.5));
-        let path = temp_path("round_trip");
-        save_params(&store, &path).unwrap();
-
-        let mut restored = ParamStore::new();
-        let a = restored.register("a.weight", Tensor::zeros(&[2, 3]));
-        let b = restored.register("a.bias", Tensor::zeros(&[3]));
-        load_params(&mut restored, &path).unwrap();
-        assert_eq!(
-            restored.value(a).as_slice(),
-            &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-        );
-        assert_eq!(restored.value(b).as_slice(), &[-1.5; 3]);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn partial_load_keeps_missing_params() {
-        let mut small = ParamStore::new();
-        small.register("enc.w", Tensor::full(&[2], 9.0));
-        let path = temp_path("partial");
-        save_params(&small, &path).unwrap();
-
-        let mut big = ParamStore::new();
-        let enc = big.register("enc.w", Tensor::zeros(&[2]));
-        let head = big.register("head.w", Tensor::full(&[2], 5.0));
-        load_params(&mut big, &path).unwrap();
-        assert_eq!(big.value(enc).as_slice(), &[9.0, 9.0]);
-        assert_eq!(big.value(head).as_slice(), &[5.0, 5.0]);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn rejects_unknown_parameter() {
-        let mut store = ParamStore::new();
-        store.register("mystery", Tensor::zeros(&[1]));
-        let path = temp_path("unknown");
-        save_params(&store, &path).unwrap();
-        let mut other = ParamStore::new();
-        other.register("different", Tensor::zeros(&[1]));
-        assert!(matches!(
-            load_params(&mut other, &path),
-            Err(NnError::Format { .. })
-        ));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn rejects_shape_mismatch() {
-        let mut store = ParamStore::new();
-        store.register("w", Tensor::zeros(&[4]));
-        let path = temp_path("shape");
-        save_params(&store, &path).unwrap();
-        let mut other = ParamStore::new();
-        other.register("w", Tensor::zeros(&[2, 2]));
-        assert!(matches!(
-            load_params(&mut other, &path),
-            Err(NnError::Format { .. })
-        ));
-        std::fs::remove_file(path).ok();
+    fn pristine() -> Vec<u8> {
+        let w = Tensor::arange(4).reshape(&[2, 2]).unwrap();
+        let b = Tensor::full(&[2], 0.25);
+        super::legacy::legacy_bytes([("w", &w), ("b", &b)])
     }
 
     #[test]
     fn roundtrip_rejects_trailing_bytes_and_truncation() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", Tensor::arange(4).reshape(&[2, 2]).unwrap());
-        store.register("b", Tensor::full(&[2], 0.25));
-        let path = temp_path("strict");
-        save_params(&store, &path).unwrap();
-        let pristine = std::fs::read(&path).unwrap();
-
-        // The unmodified file round-trips.
-        let fresh = || {
-            let mut s = ParamStore::new();
-            s.register("w", Tensor::zeros(&[2, 2]));
-            s.register("b", Tensor::zeros(&[2]));
-            s
-        };
-        let mut ok = fresh();
-        load_params(&mut ok, &path).unwrap();
-        assert_eq!(ok.value(w).as_slice(), &[0.0, 1.0, 2.0, 3.0]);
+        // The unmodified stream parses back to the written entries.
+        let pristine = pristine();
+        let entries = read_legacy(&pristine).unwrap();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].0, "w");
+        assert_eq!(entries[0].1.shape(), &[2, 2]);
+        assert_eq!(entries[0].1.as_slice(), &[0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(entries[1].0, "b");
+        assert_eq!(entries[1].1.as_slice(), &[0.25, 0.25]);
 
         // Trailing garbage after the last parameter is a format error,
         // not silently accepted (a single stray byte must be enough).
         for junk in [&b"\0"[..], &b"SNPXtrailing"[..]] {
             let mut bytes = pristine.clone();
             bytes.extend_from_slice(junk);
-            std::fs::write(&path, &bytes).unwrap();
-            let err = load_params(&mut fresh(), &path).unwrap_err();
-            match err {
+            match read_legacy(&bytes).unwrap_err() {
                 NnError::Format { context } => {
                     assert!(context.contains("trailing"), "{context}")
                 }
@@ -329,13 +174,11 @@ mod tests {
             }
         }
 
-        // A truncated file fails the payload-length check at every
+        // A truncated stream fails the payload-length check at every
         // prefix length (header, name, shape, or data cut short) — a
         // typed format error, never garbage weights.
         for cut in [pristine.len() - 1, pristine.len() / 2, 6, 2] {
-            std::fs::write(&path, &pristine[..cut]).unwrap();
-            let err = load_params(&mut fresh(), &path).unwrap_err();
-            match err {
+            match read_legacy(&pristine[..cut]).unwrap_err() {
                 NnError::Format { context } => assert!(
                     context.contains("truncated") || context.contains("unsupported"),
                     "prefix of {cut} bytes: unexpected context {context}"
@@ -343,7 +186,6 @@ mod tests {
                 other => panic!("prefix of {cut} bytes: expected Format, got {other:?}"),
             }
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -358,26 +200,14 @@ mod tests {
         bytes.push(b'w');
         bytes.extend_from_slice(&1u32.to_le_bytes()); // rank 1
         bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // absurd extent
-        let path = temp_path("huge");
-        std::fs::write(&path, &bytes).unwrap();
-        let mut store = ParamStore::new();
-        store.register("w", Tensor::zeros(&[1]));
-        assert!(matches!(
-            load_params(&mut store, &path),
-            Err(NnError::Format { .. })
-        ));
-        std::fs::remove_file(path).ok();
+        assert!(matches!(read_legacy(&bytes), Err(NnError::Format { .. })));
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let path = temp_path("magic");
-        std::fs::write(&path, b"NOPE0000").unwrap();
-        let mut store = ParamStore::new();
         assert!(matches!(
-            load_params(&mut store, &path),
+            read_legacy(b"NOPE0000"),
             Err(NnError::Format { .. })
         ));
-        std::fs::remove_file(path).ok();
     }
 }

@@ -1,11 +1,17 @@
 //! Integration tests for the `.spx` model artifact: round-trips,
 //! zero-copy sharing, the legacy converter, a golden header hexdump
-//! pinning the byte layout, and a corrupt-file rejection suite — every
-//! malformed input must fail with a typed [`NnError`], never a panic.
+//! pinning the byte layout, a corrupt-file rejection suite and a
+//! mutation fuzz over both weight parsers — every malformed input must
+//! fail with a typed [`NnError`], never a panic.
 
+#[path = "support/legacy.rs"]
+mod legacy;
+
+use legacy::legacy_bytes;
+use proptest::prelude::*;
 use snappix_nn::{
-    convert_params_to_artifact, fnv1a64, load_params, save_params, write_artifact, ArtifactReader,
-    NnError, ParamStore, SPX_HEADER_BYTES,
+    convert_params_to_artifact, fnv1a64, write_artifact, ArtifactReader, NnError, ParamStore,
+    SPX_HEADER_BYTES,
 };
 use snappix_tensor::Tensor;
 use std::sync::Arc;
@@ -77,6 +83,10 @@ fn pristine_bytes() -> Vec<u8> {
     bytes
 }
 
+fn legacy_store_bytes(store: &ParamStore) -> Vec<u8> {
+    legacy_bytes(store.iter().map(|(_, name, value)| (name, value)))
+}
+
 #[test]
 fn round_trip_hands_back_identical_values() {
     let store = sample_store();
@@ -102,20 +112,17 @@ fn round_trip_hands_back_identical_values() {
 }
 
 #[test]
-fn load_into_matches_load_params_semantics() {
+fn load_into_semantics_match_the_source_store() {
     let store = sample_store();
     let spx = temp_path("load_into");
-    let snpx = temp_path("load_into_legacy");
     write_artifact(&store, &spx).unwrap();
-    save_params(&store, &snpx).unwrap();
     let reader = ArtifactReader::open(&spx).unwrap();
+    std::fs::remove_file(spx).ok();
 
-    let mut via_artifact = fresh_target();
-    let mut via_legacy = fresh_target();
-    reader.load_into(&mut via_artifact).unwrap();
-    load_params(&mut via_legacy, &snpx).unwrap();
-    for ((_, name, a), (_, _, b)) in via_artifact.iter().zip(via_legacy.iter()) {
-        assert_eq!(a, b, "parameter {name} must match the legacy loader");
+    let mut loaded = fresh_target();
+    reader.load_into(&mut loaded).unwrap();
+    for ((_, name, a), (_, _, b)) in loaded.iter().zip(store.iter()) {
+        assert_eq!(a, b, "parameter {name} must match the source store");
     }
 
     // Store params absent from the artifact keep their values…
@@ -138,9 +145,6 @@ fn load_into_matches_load_params_semantics() {
         reader.load_into(&mut misshapen),
         Err(NnError::Format { .. })
     ));
-
-    std::fs::remove_file(spx).ok();
-    std::fs::remove_file(snpx).ok();
 }
 
 #[test]
@@ -194,7 +198,7 @@ fn converter_upgrades_legacy_files() {
     let store = sample_store();
     let legacy = temp_path("convert_src");
     let spx = temp_path("convert_dst");
-    save_params(&store, &legacy).unwrap();
+    std::fs::write(&legacy, legacy_store_bytes(&store)).unwrap();
     convert_params_to_artifact(&legacy, &spx).unwrap();
     let reader = ArtifactReader::open(&spx).unwrap();
     for (_, name, value) in store.iter() {
@@ -388,6 +392,120 @@ fn rejects_truncation_at_every_cut() {
 }
 
 // ---------------------------------------------------------------------
+// Mutation fuzz over both weight parsers: random single-byte overwrites
+// (resealed and stale), truncations and appended tails of a valid file.
+// Each outcome must be a typed format error or a reader whose tensors
+// are all present and load cleanly — never a panic.
+// ---------------------------------------------------------------------
+
+/// Checks what opening (or converting) a mutated file produced, and
+/// returns whether it was accepted. An accepted reader must hand out
+/// every tensor it lists, and loading it into [`fresh_target`] must
+/// succeed exactly when its names and shapes all match the target.
+fn check_outcome(label: &str, outcome: Result<ArtifactReader, NnError>) -> bool {
+    let reader = match outcome {
+        Err(NnError::Format { .. }) => return false,
+        Err(other) => panic!("{label}: expected Format, got {other:?}"),
+        Ok(reader) => reader,
+    };
+    let mut target = fresh_target();
+    let mut fits = true;
+    for name in reader.names() {
+        let tensor = reader
+            .tensor(name)
+            .unwrap_or_else(|| panic!("{label}: listed tensor {name} is missing"));
+        assert_eq!(Some(tensor.shape()), reader.shape(name), "{label}: {name}");
+        fits &= target
+            .iter()
+            .any(|(_, n, v)| n == name && v.shape() == tensor.shape());
+    }
+    match reader.load_into(&mut target) {
+        Ok(()) => assert!(fits, "{label}: a mismatched artifact loaded"),
+        Err(NnError::Format { .. }) => assert!(!fits, "{label}: a matching artifact failed"),
+        Err(other) => panic!("{label}: expected Format, got {other:?}"),
+    }
+    true
+}
+
+/// Runs legacy bytes through the converter and opens its output.
+fn convert_bytes(name: &str, bytes: &[u8]) -> Result<ArtifactReader, NnError> {
+    let src = temp_path(&format!("{name}_src"));
+    let dst = temp_path(&format!("{name}_dst"));
+    std::fs::write(&src, bytes).unwrap();
+    let out = convert_params_to_artifact(&src, &dst)
+        .map(|()| ArtifactReader::open(&dst).expect("the converter writes valid artifacts"));
+    std::fs::remove_file(src).ok();
+    std::fs::remove_file(dst).ok();
+    out
+}
+
+/// The header's `table_bytes` field.
+fn table_bytes(artifact: &[u8]) -> usize {
+    u64::from_le_bytes(artifact[16..24].try_into().unwrap()) as usize
+}
+
+fn overwrite(mut bytes: Vec<u8>, at: usize, byte: u16) -> Vec<u8> {
+    let at = at % bytes.len();
+    bytes[at] = byte as u8;
+    bytes
+}
+
+fn with_tail(mut bytes: Vec<u8>, tail: &[u16]) -> Vec<u8> {
+    bytes.extend(tail.iter().map(|&b| b as u8));
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn artifact_parser_survives_random_mutations(
+        at in 0usize..1 << 16,
+        byte in 0u16..256,
+        cut in 0usize..1 << 16,
+        tail in prop::collection::vec(0u16..256, 1..24),
+    ) {
+        let pristine = pristine_bytes();
+        // Most bytes are weight values; aim one overwrite at the header
+        // and table, where a resealed change alters structure.
+        let described = SPX_HEADER_BYTES + table_bytes(&pristine);
+        let in_table = overwrite(pristine.clone(), at % described, byte);
+        check_outcome("resealed table overwrite", open_bytes("fuzz", &reseal(in_table)));
+        let mutated = overwrite(pristine.clone(), at, byte);
+        check_outcome("resealed overwrite", open_bytes("fuzz", &reseal(mutated.clone())));
+        // FNV-1a 64 changes with every single-byte change, so a stale
+        // seal admits only the unchanged file.
+        let accepted = check_outcome("stale overwrite", open_bytes("fuzz", &mutated));
+        prop_assert_eq!(accepted, mutated == pristine);
+        let cut = cut % pristine.len();
+        prop_assert!(!check_outcome("truncation", open_bytes("fuzz", &pristine[..cut])));
+        let longer = with_tail(pristine.clone(), &tail);
+        prop_assert!(!check_outcome("stale tail", open_bytes("fuzz", &longer)));
+        prop_assert!(!check_outcome("resealed tail", open_bytes("fuzz", &reseal(longer))));
+    }
+
+    #[test]
+    fn legacy_converter_survives_random_mutations(
+        at in 0usize..1 << 16,
+        byte in 0u16..256,
+        cut in 0usize..1 << 16,
+        tail in prop::collection::vec(0u16..256, 1..24),
+    ) {
+        let pristine = legacy_store_bytes(&sample_store());
+        // The first 64 bytes hold the stream header and the first
+        // record's name and shape.
+        let in_head = overwrite(pristine.clone(), at % 64, byte);
+        check_outcome("head overwrite", convert_bytes("fuzz_legacy", &in_head));
+        let mutated = overwrite(pristine.clone(), at, byte);
+        check_outcome("overwrite", convert_bytes("fuzz_legacy", &mutated));
+        let cut = cut % pristine.len();
+        prop_assert!(!check_outcome("truncation", convert_bytes("fuzz_legacy", &pristine[..cut])));
+        let longer = with_tail(pristine, &tail);
+        prop_assert!(!check_outcome("tail", convert_bytes("fuzz_legacy", &longer)));
+    }
+}
+
+// ---------------------------------------------------------------------
 // Golden header: pins the byte-for-byte layout of the header + table
 // against accidental format drift. Regenerate deliberately with
 // `SNAPPIX_UPDATE_GOLDEN=1 cargo test -p snappix-nn --test artifact`.
@@ -408,8 +526,7 @@ fn hexdump(bytes: &[u8]) -> String {
 #[test]
 fn golden_header_pins_byte_layout() {
     let bytes = pristine_bytes();
-    let table_bytes = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-    let dump = hexdump(&bytes[..SPX_HEADER_BYTES + table_bytes]);
+    let dump = hexdump(&bytes[..SPX_HEADER_BYTES + table_bytes(&bytes)]);
     let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/header.hex");
     if std::env::var_os("SNAPPIX_UPDATE_GOLDEN").is_some() {
         std::fs::write(golden, &dump).unwrap();

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use snappix_nn::{
-    load_params, save_params, Adam, LayerNorm, Linear, Optimizer, ParamStore, Session, Sgd,
+    write_artifact, Adam, ArtifactReader, LayerNorm, Linear, Optimizer, ParamStore, Session, Sgd,
 };
 use snappix_tensor::Tensor;
 
@@ -26,15 +26,16 @@ proptest! {
             );
         }
         let mut path = std::env::temp_dir();
-        path.push(format!("snappix_prop_{}_{seed}.snpx", std::process::id()));
-        save_params(&store, &path).expect("save");
+        path.push(format!("snappix_prop_{}_{seed}.spx", std::process::id()));
+        write_artifact(&store, &path).expect("save");
+        let reader = ArtifactReader::open(&path).expect("open");
+        std::fs::remove_file(&path).ok();
 
         let mut restored = ParamStore::new();
         for (i, shape) in shapes.iter().enumerate() {
             restored.register(format!("p{i}"), Tensor::zeros(shape));
         }
-        load_params(&mut restored, &path).expect("load");
-        std::fs::remove_file(&path).ok();
+        reader.load_into(&mut restored).expect("load");
         for (a, b) in store.iter().zip(restored.iter()) {
             prop_assert_eq!(a.2, b.2);
         }

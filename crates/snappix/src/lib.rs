@@ -108,9 +108,7 @@ pub mod prelude {
         DownsampleVideoVit, MaeConfig, MaePretrainer, SnapPixAr, SnapPixRec, Svc2d, TrainOptions,
         VideoVit, VitConfig,
     };
-    pub use snappix_nn::{
-        convert_params_to_artifact, load_params, save_params, write_artifact, ArtifactReader,
-    };
+    pub use snappix_nn::{convert_params_to_artifact, write_artifact, ArtifactReader};
     pub use snappix_sensor::{CeSensor, HardwareSensor, Readout, ReadoutConfig};
     pub use snappix_tensor::parallel;
     pub use snappix_tensor::Tensor;

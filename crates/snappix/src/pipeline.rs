@@ -564,30 +564,6 @@ impl Pipeline<AlgorithmicEncoder> {
     }
 }
 
-impl<S: Sense + Clone> Pipeline<S> {
-    /// Stamps out a new pipeline running the same model and backend as
-    /// this one.
-    ///
-    /// The weights are moved into shared read-only storage first (hence
-    /// `&mut self`), so the replica references the same buffers as this
-    /// pipeline instead of deep-copying them. The replica gets its own
-    /// backend state and a fresh session. Because `self`
-    /// was already validated at build time, no re-validation is needed —
-    /// this is the cheap way to scale an existing engine across worker
-    /// threads.
-    pub fn replicate(&mut self) -> Pipeline<S> {
-        self.model.store_mut().make_shared();
-        Pipeline {
-            model: self.model.clone(),
-            backend: self.backend.clone(),
-            pools: Vec::new(),
-            threads: self.threads,
-            tracer: self.tracer.clone(),
-            profile: PipelineProfile::default(),
-        }
-    }
-}
-
 impl<S: Sense> Pipeline<S>
 where
     Error: From<S::Error>,
@@ -1004,14 +980,6 @@ mod tests {
         assert!(outs[0].logits.approx_eq(&outs[1].logits, 0.0));
         assert_eq!(outs[0].labels, outs[1].labels);
 
-        // `replicate` on a built pipeline agrees too.
-        let mut original = Pipeline::builder(model()).build().unwrap();
-        let mut copy = original.replicate();
-        let a = original.infer(&clips).unwrap();
-        let b = copy.infer_clip(&clips.index_axis(0, 0).unwrap()).unwrap();
-        assert_eq!(a.labels[0], b.label);
-        assert!(a.logits.index_axis(0, 0).unwrap().approx_eq(&b.logits, 0.0));
-
         // Zero replicas is a valid (empty) request.
         assert!(Pipeline::builder(model())
             .build_replicas(0)
@@ -1027,22 +995,24 @@ mod tests {
     }
 
     #[test]
-    fn artifact_loaded_pipeline_matches_load_params() {
-        use snappix_nn::{load_params, save_params, write_artifact};
-        let mut path = std::env::temp_dir();
-        path.push(format!("snappix_pipeline_artifact_{}", std::process::id()));
-        let spx = path.with_extension("spx");
-        let snpx = path.with_extension("snpx");
+    fn artifact_loaded_pipeline_matches_the_checkpoint() {
+        use snappix_nn::write_artifact;
+        let mut spx = std::env::temp_dir();
+        spx.push(format!(
+            "snappix_pipeline_artifact_{}.spx",
+            std::process::id()
+        ));
 
-        // Fresh models are seeded, so one instance's weights stand in
-        // for a trained checkpoint.
-        let trained = model();
-        save_params(trained.store(), &snpx).unwrap();
+        // Perturb every parameter of a fresh model, so a builder that
+        // skipped the load would answer with different logits.
+        let mut trained = model();
+        let store = trained.store_mut();
+        for id in store.ids() {
+            store.value_mut(id).map_inplace(|x| x * 0.5 + 0.01);
+        }
         write_artifact(trained.store(), &spx).unwrap();
 
-        let mut legacy_model = model();
-        load_params(legacy_model.store_mut(), &snpx).unwrap();
-        let mut legacy = Pipeline::builder(legacy_model).build().unwrap();
+        let mut checkpoint = Pipeline::builder(trained).build().unwrap();
         let mut from_artifact = Pipeline::builder(model())
             .with_artifact(&spx)
             .unwrap()
@@ -1050,11 +1020,11 @@ mod tests {
             .unwrap();
 
         let clips = clips(3);
-        let a = legacy.infer(&clips).unwrap();
+        let a = checkpoint.infer(&clips).unwrap();
         let b = from_artifact.infer(&clips).unwrap();
         assert!(
             a.logits.approx_eq(&b.logits, 0.0),
-            "artifact weights must be bit-for-bit equal to load_params weights"
+            "artifact weights must be bit-for-bit equal to the checkpoint's"
         );
         assert_eq!(a.labels, b.labels);
 
@@ -1065,7 +1035,6 @@ mod tests {
             Err(Error::Nn(_))
         ));
         std::fs::remove_file(spx).ok();
-        std::fs::remove_file(snpx).ok();
     }
 
     #[test]
@@ -1093,15 +1062,6 @@ mod tests {
         assert_eq!(
             replicas.iter().map(Pipeline::weight_bytes).sum::<usize>(),
             4 * solo_bytes
-        );
-
-        // replicate() shares too.
-        let mut original = Pipeline::builder(model()).build().unwrap();
-        let copy = original.replicate();
-        assert_eq!(
-            resident_weight_bytes([&original, &copy]),
-            solo_bytes,
-            "replicate() must not deep-copy the weights"
         );
     }
 

@@ -1,8 +1,8 @@
-//! The `.spx` weight artifact end to end: train a small model, save a
-//! legacy `.snpx` checkpoint, convert it to a sealed `.spx` artifact,
-//! reload through both paths, prove the answers are bit-for-bit equal,
-//! and show the memory win of sharing one read-only payload across a
-//! fleet of replicas.
+//! The `.spx` weight artifact end to end: train a small model, write it
+//! as a sealed `.spx` artifact, reload it into a fresh model, prove the
+//! answers are bit-for-bit those of the trained in-memory model, and
+//! show the memory win of sharing one read-only payload across a fleet
+//! of replicas.
 //!
 //! Run with `cargo run --release --example artifact`.
 
@@ -31,31 +31,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.final_loss()
     );
 
-    // 2. Save the legacy stream, then convert it to a sealed artifact.
-    let base = std::env::temp_dir().join(format!("snappix_example_{}", std::process::id()));
-    let snpx = base.with_extension("snpx");
-    let spx = base.with_extension("spx");
-    save_params(trained.store(), &snpx)?;
-    convert_params_to_artifact(&snpx, &spx)?;
+    // 2. Write the trained weights as a sealed artifact.
+    let spx = std::env::temp_dir().join(format!("snappix_example_{}.spx", std::process::id()));
+    write_artifact(trained.store(), &spx)?;
     println!(
-        "checkpoint: {} B legacy -> {} B artifact (64 B header + table + 64-aligned payload + checksum)",
-        std::fs::metadata(&snpx)?.len(),
+        "checkpoint: {} B artifact (64 B header + table + 64-aligned payload + checksum)",
         std::fs::metadata(&spx)?.len(),
     );
 
-    // 3. Reload through both paths and classify the same batch.
-    let mut legacy_model = model()?;
-    load_params(legacy_model.store_mut(), &snpx)?;
-    let mut legacy = Pipeline::builder(legacy_model).build()?;
+    // 3. Reload into a fresh model and classify the same batch as the
+    //    trained one.
+    let mut in_memory = Pipeline::builder(trained).build()?;
     let mut artifact = Pipeline::builder(model()?).with_artifact(&spx)?.build()?;
     let batch = data.batch(0, 8);
-    let a = legacy.infer(&batch.videos)?;
+    let a = in_memory.infer(&batch.videos)?;
     let b = artifact.infer(&batch.videos)?;
     assert!(
         a.logits.approx_eq(&b.logits, 0.0),
-        "artifact answers must be bit-for-bit the load_params answers"
+        "artifact answers must be bit-for-bit the trained model's answers"
     );
-    println!("both load paths predict {:?} (bit-for-bit equal)", b.labels);
+    println!(
+        "reloaded model predicts {:?} (bit-for-bit the trained model)",
+        b.labels
+    );
 
     // 4. The point of the artifact: replicas share one payload buffer.
     let replicas = Pipeline::builder(model()?)
@@ -63,6 +61,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build_replicas(REPLICAS)?;
     let resident = resident_weight_bytes(&replicas);
     let naive: usize = replicas.iter().map(Pipeline::weight_bytes).sum();
+    assert_eq!(
+        resident,
+        artifact.weight_bytes(),
+        "{REPLICAS} replicas must cost one payload"
+    );
     println!(
         "{REPLICAS} replicas: {resident} B resident vs {naive} B if deep-copied ({:.2}x saved)",
         naive as f64 / resident as f64
@@ -80,7 +83,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = server.shutdown();
     println!("\n--- server telemetry ---\n{stats}");
 
-    std::fs::remove_file(snpx).ok();
     std::fs::remove_file(spx).ok();
     Ok(())
 }

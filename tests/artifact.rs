@@ -1,11 +1,12 @@
 //! Workspace-level integration suite for the `.spx` weight artifact.
 //!
 //! The guarantee under test: loading weights through the zero-copy
-//! artifact path must be *operationally* different from `load_params`
-//! (one shared read-only payload buffer instead of per-replica copies)
-//! while staying *numerically* invisible — bit-for-bit identical logits
-//! on both backends, at every thread count, whether inference runs
-//! through a bare `Pipeline`, the batched server, or a frame stream.
+//! artifact path must be *operationally* different from holding the
+//! checkpoint in memory (one shared read-only payload buffer instead of
+//! per-replica copies) while staying *numerically* invisible —
+//! bit-for-bit the in-memory checkpoint's logits on both backends, at
+//! every thread count, whether inference runs through a bare
+//! `Pipeline`, the batched server, or a frame stream.
 
 use snappix_stream::prelude::*;
 use std::path::PathBuf;
@@ -36,36 +37,48 @@ fn clip_batch(n: usize) -> Tensor {
     Tensor::rand_uniform(&mut rng, &[n, T, HW, HW], 0.0, 1.0)
 }
 
-/// Writes one model's weights both ways — legacy `.snpx` stream and
-/// `.spx` artifact — so every test compares the two load paths over
-/// identical values. Fresh models are seeded, so one instance's weights
-/// stand in for a trained checkpoint.
-fn checkpoint_pair(tag: &str) -> (PathBuf, PathBuf) {
-    let mut base = std::env::temp_dir();
-    base.push(format!("snappix_it_artifact_{}_{tag}", std::process::id()));
-    let snpx = base.with_extension("snpx");
-    let spx = base.with_extension("spx");
-    let trained = model();
-    save_params(trained.store(), &snpx).expect("legacy save");
-    write_artifact(trained.store(), &spx).expect("artifact save");
-    (snpx, spx)
-}
-
-fn legacy_loaded_model(snpx: &PathBuf) -> SnapPixAr {
+/// The "trained" model: every parameter of the seeded [`model`]
+/// perturbed deterministically, so a pipeline that skipped loading the
+/// artifact would answer with the fresh model's logits and fail.
+fn checkpoint() -> SnapPixAr {
     let mut m = model();
-    load_params(m.store_mut(), snpx).expect("legacy load");
+    let store = m.store_mut();
+    for id in store.ids() {
+        store.value_mut(id).map_inplace(|x| x * 0.5 + 0.01);
+    }
     m
 }
 
+/// Writes the checkpoint's weights as a `.spx` artifact.
+fn checkpoint_artifact(tag: &str) -> PathBuf {
+    let mut spx = std::env::temp_dir();
+    spx.push(format!(
+        "snappix_it_artifact_{}_{tag}.spx",
+        std::process::id()
+    ));
+    write_artifact(checkpoint().store(), &spx).expect("artifact save");
+    spx
+}
+
 /// Both backends, thread counts 1 and 2: an artifact-loaded pipeline is
-/// bit-for-bit the `load_params`-loaded one.
+/// bit-for-bit the in-memory checkpoint.
 #[test]
-fn artifact_and_load_params_pipelines_agree_bit_for_bit() {
-    let (snpx, spx) = checkpoint_pair("pipelines");
+fn artifact_and_checkpoint_pipelines_agree_bit_for_bit() {
+    let spx = checkpoint_artifact("pipelines");
     let clips = clip_batch(4);
+    // The checkpoint must answer differently from a fresh model, or the
+    // comparisons below could not tell a load from a skipped one.
+    let mut fresh = Pipeline::builder(model()).build().expect("assembly");
+    let mut trained = Pipeline::builder(checkpoint()).build().expect("assembly");
+    let fresh_logits = fresh.infer(&clips).expect("fresh inference").logits;
+    let trained_logits = trained.infer(&clips).expect("checkpoint inference").logits;
+    assert!(
+        !fresh_logits.approx_eq(&trained_logits, 0.0),
+        "the checkpoint must not answer like a fresh model"
+    );
     for threads in [1, 2] {
         // Algorithmic encoder.
-        let mut legacy = Pipeline::builder(legacy_loaded_model(&snpx))
+        let mut reference = Pipeline::builder(checkpoint())
             .with_threads(threads)
             .build()
             .expect("assembly");
@@ -75,16 +88,16 @@ fn artifact_and_load_params_pipelines_agree_bit_for_bit() {
             .with_threads(threads)
             .build()
             .expect("assembly");
-        let a = legacy.infer(&clips).expect("legacy inference");
+        let a = reference.infer(&clips).expect("checkpoint inference");
         let b = artifact.infer(&clips).expect("artifact inference");
         assert_eq!(a.labels, b.labels, "threads {threads}");
         assert!(
             a.logits.approx_eq(&b.logits, 0.0),
-            "threads {threads}: artifact logits must be bit-for-bit load_params logits"
+            "threads {threads}: artifact logits must be bit-for-bit checkpoint logits"
         );
 
         // Hardware sensor (noiseless, so deterministic).
-        let mut legacy_hw = Pipeline::builder(legacy_loaded_model(&snpx))
+        let mut reference_hw = Pipeline::builder(checkpoint())
             .with_hardware_sensor(ReadoutConfig::noiseless(12, 4.0))
             .expect("sensor assembly")
             .with_threads(threads)
@@ -98,30 +111,27 @@ fn artifact_and_load_params_pipelines_agree_bit_for_bit() {
             .with_threads(threads)
             .build()
             .expect("assembly");
-        let a = legacy_hw.infer(&clips).expect("legacy hw inference");
+        let a = reference_hw.infer(&clips).expect("checkpoint hw inference");
         let b = artifact_hw.infer(&clips).expect("artifact hw inference");
         assert_eq!(a.labels, b.labels, "hw threads {threads}");
         assert!(
             a.logits.approx_eq(&b.logits, 0.0),
-            "hw threads {threads}: artifact logits must be bit-for-bit load_params logits"
+            "hw threads {threads}: artifact logits must be bit-for-bit checkpoint logits"
         );
     }
-    std::fs::remove_file(snpx).ok();
     std::fs::remove_file(spx).ok();
 }
 
 /// An artifact-fed server answers concurrent batched clients bit-for-bit
-/// like a serial `load_params` pipeline.
+/// like a serial pipeline over the in-memory checkpoint.
 #[test]
 fn served_answers_from_an_artifact_match_the_serial_baseline() {
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 3;
-    let (snpx, spx) = checkpoint_pair("serve");
+    let spx = checkpoint_artifact("serve");
     let all = clips(CLIENTS * PER_CLIENT);
 
-    let mut serial = Pipeline::builder(legacy_loaded_model(&snpx))
-        .build()
-        .expect("assembly");
+    let mut serial = Pipeline::builder(checkpoint()).build().expect("assembly");
     let reference: Vec<Prediction> = all
         .iter()
         .map(|c| serial.infer_clip(c).expect("serial inference"))
@@ -169,22 +179,19 @@ fn served_answers_from_an_artifact_match_the_serial_baseline() {
             );
         }
     }
-    std::fs::remove_file(snpx).ok();
     std::fs::remove_file(spx).ok();
 }
 
 /// Streaming over an artifact-fed server reproduces the offline
-/// `load_params` reference per window.
+/// checkpoint reference per window.
 #[test]
 fn streamed_windows_over_an_artifact_server_match_offline() {
     const FRAMES: usize = 21;
-    let (snpx, spx) = checkpoint_pair("stream");
+    let spx = checkpoint_artifact("stream");
     let video = Dataset::new(ssv2_like(FRAMES, HW, HW), 1).sample(0).video;
     let hop = 3;
 
-    let mut offline = Pipeline::builder(legacy_loaded_model(&snpx))
-        .build()
-        .expect("assembly");
+    let mut offline = Pipeline::builder(checkpoint()).build().expect("assembly");
     let reference: Vec<Prediction> = video
         .windows(T, hop)
         .map(|w| offline.infer_clip(&w).expect("offline inference"))
@@ -215,7 +222,6 @@ fn streamed_windows_over_an_artifact_server_match_offline() {
             "window {k}: streamed artifact logits must be bit-for-bit offline"
         );
     }
-    std::fs::remove_file(snpx).ok();
     std::fs::remove_file(spx).ok();
 }
 
@@ -224,7 +230,7 @@ fn streamed_windows_over_an_artifact_server_match_offline() {
 /// pointer identity and by the deduplicating byte accounting.
 #[test]
 fn artifact_replicas_share_one_payload_buffer() {
-    let (snpx, spx) = checkpoint_pair("replicas");
+    let spx = checkpoint_artifact("replicas");
     let replicas = Pipeline::builder(model())
         .with_artifact(&spx)
         .expect("artifact open")
@@ -258,7 +264,6 @@ fn artifact_replicas_share_one_payload_buffer() {
         .build()
         .expect("assembly");
     assert_eq!(resident_weight_bytes(&replicas), solo.weight_bytes());
-    std::fs::remove_file(snpx).ok();
     std::fs::remove_file(spx).ok();
 }
 
@@ -266,7 +271,7 @@ fn artifact_replicas_share_one_payload_buffer() {
 /// worker count scales 1 → 4 → 8 over one artifact.
 #[test]
 fn resident_weight_bytes_stay_flat_as_workers_scale() {
-    let (snpx, spx) = checkpoint_pair("workers");
+    let spx = checkpoint_artifact("workers");
     let solo_bytes = Pipeline::builder(model())
         .with_artifact(&spx)
         .expect("artifact open")
@@ -289,6 +294,5 @@ fn resident_weight_bytes_stay_flat_as_workers_scale() {
         );
         drop(server);
     }
-    std::fs::remove_file(snpx).ok();
     std::fs::remove_file(spx).ok();
 }
