@@ -212,7 +212,7 @@ impl<'a> Node<'a> {
                     },
                 );
                 let smoothed = self.smoother.observe(&prediction);
-                let at_frame = index * self.config.hop + self.config.window - 1;
+                let at_frame = index * self.assembler.hop() + self.assembler.window() - 1;
                 if let Some(event) = self.detector.observe(self.id, index, at_frame, smoothed) {
                     self.events.push(event);
                 }
@@ -311,36 +311,28 @@ impl<'a> Node<'a> {
         window: snappix_tensor::Tensor,
         server: &Server,
     ) -> Result<bool, FleetError> {
-        let admitted = match (self.config.overload, self.config.deadline) {
-            (OverloadPolicy::Block, None) => server.submit(&window).map(Some),
-            (OverloadPolicy::Block, Some(d)) => server.submit_within(&window, d).map(Some),
-            (OverloadPolicy::SkipWindow, None) => match server.try_submit(&window) {
-                Ok(t) => Ok(Some(t)),
-                Err(ServeError::Overloaded { .. }) => Ok(None),
-                Err(e) => Err(e),
-            },
-            (OverloadPolicy::SkipWindow, Some(d)) => match server.try_submit_within(&window, d) {
-                Ok(t) => Ok(Some(t)),
-                Err(ServeError::Overloaded { .. }) => Ok(None),
-                Err(e) => Err(e),
-            },
-            (OverloadPolicy::DropOldest { .. }, _) => {
-                unreachable!("rejected at construction")
-            }
+        // DropOldest is rejected at construction, so anything but Block
+        // is SkipWindow; a blocking submission never reports Overloaded.
+        let deadline = self.config.deadline;
+        let admitted = if self.config.overload == OverloadPolicy::Block {
+            server.submit_within(&window, deadline)
+        } else {
+            server.try_submit_within(&window, deadline)
         };
-        match admitted.map_err(FleetError::from)? {
-            Some(ticket) => {
+        match admitted {
+            Ok(ticket) => {
                 let paid = self.config.budget.try_spend(self.infer_cost_pj);
                 debug_assert!(paid, "affordability was checked before submission");
                 self.in_flight = Some((index, ticket));
                 Ok(true)
             }
-            None => {
+            Err(ServeError::Overloaded { .. }) => {
                 // Server-side shed: the capture happened, readout and
                 // transmission did not.
                 self.shed_window(at_us, index);
                 Ok(false)
             }
+            Err(e) => Err(e.into()),
         }
     }
 

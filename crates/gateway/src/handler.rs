@@ -202,11 +202,7 @@ fn classify_inner(state: &AppState, request: &Request, peer: IpAddr) -> Response
     // immediate 503 + Retry-After on the wire (the client's connection
     // is the wrong place to park backpressure), feeding the serving
     // layer's existing shed machinery.
-    let submitted = match deadline {
-        Some(d) => state.server.try_submit_within(&clip, d),
-        None => state.server.try_submit(&clip),
-    };
-    let ticket = match submitted {
+    let ticket = match state.server.try_submit_within(&clip, deadline) {
         Ok(ticket) => ticket,
         Err(ServeError::Overloaded { capacity }) => {
             return Response::text(

@@ -19,8 +19,8 @@
 //!   ([`RateLimit`]) answers `429` with `Retry-After`; the serving
 //!   layer's bounded queue ([`Server::try_submit`]) answers `503` with
 //!   `Retry-After` when it sheds; an `X-Snappix-Deadline-Ms` header
-//!   rides [`Server::try_submit_within`] so stale work expires in the
-//!   queue and answers `504`. A saturated node never hangs a client.
+//!   becomes the `Some(d)` of [`Server::try_submit_within`] (no header,
+//!   `None`) so stale work expires in the queue and answers `504`. A saturated node never hangs a client.
 //! * **Observability** — `GET /health` (liveness), `GET /stats` (the
 //!   human-readable [`ServerStats`]/[`GatewayStats`] dump, conservation
 //!   checked by [`ServerStats::debug_assert_conserved`]) and

@@ -28,8 +28,8 @@
 //!   [`Server::try_submit`] sheds load explicitly with
 //!   [`ServeError::Overloaded`], [`Server::submit`] blocks the client
 //!   instead, and per-request deadlines
-//!   ([`Server::submit_within`]) expire queued work rather than serving
-//!   it late.
+//!   ([`Server::submit_within`] with `Some(d)`) expire queued work
+//!   rather than serving it late.
 //! * **Telemetry** — every counter and latency sample lands in a
 //!   [`snappix_metrics::Registry`] (attach a shared one via
 //!   [`ServerBuilder::with_metrics`]) and nowhere else: request

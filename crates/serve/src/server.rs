@@ -341,10 +341,10 @@ impl Server {
         self.admit(clip, None, false)
     }
 
-    /// Like [`try_submit`](Self::try_submit), but the request expires
-    /// (with [`ServeError::DeadlineExpired`] on its [`Ticket`]) if it is
-    /// still queued `deadline` from now — stale work is shed instead of
-    /// served late.
+    /// Like [`try_submit`](Self::try_submit), but with `Some(deadline)`
+    /// the request expires (with [`ServeError::DeadlineExpired`] on its
+    /// [`Ticket`]) if it is still queued `deadline` from now — stale work
+    /// is shed instead of served late. `None` is exactly `try_submit`.
     ///
     /// # Errors
     ///
@@ -352,9 +352,9 @@ impl Server {
     pub fn try_submit_within(
         &self,
         clip: &Tensor,
-        deadline: Duration,
+        deadline: Option<Duration>,
     ) -> Result<Ticket, ServeError> {
-        self.admit(clip, Some(deadline), false)
+        self.admit(clip, deadline, false)
     }
 
     /// Submits a clip, blocking until the queue has room — backpressure
@@ -368,15 +368,20 @@ impl Server {
         self.admit(clip, None, true)
     }
 
-    /// Like [`submit`](Self::submit) with a per-request deadline; the
-    /// deadline clock starts when the call is made — time spent blocked
-    /// waiting for queue room counts against the deadline.
+    /// Like [`submit`](Self::submit) with an optional per-request
+    /// deadline; the deadline clock starts when the call is made — time
+    /// spent blocked waiting for queue room counts against the deadline.
+    /// `None` is exactly `submit`.
     ///
     /// # Errors
     ///
     /// Same as [`submit`](Self::submit).
-    pub fn submit_within(&self, clip: &Tensor, deadline: Duration) -> Result<Ticket, ServeError> {
-        self.admit(clip, Some(deadline), true)
+    pub fn submit_within(
+        &self,
+        clip: &Tensor,
+        deadline: Option<Duration>,
+    ) -> Result<Ticket, ServeError> {
+        self.admit(clip, deadline, true)
     }
 
     /// Submits one clip and blocks for its [`Prediction`](snappix::Prediction) —

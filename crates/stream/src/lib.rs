@@ -25,6 +25,9 @@
 //!   [`Event`]s. When the server sheds load, the per-stream
 //!   [`OverloadPolicy`] decides: block (never lose a window), skip the
 //!   window (stay current), or buffer-and-drop-oldest (absorb bursts).
+//!   Each window ends as one [`WindowResult`] handed to the caller's
+//!   sink; a session keeps only the windows still in its hands, so an
+//!   endless stream runs in flat memory.
 //! * **The runner** — [`StreamRunner`] drives N sessions concurrently
 //!   (real-time pacing or max throughput) against one server, whose
 //!   dynamic batcher coalesces windows *across streams* into shared
@@ -61,10 +64,13 @@
 //!             .with_overload(OverloadPolicy::SkipWindow),
 //!     );
 //! }
-//! let report = runner.run().map_err(snappix::Error::from)?;
-//! for event in report.streams.iter().flat_map(|s| &s.events) {
-//!     println!("{event}");
-//! }
+//! let report = runner
+//!     .run(|_stream, record| {
+//!         if let WindowOutcome::Inferred { event: Some(event), .. } = record.outcome {
+//!             println!("{event}");
+//!         }
+//!     })
+//!     .map_err(snappix::Error::from)?;
 //! println!("{report}");
 //! # Ok(())
 //! # }
@@ -86,7 +92,7 @@ pub use error::StreamError;
 pub use event::{Event, EventDetector};
 pub use runner::{Pacing, RunReport, StreamRunner};
 pub use session::{
-    DropReason, OverloadPolicy, SessionConfig, StreamReport, StreamSession, WindowResult,
+    OverloadPolicy, SessionConfig, StreamReport, StreamSession, WindowOutcome, WindowResult,
 };
 pub use smooth::{Smoother, Smoothing};
 pub use stats::StreamStats;
@@ -98,9 +104,9 @@ pub use window::WindowAssembler;
 pub mod prelude {
     pub use crate::FrameSource;
     pub use crate::{
-        DropReason, Event, EventDetector, OverloadPolicy, Pacing, ReplaySource, RunReport,
-        SessionConfig, Smoother, Smoothing, StreamError, StreamReport, StreamRunner, StreamSession,
-        StreamStats, SyntheticSource, WindowAssembler, WindowResult,
+        Event, EventDetector, OverloadPolicy, Pacing, ReplaySource, RunReport, SessionConfig,
+        Smoother, Smoothing, StreamError, StreamReport, StreamRunner, StreamSession, StreamStats,
+        SyntheticSource, WindowAssembler, WindowOutcome, WindowResult,
     };
     pub use snappix_serve::prelude::*;
 }

@@ -1,6 +1,8 @@
 //! Driving many streams concurrently against one shared server.
 
-use crate::{FrameSource, SessionConfig, StreamError, StreamReport, StreamSession, StreamStats};
+use crate::{
+    FrameSource, SessionConfig, StreamError, StreamReport, StreamSession, StreamStats, WindowResult,
+};
 use snappix_serve::Server;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -98,7 +100,7 @@ impl fmt::Display for RunReport {
 ///     let video = Dataset::new(ssv2_like(32, 16, 16), 8).sample(i).video;
 ///     runner.add_stream(ReplaySource::new(video), SessionConfig::new(8, 4));
 /// }
-/// let report = runner.run().map_err(snappix::Error::from)?;
+/// let report = runner.run(|_, _| {}).map_err(snappix::Error::from)?;
 /// println!("{report}");
 /// # Ok(())
 /// # }
@@ -147,14 +149,19 @@ impl<'a> StreamRunner<'a> {
     /// the reports. Returns once all streams have finished (sources
     /// exhausted, in-flight work resolved).
     ///
+    /// Each session hands `sink` one `(stream id, record)` per assembled
+    /// window, on that stream's thread, in the order described on
+    /// [`WindowResult`]; the run itself keeps no per-window records.
+    ///
     /// # Errors
     ///
     /// The first [`StreamError`] any stream hit; the remaining streams
     /// still run to completion first (bounded by their sources).
-    pub fn run(self) -> Result<RunReport, StreamError> {
+    pub fn run(self, sink: impl Fn(usize, WindowResult) + Sync) -> Result<RunReport, StreamError> {
         let started = Instant::now();
         let server = self.server;
         let pacing = self.pacing;
+        let sink = &sink;
         let outcomes: Vec<Result<StreamReport, StreamError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .streams
@@ -163,6 +170,7 @@ impl<'a> StreamRunner<'a> {
                 .map(|(id, (mut source, config))| {
                     scope.spawn(move || -> Result<StreamReport, StreamError> {
                         let mut session = StreamSession::new(id, server, config)?;
+                        let mut sink = |record| sink(id, record);
                         let interval = match pacing {
                             Pacing::MaxThroughput => None,
                             Pacing::RealTime(interval) => Some(interval),
@@ -178,9 +186,9 @@ impl<'a> StreamRunner<'a> {
                                 }
                             }
                             n = n.saturating_add(1);
-                            session.push(&frame)?;
+                            session.push(&frame, &mut sink)?;
                         }
-                        session.finish()
+                        session.finish(&mut sink)
                     })
                 })
                 .collect();

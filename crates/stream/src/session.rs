@@ -123,27 +123,23 @@ impl SessionConfig {
     }
 }
 
-/// One inferred window's full record.
+/// How one assembled window ended.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WindowResult {
-    /// Window index `k` (window covers frames `[k * hop, k * hop + t)`).
-    pub index: usize,
-    /// First stream frame of the window, `k * hop`.
-    pub start_frame: usize,
-    /// The raw prediction — bit-for-bit what an offline
-    /// `Pipeline::infer` over the same frames produces.
-    pub prediction: Prediction,
-    /// The temporally-smoothed label after folding this window in.
-    pub smoothed: usize,
-    /// End-to-end latency: last frame of the window arriving to the
-    /// prediction being picked up (admission + batching + compute +
-    /// the session's polling cadence).
-    pub latency: Duration,
-}
-
-/// Why a window was not inferred.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
+pub enum WindowOutcome {
+    /// The window came back with a prediction.
+    Inferred {
+        /// The raw prediction — bit-for-bit what an offline
+        /// `Pipeline::infer` over the same frames produces.
+        prediction: Prediction,
+        /// The temporally-smoothed label after folding this window in.
+        smoothed: usize,
+        /// End-to-end latency: last frame of the window arriving to the
+        /// prediction being picked up (admission + batching + compute +
+        /// the session's polling cadence).
+        latency: Duration,
+        /// The label-change event this window confirmed, if any.
+        event: Option<Event>,
+    },
     /// The overload policy shed it (skipped at admission, or displaced
     /// as the oldest buffered window).
     Shed,
@@ -151,19 +147,26 @@ pub enum DropReason {
     Expired,
 }
 
-/// Everything one finished stream reports.
+/// The one record a session hands its sink per assembled window.
+/// Inferred and expired windows arrive in window order; a shed window
+/// arrives when it is shed, possibly before an older window's answer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowResult {
+    /// Window index `k` (window covers frames `[k * hop, k * hop + t)`).
+    pub index: usize,
+    /// First stream frame of the window, `k * hop`.
+    pub start_frame: usize,
+    /// What became of the window.
+    pub outcome: WindowOutcome,
+}
+
+/// Everything one finished stream reports (per-window records went to the sink).
 #[derive(Debug, Clone)]
 pub struct StreamReport {
     /// The stream id the session was created with.
     pub id: usize,
     /// Counters and latency percentiles.
     pub stats: StreamStats,
-    /// Per-window results in window order (inferred windows only).
-    pub results: Vec<WindowResult>,
-    /// Dropped windows as `(window index, reason)`, in drop order.
-    pub dropped: Vec<(usize, DropReason)>,
-    /// Confirmed label-change events, in emission order.
-    pub events: Vec<Event>,
     /// The stream's end-to-end window latencies in nanoseconds — the
     /// histogram `stats.latency` is derived from, kept so runs over
     /// many streams merge it loss-free.
@@ -230,6 +233,16 @@ struct PendingWindow {
     completed_at: Instant,
 }
 
+impl PendingWindow {
+    fn admitted(self, ticket: Ticket) -> InFlightWindow {
+        InFlightWindow {
+            index: self.index,
+            ticket,
+            completed_at: self.completed_at,
+        }
+    }
+}
+
 struct InFlightWindow {
     index: usize,
     ticket: Ticket,
@@ -239,13 +252,15 @@ struct InFlightWindow {
 /// The per-stream state machine; see the module docs for the role it
 /// plays. Create one per stream over a shared [`Server`], feed it frames
 /// with [`push`](Self::push), then [`finish`](Self::finish) it for the
-/// [`StreamReport`].
+/// [`StreamReport`]. Both calls hand each window's [`WindowResult`] to
+/// the caller's sink once its outcome is known; the session keeps only
+/// the windows still in its hands, so its memory stays flat.
 ///
 /// # Examples
 ///
 /// ```no_run
 /// use snappix_serve::prelude::*;
-/// use snappix_stream::{SessionConfig, StreamSession};
+/// use snappix_stream::{SessionConfig, StreamSession, WindowOutcome, WindowResult};
 ///
 /// # fn main() -> Result<(), snappix::Error> {
 /// let mask = patterns::long_exposure(8, (8, 8))?;
@@ -253,13 +268,19 @@ struct InFlightWindow {
 /// let server = Server::builder(Pipeline::builder(model)).build()?;
 /// let mut session = StreamSession::new(0, &server, SessionConfig::new(8, 4))
 ///     .map_err(snappix::Error::from)?;
+/// let mut labels = Vec::new();
+/// let mut sink = |record: WindowResult| {
+///     if let WindowOutcome::Inferred { smoothed, .. } = record.outcome {
+///         labels.push(smoothed);
+///     }
+/// };
 /// for _ in 0..32 {
 ///     session
-///         .push(&Tensor::zeros(&[16, 16]))
+///         .push(&Tensor::zeros(&[16, 16]), &mut sink)
 ///         .map_err(snappix::Error::from)?;
 /// }
-/// let report = session.finish().map_err(snappix::Error::from)?;
-/// println!("{}", report.stats);
+/// let report = session.finish(&mut sink).map_err(snappix::Error::from)?;
+/// println!("{}: smoothed labels {labels:?}", report.stats);
 /// # Ok(())
 /// # }
 /// ```
@@ -269,17 +290,18 @@ pub struct StreamSession<'a> {
     assembler: WindowAssembler,
     smoother: Smoother,
     detector: EventDetector,
-    overload: OverloadPolicy,
+    /// Unadmitted windows the session may hold. `None` blocks on a full
+    /// queue ([`OverloadPolicy::Block`]); `Some(cap)` tries the queue and
+    /// sheds the oldest windows beyond `cap` — 0 for `SkipWindow`,
+    /// `pending.max(1)` for `DropOldest`.
+    buffer: Option<usize>,
     deadline: Option<Duration>,
-    hop: usize,
-    window_len: usize,
     pending: VecDeque<PendingWindow>,
     in_flight: VecDeque<InFlightWindow>,
-    results: Vec<WindowResult>,
-    dropped: Vec<(usize, DropReason)>,
+    inferred: u64,
     shed: u64,
     expired: u64,
-    events: Vec<Event>,
+    events: u64,
     /// This stream's window latencies, next to the registry's shared
     /// cell (which aggregates every stream on the server).
     latency: Histogram,
@@ -305,23 +327,25 @@ impl<'a> StreamSession<'a> {
                 ),
             });
         }
+        let buffer = match config.overload {
+            OverloadPolicy::Block => None,
+            OverloadPolicy::SkipWindow => Some(0),
+            OverloadPolicy::DropOldest { pending } => Some(pending.max(1)),
+        };
         Ok(StreamSession {
             id,
             server,
             assembler: WindowAssembler::new(config.window, config.hop, [h, w])?,
             smoother: Smoother::new(config.smoothing),
             detector: EventDetector::new(config.hysteresis),
-            overload: config.overload,
+            buffer,
             deadline: config.deadline,
-            hop: config.hop.max(1),
-            window_len: config.window,
             pending: VecDeque::new(),
             in_flight: VecDeque::new(),
-            results: Vec::new(),
-            dropped: Vec::new(),
+            inferred: 0,
             shed: 0,
             expired: 0,
-            events: Vec::new(),
+            events: 0,
             latency: Histogram::standalone(HistogramOpts::nanos()),
             telemetry: Telemetry::new(server.metrics()),
         })
@@ -337,26 +361,16 @@ impl<'a> StreamSession<'a> {
         self.detector.active()
     }
 
-    /// Results completed so far (window order).
-    pub fn results(&self) -> &[WindowResult] {
-        &self.results
-    }
-
-    /// Events emitted so far.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
     /// A point-in-time stats snapshot (latency percentiles over the
-    /// results completed so far).
+    /// windows inferred so far).
     pub fn stats(&self) -> StreamStats {
         StreamStats {
             frames: self.assembler.frames_in() as u64,
             windows: self.assembler.windows_out() as u64,
-            inferred: self.results.len() as u64,
+            inferred: self.inferred,
             shed: self.shed,
             expired: self.expired,
-            events: self.events.len() as u64,
+            events: self.events,
             latency: LatencySummary::from_histogram(&self.latency.snapshot()),
         }
     }
@@ -364,7 +378,8 @@ impl<'a> StreamSession<'a> {
     /// Absorbs one `[h, w]` frame: assembles windows, applies the
     /// overload policy to any completed window, and opportunistically
     /// collects finished results (so smoothing and events advance while
-    /// the stream is still running).
+    /// the stream is still running). Every window whose outcome became
+    /// known goes to `sink`.
     ///
     /// # Errors
     ///
@@ -372,23 +387,31 @@ impl<'a> StreamSession<'a> {
     /// [`StreamError::Serve`] when the server fails in a way the
     /// overload policy does not cover (shutdown, batch inference
     /// failure, worker death).
-    pub fn push(&mut self, frame: &snappix_tensor::Tensor) -> Result<(), StreamError> {
+    pub fn push(
+        &mut self,
+        frame: &snappix_tensor::Tensor,
+        sink: &mut impl FnMut(WindowResult),
+    ) -> Result<(), StreamError> {
         let assembled = self.assembler.push(frame)?;
         self.telemetry.frames.inc();
         if let Some(window) = assembled {
             self.telemetry.windows.inc();
             let index = self.assembler.windows_out() - 1;
-            self.admit(PendingWindow {
-                index,
-                window,
-                completed_at: Instant::now(),
-            })?;
+            self.admit(
+                PendingWindow {
+                    index,
+                    window,
+                    completed_at: Instant::now(),
+                },
+                sink,
+            )?;
         }
-        self.poll()
+        self.poll(sink)
     }
 
     /// Flushes the session: one last admission pass for buffered
-    /// windows, then waits out every in-flight result, and reports.
+    /// windows, then waits out every in-flight result, hands the
+    /// remaining records to `sink`, and reports.
     ///
     /// Windows still unadmitted after the final pass are counted as
     /// shed — `finish` never blocks on a saturated server for work the
@@ -397,24 +420,16 @@ impl<'a> StreamSession<'a> {
     /// # Errors
     ///
     /// Same as [`push`](Self::push).
-    pub fn finish(mut self) -> Result<StreamReport, StreamError> {
+    pub fn finish(
+        mut self,
+        sink: &mut impl FnMut(WindowResult),
+    ) -> Result<StreamReport, StreamError> {
         self.drain_pending()?;
         while let Some(p) = self.pending.pop_front() {
-            self.drop_window(p.index, DropReason::Shed);
+            self.emit(p.index, WindowOutcome::Shed, sink);
         }
         while let Some(f) = self.in_flight.pop_front() {
-            let InFlightWindow {
-                index,
-                ticket,
-                completed_at,
-            } = f;
-            match ticket.wait() {
-                Ok(prediction) => self.complete(index, completed_at, prediction),
-                Err(ServeError::DeadlineExpired { .. }) => {
-                    self.drop_window(index, DropReason::Expired);
-                }
-                Err(e) => return Err(e.into()),
-            }
+            self.settle(f.index, f.completed_at, f.ticket.wait(), sink)?;
         }
         let stats = self.stats();
         debug_assert_eq!(
@@ -425,93 +440,40 @@ impl<'a> StreamSession<'a> {
         Ok(StreamReport {
             id: self.id,
             stats,
-            results: self.results,
-            dropped: self.dropped,
-            events: self.events,
             latency_histogram: self.latency.snapshot(),
         })
     }
 
-    /// Logs one dropped window in the report *and* the registry.
-    fn drop_window(&mut self, index: usize, reason: DropReason) {
-        match reason {
-            DropReason::Shed => {
-                self.shed += 1;
-                self.telemetry.shed.inc();
-            }
-            DropReason::Expired => {
-                self.expired += 1;
-                self.telemetry.expired.inc();
-            }
+    /// Routes one completed window through the overload policy: block
+    /// for queue room, or buffer it and shed the oldest windows beyond
+    /// the buffer's cap.
+    fn admit(
+        &mut self,
+        window: PendingWindow,
+        sink: &mut impl FnMut(WindowResult),
+    ) -> Result<(), StreamError> {
+        let Some(cap) = self.buffer else {
+            let ticket = self.server.submit_within(&window.window, self.deadline)?;
+            self.in_flight.push_back(window.admitted(ticket));
+            return Ok(());
+        };
+        self.pending.push_back(window);
+        self.drain_pending()?;
+        while self.pending.len() > cap {
+            let victim = self.pending.pop_front().expect("len checked");
+            self.emit(victim.index, WindowOutcome::Shed, sink);
         }
-        self.dropped.push((index, reason));
-    }
-
-    /// Routes one completed window through the overload policy.
-    fn admit(&mut self, pending: PendingWindow) -> Result<(), StreamError> {
-        match self.overload {
-            OverloadPolicy::Block => {
-                let admitted = match self.deadline {
-                    Some(d) => self.server.submit_within(&pending.window, d),
-                    None => self.server.submit(&pending.window),
-                };
-                let ticket = admitted.map_err(StreamError::from)?;
-                self.in_flight.push_back(InFlightWindow {
-                    index: pending.index,
-                    ticket,
-                    completed_at: pending.completed_at,
-                });
-                Ok(())
-            }
-            OverloadPolicy::SkipWindow => {
-                let admitted = match self.deadline {
-                    Some(d) => self.server.try_submit_within(&pending.window, d),
-                    None => self.server.try_submit(&pending.window),
-                };
-                match admitted {
-                    Ok(ticket) => {
-                        self.in_flight.push_back(InFlightWindow {
-                            index: pending.index,
-                            ticket,
-                            completed_at: pending.completed_at,
-                        });
-                        Ok(())
-                    }
-                    Err(ServeError::Overloaded { .. }) => {
-                        self.drop_window(pending.index, DropReason::Shed);
-                        Ok(())
-                    }
-                    Err(e) => Err(e.into()),
-                }
-            }
-            OverloadPolicy::DropOldest { pending: cap } => {
-                self.pending.push_back(pending);
-                self.drain_pending()?;
-                while self.pending.len() > cap.max(1) {
-                    let victim = self.pending.pop_front().expect("len checked");
-                    self.drop_window(victim.index, DropReason::Shed);
-                }
-                Ok(())
-            }
-        }
+        Ok(())
     }
 
     /// Tries to move buffered windows into the server, oldest first, so
     /// submission order always equals window order.
     fn drain_pending(&mut self) -> Result<(), StreamError> {
         while let Some(front) = self.pending.front() {
-            let admitted = match self.deadline {
-                Some(d) => self.server.try_submit_within(&front.window, d),
-                None => self.server.try_submit(&front.window),
-            };
-            match admitted {
+            match self.server.try_submit_within(&front.window, self.deadline) {
                 Ok(ticket) => {
                     let p = self.pending.pop_front().expect("front checked");
-                    self.in_flight.push_back(InFlightWindow {
-                        index: p.index,
-                        ticket,
-                        completed_at: p.completed_at,
-                    });
+                    self.in_flight.push_back(p.admitted(ticket));
                 }
                 Err(ServeError::Overloaded { .. }) => break,
                 Err(e) => return Err(e.into()),
@@ -522,44 +484,75 @@ impl<'a> StreamSession<'a> {
 
     /// Collects every already-finished in-flight result without
     /// blocking, strictly in window order.
-    fn poll(&mut self) -> Result<(), StreamError> {
+    fn poll(&mut self, sink: &mut impl FnMut(WindowResult)) -> Result<(), StreamError> {
         while let Some(front) = self.in_flight.front() {
-            match front.ticket.try_wait() {
-                Ok(None) => break,
-                Ok(Some(prediction)) => {
-                    let f = self.in_flight.pop_front().expect("front checked");
-                    self.complete(f.index, f.completed_at, prediction);
-                }
-                Err(ServeError::DeadlineExpired { .. }) => {
-                    let f = self.in_flight.pop_front().expect("front checked");
-                    self.drop_window(f.index, DropReason::Expired);
-                }
-                Err(e) => return Err(e.into()),
-            }
+            let Some(answer) = front.ticket.try_wait().transpose() else {
+                break;
+            };
+            let f = self.in_flight.pop_front().expect("front checked");
+            self.settle(f.index, f.completed_at, answer, sink)?;
         }
         Ok(())
     }
 
-    /// Folds one prediction into smoothing, event detection, and the
-    /// results log.
-    fn complete(&mut self, index: usize, completed_at: Instant, prediction: Prediction) {
-        let latency = completed_at.elapsed();
-        let nanos = latency.as_nanos() as u64;
-        self.telemetry.inferred.inc();
-        self.telemetry.latency.record(nanos);
-        self.latency.record(nanos);
-        let smoothed = self.smoother.observe(&prediction);
-        let at_frame = index * self.hop + self.window_len - 1;
-        if let Some(event) = self.detector.observe(self.id, index, at_frame, smoothed) {
-            self.events.push(event);
-            self.telemetry.events.inc();
+    /// Turns one ticket's answer into the window's outcome: a prediction
+    /// is folded into smoothing and event detection, an expired deadline
+    /// is recorded, and any other serving failure is the caller's.
+    fn settle(
+        &mut self,
+        index: usize,
+        completed_at: Instant,
+        answer: Result<Prediction, ServeError>,
+        sink: &mut impl FnMut(WindowResult),
+    ) -> Result<(), StreamError> {
+        let outcome = match answer {
+            Ok(prediction) => {
+                let latency = completed_at.elapsed();
+                let smoothed = self.smoother.observe(&prediction);
+                let at_frame = index * self.assembler.hop() + self.assembler.window() - 1;
+                let event = self.detector.observe(self.id, index, at_frame, smoothed);
+                WindowOutcome::Inferred {
+                    prediction,
+                    smoothed,
+                    latency,
+                    event,
+                }
+            }
+            Err(ServeError::DeadlineExpired { .. }) => WindowOutcome::Expired,
+            Err(e) => return Err(e.into()),
+        };
+        self.emit(index, outcome, sink);
+        Ok(())
+    }
+
+    /// Counts one window's outcome in the stats *and* the registry, then
+    /// hands its record to the sink.
+    fn emit(&mut self, index: usize, outcome: WindowOutcome, sink: &mut impl FnMut(WindowResult)) {
+        match &outcome {
+            WindowOutcome::Inferred { latency, event, .. } => {
+                let nanos = latency.as_nanos() as u64;
+                self.inferred += 1;
+                self.telemetry.inferred.inc();
+                self.telemetry.latency.record(nanos);
+                self.latency.record(nanos);
+                if event.is_some() {
+                    self.events += 1;
+                    self.telemetry.events.inc();
+                }
+            }
+            WindowOutcome::Shed => {
+                self.shed += 1;
+                self.telemetry.shed.inc();
+            }
+            WindowOutcome::Expired => {
+                self.expired += 1;
+                self.telemetry.expired.inc();
+            }
         }
-        self.results.push(WindowResult {
+        sink(WindowResult {
             index,
-            start_frame: index * self.hop,
-            prediction,
-            smoothed,
-            latency,
+            start_frame: index * self.assembler.hop(),
+            outcome,
         });
     }
 }
@@ -568,12 +561,73 @@ impl std::fmt::Debug for StreamSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamSession")
             .field("id", &self.id)
-            .field("window", &self.window_len)
-            .field("hop", &self.hop)
+            .field("window", &self.assembler.window())
+            .field("hop", &self.assembler.hop())
             .field("frames_in", &self.assembler.frames_in())
             .field("in_flight", &self.in_flight.len())
             .field("pending", &self.pending.len())
-            .field("results", &self.results.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FrameSource, ReplaySource};
+    use snappix_serve::prelude::*;
+
+    /// An endless camera must not grow its session: under `Block`, the
+    /// windows a session holds (buffered plus in flight) stay within
+    /// what the server itself can hold — its queue plus one batch per
+    /// worker — however long the stream runs, and every window still
+    /// reaches the sink exactly once.
+    #[test]
+    fn session_state_stays_bounded_on_a_long_stream() {
+        const T: usize = 4;
+        const HW: usize = 16;
+        let mask = patterns::long_exposure(T, (8, 8)).expect("valid mask");
+        let model = SnapPixAr::new(VitConfig::snappix_s(HW, HW, 5), mask).expect("valid model");
+        let server = Server::builder(Pipeline::builder(model))
+            .with_workers(1)
+            .with_queue_depth(4)
+            .with_batch_policy(BatchPolicy::new(4, Duration::from_millis(1)))
+            .build()
+            .expect("server assembly");
+        let bound = server.queue_capacity() + server.workers() * server.policy().max_batch;
+
+        // 51 passes over 40 frames at hop 1: 2037 windows.
+        let video = Dataset::new(ssv2_like(40, HW, HW), 1).sample(0).video;
+        let mut source = ReplaySource::looped(video, 51);
+        let mut session =
+            StreamSession::new(0, &server, SessionConfig::new(T, 1)).expect("session");
+
+        let mut records = 0_u64;
+        let mut last_inferred: Option<usize> = None;
+        let mut ascending = true;
+        let mut sink = |record: WindowResult| {
+            records += 1;
+            if let WindowOutcome::Inferred { .. } = record.outcome {
+                ascending &= last_inferred.is_none_or(|last| record.index > last);
+                last_inferred = Some(record.index);
+            }
+        };
+        let mut live_max = 0;
+        while let Some(frame) = source.next_frame().expect("frame") {
+            session.push(&frame, &mut sink).expect("push");
+            live_max = live_max.max(session.in_flight.len() + session.pending.len());
+        }
+        let report = session.finish(&mut sink).expect("finish");
+
+        assert!(report.stats.windows >= 2000, "{}", report.stats);
+        assert!(
+            live_max <= bound,
+            "session held {live_max} windows, above the server's {bound}"
+        );
+        assert_eq!(records, report.stats.windows, "one record per window");
+        assert_eq!(
+            report.stats.inferred, report.stats.windows,
+            "Block drops nothing"
+        );
+        assert!(ascending, "inferred windows reach the sink in window order");
     }
 }

@@ -115,9 +115,6 @@ mod tests {
                 latency: LatencySummary::from_histogram(&latency_histogram),
                 ..stats
             },
-            results: Vec::new(),
-            dropped: Vec::new(),
-            events: Vec::new(),
             latency_histogram,
         }
     }

@@ -59,7 +59,7 @@ fn main() -> Result<(), snappix::Error> {
                         // Impatient client: shed and move on when full.
                         1 => server.try_submit(clip),
                         // Real-time client: answers are useless after 50 ms.
-                        _ => server.submit_within(clip, Duration::from_millis(50)),
+                        _ => server.submit_within(clip, Some(Duration::from_millis(50))),
                     };
                     match outcome.map(Ticket::wait) {
                         Ok(Ok(prediction)) => labels.push(prediction.label),

@@ -3,11 +3,17 @@
 //! one shared server with per-stream overload policies, temporal
 //! smoothing, and label-change events.
 //!
+//! Events print from the run's sink as they happen. The example exits
+//! nonzero unless, for every stream, the sink received one record per
+//! assembled window and its inferred/shed/expired counts equal the
+//! stream's stats.
+//!
 //! Run with `cargo run --release --example stream`. Environment knobs:
 //! `SNAPPIX_THREADS` bounds the machine parallelism the server divides
 //! among its replicas.
 
 use snappix_stream::prelude::*;
+use std::sync::Mutex;
 use std::time::Duration;
 
 const T: usize = 8;
@@ -16,6 +22,15 @@ const CLASSES: usize = 10;
 const STREAMS: usize = 4;
 const SEGMENTS: usize = 3;
 const SEGMENT_FRAMES: usize = 24;
+
+/// What the sink saw on one stream: every record, then each outcome.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tally {
+    windows: u64,
+    inferred: u64,
+    shed: u64,
+    expired: u64,
+}
 
 fn main() -> Result<(), snappix::Error> {
     // A small co-designed model at the paper's 16x16 edge scale.
@@ -47,17 +62,13 @@ fn main() -> Result<(), snappix::Error> {
     ];
     let mut runner =
         StreamRunner::new(&server).with_pacing(Pacing::fps(120.0).map_err(snappix::Error::from)?);
-    let mut truths = Vec::new();
     for (i, &overload) in policies.iter().enumerate().take(STREAMS) {
         // Different per-stream seeds: shift the sample range via config.
         let mut config = ssv2_like(SEGMENT_FRAMES, HW, HW);
         config.seed = config.seed.wrapping_add(1000 * i as u64);
         let source = SyntheticSource::new(config, SEGMENTS);
-        truths.push(
-            (0..SEGMENTS)
-                .map(|s| source.segment_label(s))
-                .collect::<Vec<_>>(),
-        );
+        let truth: Vec<usize> = (0..SEGMENTS).map(|s| source.segment_label(s)).collect();
+        println!("stream {i}: {overload:?}, true segment labels {truth:?}");
         runner.add_stream(
             source,
             SessionConfig::new(T, 4)
@@ -67,18 +78,23 @@ fn main() -> Result<(), snappix::Error> {
         );
     }
 
-    let report = runner.run()?;
-
     println!("\n--- events ---");
-    for (stream, truth) in report.streams.iter().zip(&truths) {
-        println!("stream {} (true segment labels {truth:?}):", stream.id);
-        if stream.events.is_empty() {
-            println!("  (no label settled — all windows shed?)");
+    let tallies = Mutex::new(vec![Tally::default(); STREAMS]);
+    let report = runner.run(|stream, record| {
+        let mut tallies = tallies.lock().expect("tally lock");
+        let tally = &mut tallies[stream];
+        tally.windows += 1;
+        match record.outcome {
+            WindowOutcome::Inferred { event, .. } => {
+                tally.inferred += 1;
+                if let Some(event) = event {
+                    println!("  {event}");
+                }
+            }
+            WindowOutcome::Shed => tally.shed += 1,
+            WindowOutcome::Expired => tally.expired += 1,
         }
-        for event in &stream.events {
-            println!("  {event}");
-        }
-    }
+    })?;
 
     println!("\n--- per-stream stats ---");
     println!("{report}");
@@ -87,5 +103,28 @@ fn main() -> Result<(), snappix::Error> {
         server.stats().batches,
         server.stats().mean_batch_size()
     );
+
+    let tallies = tallies.into_inner().expect("tally lock");
+    let mut consistent = true;
+    for (stream, seen) in report.streams.iter().zip(&tallies) {
+        let s = &stream.stats;
+        let want = Tally {
+            windows: s.windows,
+            inferred: s.inferred,
+            shed: s.shed,
+            expired: s.expired,
+        };
+        if *seen != want {
+            eprintln!(
+                "stream {}: sink saw {seen:?}, stats say {want:?}",
+                stream.id
+            );
+            consistent = false;
+        }
+    }
+    if !consistent {
+        std::process::exit(1);
+    }
+    println!("sink: one record per window on every stream, outcomes match the stats");
     Ok(())
 }

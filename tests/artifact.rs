@@ -10,7 +10,7 @@
 
 use snappix_stream::prelude::*;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const T: usize = 4;
@@ -211,14 +211,22 @@ fn streamed_windows_over_an_artifact_server_match_offline() {
             .with_smoothing(Smoothing::Off)
             .with_hysteresis(1),
     );
-    let report = runner.run().expect("streaming run");
+    let records = Mutex::new(Vec::new());
+    let report = runner
+        .run(|_, record| records.lock().expect("sink lock").push(record))
+        .expect("streaming run");
+    let records = records.into_inner().expect("sink lock");
 
-    let stream = &report.streams[0];
-    assert_eq!(stream.results.len(), reference.len());
-    for (k, (result, offline)) in stream.results.iter().zip(&reference).enumerate() {
-        assert_eq!(result.prediction.label, offline.label, "window {k}");
+    assert_eq!(records.len() as u64, report.streams[0].stats.windows);
+    assert_eq!(records.len(), reference.len());
+    for (k, (record, offline)) in records.iter().zip(&reference).enumerate() {
+        let WindowOutcome::Inferred { prediction, .. } = &record.outcome else {
+            panic!("window {k} was not inferred: {:?}", record.outcome);
+        };
+        assert_eq!(record.index, k, "results arrive in window order");
+        assert_eq!(prediction.label, offline.label, "window {k}");
         assert!(
-            result.prediction.logits.approx_eq(&offline.logits, 0.0),
+            prediction.logits.approx_eq(&offline.logits, 0.0),
             "window {k}: streamed artifact logits must be bit-for-bit offline"
         );
     }

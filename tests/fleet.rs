@@ -409,3 +409,31 @@ fn an_empty_fleet_returns_an_empty_report() {
     assert!(report.check_conserved());
     assert!(report.survival_curve(4).is_empty());
 }
+
+/// `NodeConfig::hop` is a public field, so a caller can set it to 0
+/// after `NodeConfig::new` clamped it. The node's assembler clamps it to
+/// 1 again, and every event must stamp the frame that confirmed it
+/// under that clamped hop: `at_frame = window * 1 + T - 1`.
+#[test]
+fn events_stamp_frames_with_the_clamped_hop() {
+    let server = server(1);
+    let mut config = NodeConfig::new(T, 1)
+        .with_smoothing(Smoothing::Off)
+        .with_hysteresis(2);
+    config.hop = 0;
+    let mut sim = FleetSim::new(&server);
+    for video in fleet_videos(3) {
+        sim.add_node(ReplaySource::new(video), config.clone())
+            .expect("a zero hop is clamped, not rejected");
+    }
+    let report = sim.run().expect("fleet run completes");
+    server.shutdown();
+    let events: Vec<_> = report.nodes.iter().flat_map(|n| &n.events).collect();
+    // Hysteresis 2 confirms no label before window 1, so every event
+    // tells a zero hop from the clamped one.
+    assert!(!events.is_empty(), "the fleet confirmed labels");
+    for event in events {
+        assert!(event.window > 0, "{event}");
+        assert_eq!(event.at_frame, event.window + T - 1, "{event}");
+    }
+}

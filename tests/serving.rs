@@ -162,7 +162,7 @@ fn expired_deadlines_shed_queued_work() {
     let clip = &clips(1)[0];
     // A zero deadline is expired by the time any worker claims it.
     let doomed = server
-        .try_submit_within(clip, Duration::ZERO)
+        .try_submit_within(clip, Some(Duration::ZERO))
         .expect("admission is still granted");
     match doomed.wait() {
         Err(ServeError::DeadlineExpired { .. }) => {}
@@ -170,7 +170,7 @@ fn expired_deadlines_shed_queued_work() {
     }
     // A generous deadline serves normally on the same server.
     let fine = server
-        .submit_within(clip, Duration::from_secs(60))
+        .submit_within(clip, Some(Duration::from_secs(60)))
         .expect("admission");
     assert_eq!(fine.wait().expect("served").logits.shape(), &[CLASSES]);
 

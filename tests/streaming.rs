@@ -9,6 +9,7 @@
 //! `SNAPPIX_THREADS` setting (CI runs this file in both matrix legs).
 
 use snappix_stream::prelude::*;
+use std::sync::Mutex;
 use std::time::Duration;
 
 const T: usize = 4;
@@ -59,29 +60,83 @@ where
         .collect()
 }
 
-fn assert_streams_match(report: &RunReport, reference: &[Vec<Prediction>]) {
+/// Runs `runner`, collecting each stream's sink records in the order
+/// the sink received them.
+fn run_collecting(runner: StreamRunner<'_>) -> (RunReport, Vec<Vec<WindowResult>>) {
+    let records = Mutex::new(vec![Vec::new(); runner.streams()]);
+    let report = runner
+        .run(|id, record| records.lock().expect("sink lock")[id].push(record))
+        .expect("streaming run");
+    (report, records.into_inner().expect("sink lock"))
+}
+
+/// Every record of a session, from its pushes and its finish.
+fn stream_video(
+    mut session: StreamSession<'_>,
+    video: &Video,
+) -> (StreamReport, Vec<WindowResult>) {
+    let mut records = Vec::new();
+    let mut sink = |record| records.push(record);
+    for i in 0..video.num_frames() {
+        session
+            .push(&video.frame(i).expect("frame"), &mut sink)
+            .expect("push");
+    }
+    let report = session.finish(&mut sink).expect("finish");
+    (report, records)
+}
+
+/// The drops of one stream as `(window index, outcome)`, in the order
+/// they reached the sink.
+fn drops(records: &[WindowResult]) -> Vec<(usize, WindowOutcome)> {
+    records
+        .iter()
+        .filter(|r| !matches!(r.outcome, WindowOutcome::Inferred { .. }))
+        .map(|r| (r.index, r.outcome.clone()))
+        .collect()
+}
+
+fn assert_streams_match(
+    report: &RunReport,
+    records: &[Vec<WindowResult>],
+    reference: &[Vec<Prediction>],
+) {
     assert_eq!(report.streams.len(), reference.len());
-    for (stream, expected) in report.streams.iter().zip(reference) {
+    for ((stream, records), expected) in report.streams.iter().zip(records).zip(reference) {
         assert_eq!(
-            stream.results.len(),
+            records.len() as u64,
+            stream.stats.windows,
+            "stream {}: one record per window",
+            stream.id
+        );
+        assert_eq!(
+            records.len(),
             expected.len(),
             "stream {}: every offline window must be streamed",
             stream.id
         );
-        assert!(stream.dropped.is_empty(), "nothing drops under Block");
-        for (k, (result, offline)) in stream.results.iter().zip(expected).enumerate() {
-            assert_eq!(result.index, k, "results arrive in window order");
+        assert!(drops(records).is_empty(), "nothing drops under Block");
+        for (k, (record, offline)) in records.iter().zip(expected).enumerate() {
+            assert_eq!(record.index, k, "results arrive in window order");
+            let WindowOutcome::Inferred {
+                prediction,
+                smoothed,
+                ..
+            } = &record.outcome
+            else {
+                unreachable!("no drops, checked above");
+            };
             assert_eq!(
-                result.prediction.label, offline.label,
+                prediction.label, offline.label,
                 "stream {} window {k}: label",
                 stream.id
             );
             assert!(
-                result.prediction.logits.approx_eq(&offline.logits, 0.0),
+                prediction.logits.approx_eq(&offline.logits, 0.0),
                 "stream {} window {k}: streamed logits must be bit-for-bit offline",
                 stream.id
             );
-            assert_eq!(result.smoothed, offline.label, "Smoothing::Off is raw");
+            assert_eq!(*smoothed, offline.label, "Smoothing::Off is raw");
         }
     }
 }
@@ -131,18 +186,27 @@ fn streamed_windows_match_offline_inference_exactly() {
         runner.add_stream(ReplaySource::new(video.clone()), raw_config(*hop));
     }
     assert_eq!(runner.streams(), 4);
-    let report = runner.run().expect("streaming run");
+    let (report, records) = run_collecting(runner);
 
-    assert_streams_match(&report, &reference);
+    assert_streams_match(&report, &records, &reference);
 
     // Events are the raw label-change sequence, stamped with the frame
     // that confirmed them.
-    for ((stream, expected), (_, hop)) in report.streams.iter().zip(&reference).zip(&workload) {
+    for (((stream, records), expected), (_, hop)) in report
+        .streams
+        .iter()
+        .zip(&records)
+        .zip(&reference)
+        .zip(&workload)
+    {
         let labels: Vec<usize> = expected.iter().map(|p| p.label).collect();
         let want = expected_raw_events(stream.id, *hop, &labels);
-        let got: Vec<(usize, usize, Option<usize>, usize)> = stream
-            .events
+        let got: Vec<(usize, usize, Option<usize>, usize)> = records
             .iter()
+            .filter_map(|r| match &r.outcome {
+                WindowOutcome::Inferred { event, .. } => *event,
+                _ => None,
+            })
             .map(|e| (e.stream, e.at_frame, e.from, e.to))
             .collect();
         assert_eq!(got, want, "stream {}", stream.id);
@@ -214,8 +278,8 @@ fn hardware_backed_streaming_matches_offline_hardware_inference() {
     for (video, hop) in &workload {
         runner.add_stream(ReplaySource::new(video.clone()), raw_config(*hop));
     }
-    let report = runner.run().expect("streaming run");
-    assert_streams_match(&report, &reference);
+    let (report, records) = run_collecting(runner);
+    assert_streams_match(&report, &records, &reference);
 }
 
 /// Saturate a one-slot server (a parked worker holds its batch open, so
@@ -240,48 +304,43 @@ fn overload_policies_are_deterministic_under_a_saturated_server() {
         .expect("the slot was free");
 
     // SkipWindow: every window is shed at admission, in order.
-    let mut session = StreamSession::new(
+    let session = StreamSession::new(
         0,
         &server,
         raw_config(hop).with_overload(OverloadPolicy::SkipWindow),
     )
     .expect("session");
-    for i in 0..FRAMES {
-        session.push(&video.frame(i).expect("frame")).expect("push");
-    }
-    let report = session.finish().expect("finish");
+    let (report, records) = stream_video(session, video);
     assert_eq!(report.stats.windows, windows as u64);
     assert_eq!(report.stats.inferred, 0);
     assert_eq!(report.stats.shed, windows as u64);
     assert_eq!(report.stats.expired, 0);
-    assert!(report.results.is_empty());
-    assert!(report.events.is_empty());
+    assert_eq!(report.stats.events, 0);
+    assert_eq!(records.len(), windows, "one record per window");
     assert_eq!(
-        report.dropped,
+        drops(&records),
         (0..windows)
-            .map(|i| (i, DropReason::Shed))
+            .map(|i| (i, WindowOutcome::Shed))
             .collect::<Vec<_>>()
     );
 
     // DropOldest(pending = 2): the buffer holds the two freshest
     // windows; every older one is displaced in arrival order, and the
     // final two are shed at finish (the policy never blocks).
-    let mut session = StreamSession::new(
+    let session = StreamSession::new(
         1,
         &server,
         raw_config(hop).with_overload(OverloadPolicy::DropOldest { pending: 2 }),
     )
     .expect("session");
-    for i in 0..FRAMES {
-        session.push(&video.frame(i).expect("frame")).expect("push");
-    }
-    let report = session.finish().expect("finish");
+    let (report, records) = stream_video(session, video);
     assert_eq!(report.stats.shed, windows as u64);
     assert_eq!(report.stats.inferred, 0);
+    assert_eq!(records.len(), windows, "one record per window");
     assert_eq!(
-        report.dropped,
+        drops(&records),
         (0..windows)
-            .map(|i| (i, DropReason::Shed))
+            .map(|i| (i, WindowOutcome::Shed))
             .collect::<Vec<_>>(),
         "oldest-first displacement, then the final buffered pair"
     );
@@ -303,15 +362,19 @@ fn zero_deadline_expires_every_window() {
         .with_workers(1)
         .build()
         .expect("server assembly");
-    let mut session = StreamSession::new(0, &server, raw_config(hop).with_deadline(Duration::ZERO))
+    let session = StreamSession::new(0, &server, raw_config(hop).with_deadline(Duration::ZERO))
         .expect("session");
-    for i in 0..FRAMES {
-        session.push(&video.frame(i).expect("frame")).expect("push");
-    }
-    let report = session.finish().expect("finish");
+    let (report, records) = stream_video(session, video);
     assert_eq!(report.stats.windows, windows as u64);
     assert_eq!(report.stats.expired, windows as u64);
     assert_eq!(report.stats.inferred + report.stats.shed, 0);
+    assert_eq!(
+        drops(&records),
+        (0..windows)
+            .map(|i| (i, WindowOutcome::Expired))
+            .collect::<Vec<_>>(),
+        "expiries reach the sink in window order"
+    );
     let stats = server.shutdown();
     assert_eq!(stats.expired, windows as u64);
     assert_eq!(stats.completed, 0);
@@ -331,7 +394,7 @@ fn mismatched_window_length_is_rejected_up_front() {
     let mut runner = StreamRunner::new(&server);
     let video = workload()[0].0.clone();
     runner.add_stream(ReplaySource::new(video), SessionConfig::new(T + 1, 1));
-    let err = runner.run();
+    let err = runner.run(|_, _| {});
     assert!(matches!(err, Err(StreamError::Config { .. })));
 
     // And the unified error face works one layer up.
@@ -377,7 +440,7 @@ fn real_time_pacing_serves_every_window_when_unloaded() {
             SessionConfig::new(T, 2),
         );
     }
-    let report = runner.run().expect("run");
+    let report = runner.run(|_, _| {}).expect("run");
     assert_eq!(report.aggregate.frames, 24);
     assert_eq!(report.aggregate.windows, report.aggregate.inferred);
     assert!(report.wall >= Duration::from_millis(20), "pacing slept");
@@ -393,11 +456,8 @@ fn single_stream_latency_matches_the_registry_histogram() {
         .with_workers(1)
         .build()
         .expect("server assembly");
-    let mut session = StreamSession::new(0, &server, raw_config(hop)).expect("session");
-    for i in 0..FRAMES {
-        session.push(&video.frame(i).expect("frame")).expect("push");
-    }
-    let report = session.finish().expect("finish");
+    let session = StreamSession::new(0, &server, raw_config(hop)).expect("session");
+    let (report, _) = stream_video(session, video);
     let registered = server
         .metrics()
         .histogram(
