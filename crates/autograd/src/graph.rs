@@ -207,13 +207,6 @@ impl Graph {
         self.grads.get(v.0).and_then(|g| g.as_ref())
     }
 
-    /// Clears all accumulated gradients.
-    pub fn zero_grads(&mut self) {
-        for g in &mut self.grads {
-            *g = None;
-        }
-    }
-
     /// Runs reverse-mode differentiation from scalar variable `v`.
     ///
     /// Gradients accumulate (`+=`) into every node with `needs_grad`,
@@ -337,16 +330,6 @@ mod tests {
         let y = g.add(x, x).unwrap(); // y = 2x
         g.backward(y).unwrap();
         assert_eq!(g.grad(x).unwrap().as_slice(), &[2.0]);
-    }
-
-    #[test]
-    fn zero_grads_clears() {
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::scalar(3.0), true);
-        let y = g.add(x, x).unwrap();
-        g.backward(y).unwrap();
-        g.zero_grads();
-        assert!(g.grad(x).is_none());
     }
 
     #[test]

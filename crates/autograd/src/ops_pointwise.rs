@@ -2,7 +2,7 @@
 
 use crate::graph::reduce_to_shape;
 use crate::{Graph, Result, Var};
-use snappix_tensor::{math, Tensor};
+use snappix_tensor::math;
 
 impl Graph {
     /// Elementwise sum with broadcasting.
@@ -228,19 +228,6 @@ impl Graph {
         ))
     }
 
-    /// Logistic sigmoid, `1 / (1 + exp(-x))` with [`math::exp`].
-    ///
-    /// # Errors
-    ///
-    /// Fails for a foreign handle.
-    pub fn sigmoid(&mut self, a: Var) -> Result<Var> {
-        self.check(a)?;
-        let value = self.value(a).map(|x| 1.0 / (1.0 + math::exp(-x)));
-        Ok(self.push_op_keeping_output(value, a, |g, out| {
-            g.mul(&out.map(|s| s * (1.0 - s))).expect("same shape")
-        }))
-    }
-
     /// Hyperbolic tangent ([`math::tanh`]).
     ///
     /// # Errors
@@ -269,38 +256,13 @@ impl Graph {
         let value = self.value(a).map(|x| if x > threshold { 1.0 } else { 0.0 });
         Ok(self.push_op(value, vec![a], Box::new(|g, _| vec![g.clone()])))
     }
-
-    /// Inverted dropout with the given keep probability mask.
-    ///
-    /// The caller supplies the binary `mask` (typically from
-    /// [`Tensor::rand_bernoulli`]) so that randomness stays seeded at the
-    /// call site; surviving activations are rescaled by `1 / keep_prob`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the mask shape differs from the input or `keep_prob` is
-    /// not in `(0, 1]`.
-    pub fn dropout(&mut self, a: Var, mask: &Tensor, keep_prob: f32) -> Result<Var> {
-        self.check(a)?;
-        if !(0.0..=1.0).contains(&keep_prob) || keep_prob == 0.0 {
-            return Err(crate::AutogradError::InvalidArgument {
-                context: format!("keep_prob {keep_prob} outside (0, 1]"),
-            });
-        }
-        let scaled_mask = mask.scale(1.0 / keep_prob);
-        let value = self.value(a).mul(&scaled_mask)?;
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, _| vec![g.mul(&scaled_mask).expect("same shape")]),
-        ))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::check_gradients;
+    use snappix_tensor::Tensor;
 
     fn leaf2x3(g: &mut Graph) -> Var {
         g.leaf(
@@ -398,12 +360,11 @@ mod tests {
         let x = Tensor::from_vec(vec![0.7, -1.3, 2.1, -0.4], &[4]).unwrap();
         let sweep = Tensor::linspace(-6.0, 6.0, 25).add_scalar(0.013);
         for x in [x, sweep] {
-            for f in ["relu", "gelu", "sigmoid", "tanh"] {
+            for f in ["relu", "gelu", "tanh"] {
                 check_gradients(std::slice::from_ref(&x), |g, vars| {
                     let y = match f {
                         "relu" => g.relu(vars[0])?,
                         "gelu" => g.gelu(vars[0])?,
-                        "sigmoid" => g.sigmoid(vars[0])?,
                         _ => g.tanh(vars[0])?,
                     };
                     g.sum(y)
@@ -423,18 +384,5 @@ mod tests {
         g.backward(s).unwrap();
         // Straight-through: gradient of sum is all-ones, passed unchanged.
         assert_eq!(g.grad(x).unwrap().as_slice(), &[1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn dropout_scales_survivors() {
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::ones(&[4]), true);
-        let mask = Tensor::from_vec(vec![1.0, 0.0, 1.0, 0.0], &[4]).unwrap();
-        let d = g.dropout(x, &mask, 0.5).unwrap();
-        assert_eq!(g.value(d).as_slice(), &[2.0, 0.0, 2.0, 0.0]);
-        let s = g.sum(d).unwrap();
-        g.backward(s).unwrap();
-        assert_eq!(g.grad(x).unwrap().as_slice(), &[2.0, 0.0, 2.0, 0.0]);
-        assert!(g.dropout(x, &mask, 0.0).is_err());
     }
 }

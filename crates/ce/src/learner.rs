@@ -10,7 +10,7 @@
 use crate::{mean_offdiag_abs, CeError, ExposureMask, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snappix_nn::{Adam, Optimizer, ParamStore, Session};
+use snappix_nn::{Adam, ParamStore, Session};
 use snappix_tensor::Tensor;
 use snappix_video::Dataset;
 

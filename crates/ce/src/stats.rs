@@ -50,10 +50,9 @@ pub fn zero_mean_contrast(samples: &Tensor) -> Result<Tensor> {
 /// carrying no signal rather than poisoning the matrix with NaNs).
 ///
 /// The `X^T X` Gram product runs through the tensor crate's
-/// cache-blocked parallel matmul, and the `O(p^2)` std-normalization of
-/// the row pairs is split row-wise across the same worker pool — results
-/// are bit-for-bit identical at every thread count (see the parity
-/// test).
+/// cache-blocked parallel matmul; the `O(p^2)` std-normalization that
+/// follows runs on the calling thread. Results are bit-for-bit identical
+/// at every thread count (see the parity test).
 ///
 /// # Errors
 ///
@@ -81,26 +80,15 @@ pub fn pearson_matrix(samples: &Tensor) -> Result<Tensor> {
         .matmul(&centered)?
         .scale(1.0 / s as f32);
     let mut c = cov;
-    {
-        let data = c.as_mut_slice();
-        let std = &std;
-        let normalize_row = |i: usize, row: &mut [f32]| {
-            for (j, v) in row.iter_mut().enumerate() {
-                let denom = std[i] * std[j];
-                *v = if denom > 1e-12 {
-                    (*v / denom).clamp(-1.0, 1.0)
-                } else {
-                    0.0
-                };
-            }
-        };
-        // The normalization is O(p^2) against the Gram product's
-        // O(s * p^2): scale the worker count to the (small) work so only
-        // a large matrix fans out, and never into tiny slices.
-        let workers = snappix_tensor::parallel::workers_for(p * p, 1 << 14);
-        snappix_tensor::parallel::with_threads(workers, || {
-            snappix_tensor::parallel::par_chunks_mut(data, p, normalize_row)
-        });
+    for (row, &std_i) in c.as_mut_slice().chunks_mut(p).zip(&std) {
+        for (v, &std_j) in row.iter_mut().zip(&std) {
+            let denom = std_i * std_j;
+            *v = if denom > 1e-12 {
+                (*v / denom).clamp(-1.0, 1.0)
+            } else {
+                0.0
+            };
+        }
     }
     Ok(c)
 }
@@ -214,9 +202,9 @@ mod tests {
         assert!(c.as_slice().iter().all(|v| v.is_finite()));
     }
 
-    /// The parallel Pearson path (blocked matmul Gram product + row-split
-    /// normalization) must match the single-thread run bit-for-bit across
-    /// thread counts, including > p workers, on odd shapes.
+    /// The Pearson path (parallel blocked matmul Gram product, then the
+    /// serial normalization) must match the single-thread run bit-for-bit
+    /// across thread counts, including > p workers, on odd shapes.
     #[test]
     fn pearson_parallel_matches_serial_bit_for_bit() {
         use snappix_tensor::parallel::with_threads;

@@ -300,10 +300,150 @@ pub(crate) fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::io::BufReader;
 
     fn parse(raw: &[u8], max_body: usize) -> Result<Request, ParseError> {
         read_request(&mut BufReader::new(raw), max_body)
+    }
+
+    /// A socket that hands out at most `k` bytes per `read`, so the
+    /// parser meets every read boundary a peer can produce.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        pos: usize,
+        k: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.k).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// How a session ended: the number of requests parsed, then the
+    /// status of the malformed request that stopped it, if one did.
+    type Ending = (usize, Option<u16>);
+
+    /// Parses `raw` as one keep-alive session read `k` bytes at a time
+    /// and checks how it ends: every request within the head and body
+    /// caps, then a clean close, an I/O error only once the input ran
+    /// out, or a status the gateway answers malformed requests with.
+    fn check_session(raw: &[u8], k: usize, max_body: usize) -> Result<Ending, String> {
+        let mut reader = BufReader::new(Trickle {
+            data: raw,
+            pos: 0,
+            k,
+        });
+        let mut parsed = 0;
+        loop {
+            match read_request(&mut reader, max_body) {
+                Ok(request) => {
+                    let body = request.body.len();
+                    if body > max_body || request.bytes_read - body > MAX_HEAD_BYTES {
+                        return Err(format!("{} bytes read, body {body}", request.bytes_read));
+                    }
+                    parsed += 1;
+                }
+                Err(ParseError::Closed) => return Ok((parsed, None)),
+                Err(ParseError::Io(e)) if reader.get_ref().pos == raw.len() => {
+                    return match e.kind() {
+                        io::ErrorKind::UnexpectedEof => Ok((parsed, None)),
+                        kind => Err(format!("I/O error {kind:?} at end of input")),
+                    };
+                }
+                Err(ParseError::Io(e)) => return Err(format!("I/O error {e} mid-input")),
+                Err(ParseError::Malformed { status, .. })
+                    if [400, 411, 413, 431, 501, 505].contains(&status) =>
+                {
+                    return Ok((parsed, Some(status)))
+                }
+                Err(ParseError::Malformed { status, reason }) => {
+                    return Err(format!("status {status}: {reason}"))
+                }
+            }
+        }
+    }
+
+    /// One to three requests back to back, and how parsing them must
+    /// end. Each is well formed, but its body may be one byte over
+    /// `max_body` (413) and its padding header may push the head past
+    /// [`MAX_HEAD_BYTES`] (431); the session stops at the first of these.
+    fn valid_session(rng: &mut StdRng, max_body: usize) -> (Vec<u8>, Ending) {
+        let mut raw = Vec::new();
+        let count = rng.random_range(1..4);
+        for i in 0..count {
+            let head_start = raw.len();
+            let body_len = rng.random_range(0..=max_body + 1);
+            let post = body_len > 0 || rng.random::<bool>();
+            let version = if rng.random::<bool>() { "1.1" } else { "1.0" };
+            let method = if post { "POST" } else { "GET" };
+            raw.extend_from_slice(
+                format!("{method} /v1/classify?x=1 HTTP/{version}\r\n").as_bytes(),
+            );
+            if post {
+                raw.extend_from_slice(format!("Content-Length: {body_len}\r\n").as_bytes());
+            }
+            if rng.random::<bool>() {
+                raw.extend_from_slice(b"Connection: keep-alive\n");
+            }
+            let pad = if rng.random::<bool>() {
+                rng.random_range(0..64)
+            } else {
+                rng.random_range(MAX_HEAD_BYTES - 160..MAX_HEAD_BYTES)
+            };
+            raw.extend_from_slice(b"X-Pad: ");
+            raw.extend(std::iter::repeat_n(b'a', pad));
+            raw.extend_from_slice(b"\r\n\r\n");
+            if raw.len() - head_start > MAX_HEAD_BYTES {
+                return (raw, (i, Some(431)));
+            }
+            raw.extend((0..body_len).map(|_| rng.random_range(0..=u8::MAX)));
+            if body_len > max_body {
+                return (raw, (i, Some(413)));
+            }
+        }
+        (raw, (count, None))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes never panic the parser and end the session
+        /// in a parsed request, a close, a truncation or a 4xx/5xx.
+        #[test]
+        fn arbitrary_bytes_end_in_a_known_outcome(
+            raw in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..1024),
+            k in 1usize..65,
+            max_body in 0usize..64,
+        ) {
+            let outcome = check_session(&raw, k, max_body);
+            prop_assert!(outcome.is_ok(), "{:?}", outcome);
+        }
+
+        /// Requests parse, or hit their cap, at every read boundary;
+        /// with random bytes flipped they still end in a known outcome.
+        #[test]
+        fn flipped_requests_end_in_a_known_outcome(
+            seed in 0u64..1_000_000,
+            k in 1usize..65,
+            max_body in 0usize..64,
+            flips in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut raw, ending) = valid_session(&mut rng, max_body);
+            prop_assert_eq!(check_session(&raw, k, max_body), Ok(ending));
+            for _ in 0..flips {
+                let at = rng.random_range(0..raw.len());
+                raw[at] ^= rng.random_range(1..=u8::MAX);
+            }
+            let outcome = check_session(&raw, k, max_body);
+            prop_assert!(outcome.is_ok(), "{:?}", outcome);
+        }
     }
 
     #[test]

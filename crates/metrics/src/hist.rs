@@ -104,13 +104,6 @@ impl HistogramOpts {
         self
     }
 
-    /// Sets the render scale (see [`scale`](Self::scale)).
-    #[must_use]
-    pub fn with_scale(mut self, scale: f64) -> Self {
-        self.scale = scale;
-        self
-    }
-
     /// Enables per-bucket trace-id exemplars (see
     /// [`exemplars`](Self::exemplars)).
     #[must_use]

@@ -6,9 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snappix_autograd::Var;
 use snappix_ce::{encode_batch_normalized, ExposureMask};
-use snappix_nn::{
-    xavier_uniform, Adam, Linear, Optimizer, ParamId, ParamStore, Session, TransformerBlock,
-};
+use snappix_nn::{xavier_uniform, Adam, Linear, ParamId, ParamStore, Session, TransformerBlock};
 use snappix_tensor::Tensor;
 use snappix_video::{psnr, Dataset};
 

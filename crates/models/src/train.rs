@@ -4,7 +4,7 @@ use crate::ar::ActionModel;
 use crate::{ModelError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use snappix_nn::{Adam, LrSchedule, Optimizer, Session};
+use snappix_nn::{Adam, LrSchedule, Session};
 use snappix_tensor::Tensor;
 use snappix_video::Dataset;
 

@@ -4,19 +4,19 @@
 //! (Sec. IV): linear projections, layer normalization, multi-head
 //! attention, transformer blocks, 2-D/3-D convolutions (for the C3D and
 //! SVC2D baselines) and the shift-variant convolution of Okawara et al.,
-//! plus optimizers, learning-rate schedules and the sealed `.spx` weight
-//! artifact ([`write_artifact`] / [`ArtifactReader`]).
+//! plus the Adam optimizer, its warmup-cosine schedule and the sealed
+//! `.spx` weight artifact ([`write_artifact`] / [`ArtifactReader`]).
 //!
 //! The crate follows a define-by-run discipline: layers own their weights
 //! inside a [`ParamStore`]; each training step opens a [`Session`] that
 //! leafs parameters into a fresh autograd [`Graph`](snappix_autograd::Graph),
-//! builds the loss, backpropagates, and hands per-parameter gradients to an
-//! [`Optimizer`].
+//! builds the loss, backpropagates, and hands per-parameter gradients to
+//! [`Adam`].
 //!
 //! # Examples
 //!
 //! ```
-//! use snappix_nn::{Linear, ParamStore, Session, Sgd, Optimizer};
+//! use snappix_nn::{Adam, Linear, ParamStore, Session};
 //! use snappix_tensor::Tensor;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -24,7 +24,7 @@
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mut store = ParamStore::new();
 //! let layer = Linear::new(&mut store, "fc", 4, 2, &mut rng);
-//! let mut opt = Sgd::new(0.1);
+//! let mut opt = Adam::new(0.1);
 //!
 //! let mut sess = Session::new(&store);
 //! let x = sess.input(Tensor::ones(&[3, 4]));
@@ -66,7 +66,7 @@ pub use init::{kaiming_uniform, xavier_uniform};
 pub use linear::Linear;
 pub use mlp::Mlp;
 pub use norm::LayerNorm;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use param::{resident_weight_bytes, Gradients, ParamId, ParamStore, Session, SessionPool};
 pub use pool::max_pool3d;
 pub use schedule::LrSchedule;

@@ -84,7 +84,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Optimizer, Sgd};
+    use crate::Adam;
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -119,7 +119,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut store = ParamStore::new();
         let fc = Linear::new(&mut store, "fc", 1, 1, &mut rng);
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         let xs = Tensor::from_vec(vec![-1.0, 0.0, 1.0, 2.0], &[4, 1]).unwrap();
         let ys = Tensor::from_vec(vec![-3.0, -1.0, 1.0, 3.0], &[4, 1]).unwrap();
         let mut last = f32::INFINITY;

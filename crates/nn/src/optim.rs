@@ -1,151 +1,52 @@
-//! First-order optimizers.
+//! The optimizer every training loop uses.
 
 use crate::{Gradients, NnError, ParamStore, Result};
 use snappix_tensor::Tensor;
 
-/// A gradient-descent style optimizer over a [`ParamStore`].
+/// Decay rate of the first-moment estimate.
+const BETA1: f32 = 0.9;
+/// Decay rate of the second-moment estimate.
+const BETA2: f32 = 0.999;
+/// Added to the second-moment root so the update never divides by zero.
+const EPS: f32 = 1e-8;
+
+/// Adam (Kingma & Ba) with the standard `(0.9, 0.999)` betas and
+/// epsilon `1e-8`, no weight decay. Where a [`crate::LrSchedule`]
+/// applies, the training loop feeds it through
+/// [`Adam::set_learning_rate`].
 ///
 /// Parameters without a gradient in the supplied [`Gradients`] (e.g. a
-/// frozen encoder during fine-tuning, or layers unused by the current loss)
-/// are silently skipped.
-pub trait Optimizer {
+/// frozen encoder during fine-tuning, or layers unused by the current
+/// loss) are skipped and keep their moments.
+#[derive(Debug, Clone)]
+pub struct Adam {
+    lr: f32,
+    step: u64,
+    moments: Vec<Option<(Tensor, Tensor)>>,
+}
+
+impl Adam {
+    /// Adam with learning rate `lr`.
+    pub fn new(lr: f32) -> Self {
+        Adam {
+            lr,
+            step: 0,
+            moments: Vec::new(),
+        }
+    }
+
     /// Applies one update step.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Parameter`] when a gradient's shape disagrees
     /// with its parameter.
-    fn step(&mut self, store: &mut ParamStore, grads: &Gradients) -> Result<()>;
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (used by [`crate::LrSchedule`]).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional momentum and weight decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    /// Plain SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Adds classical momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Adds decoupled weight decay.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore, grads: &Gradients) -> Result<()> {
-        self.velocity.resize(store.len(), None);
-        for id in store.ids() {
-            let Some(grad) = grads.get(id) else { continue };
-            if grad.shape() != store.value(id).shape() {
-                return Err(NnError::Parameter {
-                    context: format!(
-                        "gradient shape {:?} != parameter {:?} for {}",
-                        grad.shape(),
-                        store.value(id).shape(),
-                        store.name(id)
-                    ),
-                });
-            }
-            let mut update = grad.clone();
-            if self.weight_decay > 0.0 {
-                update = update.add(&store.value(id).scale(self.weight_decay))?;
-            }
-            if self.momentum > 0.0 {
-                let v = match &self.velocity[id.0] {
-                    Some(prev) => prev.scale(self.momentum).add(&update)?,
-                    None => update.clone(),
-                };
-                self.velocity[id.0] = Some(v.clone());
-                update = v;
-            }
-            let new_value = store.value(id).sub(&update.scale(self.lr))?;
-            *store.value_mut(id) = new_value;
-        }
-        Ok(())
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam with decoupled weight decay (AdamW when `weight_decay > 0`).
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    step: u64,
-    moments: Vec<Option<(Tensor, Tensor)>>,
-}
-
-impl Adam {
-    /// Adam with the standard `(0.9, 0.999)` betas.
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-            step: 0,
-            moments: Vec::new(),
-        }
-    }
-
-    /// Overrides the exponential decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
-    /// Adds decoupled (AdamW-style) weight decay.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore, grads: &Gradients) -> Result<()> {
+    pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) -> Result<()> {
         self.moments.resize(store.len(), None);
         self.step += 1;
         let t = self.step as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
+        let bc1 = 1.0 - BETA1.powf(t);
+        let bc2 = 1.0 - BETA2.powf(t);
         for id in store.ids() {
             let Some(grad) = grads.get(id) else { continue };
             if grad.shape() != store.value(id).shape() {
@@ -162,30 +63,22 @@ impl Optimizer for Adam {
                 Some((m, v)) => (m.clone(), v.clone()),
                 None => (Tensor::zeros(grad.shape()), Tensor::zeros(grad.shape())),
             };
-            let m = m_prev
-                .scale(self.beta1)
-                .add(&grad.scale(1.0 - self.beta1))?;
+            let m = m_prev.scale(BETA1).add(&grad.scale(1.0 - BETA1))?;
             let g2 = grad.mul(grad)?;
-            let v = v_prev.scale(self.beta2).add(&g2.scale(1.0 - self.beta2))?;
+            let v = v_prev.scale(BETA2).add(&g2.scale(1.0 - BETA2))?;
             self.moments[id.0] = Some((m.clone(), v.clone()));
             let m_hat = m.scale(1.0 / bc1);
             let v_hat = v.scale(1.0 / bc2);
-            let denom = v_hat.sqrt().add_scalar(self.eps);
-            let mut update = m_hat.div(&denom)?.scale(self.lr);
-            if self.weight_decay > 0.0 {
-                update = update.add(&store.value(id).scale(self.lr * self.weight_decay))?;
-            }
+            let denom = v_hat.sqrt().add_scalar(EPS);
+            let update = m_hat.div(&denom)?.scale(self.lr);
             let new_value = store.value(id).sub(&update)?;
             *store.value_mut(id) = new_value;
         }
         Ok(())
     }
 
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Replaces the learning rate (used by [`crate::LrSchedule`]).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -195,9 +88,9 @@ mod tests {
     use super::*;
     use crate::Session;
 
-    /// Minimizes `(w - 3)^2` with the given optimizer and returns the final
-    /// parameter value.
-    fn minimize(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    /// Minimizes `(w - 3)^2` with `opt` and returns the final parameter
+    /// value.
+    fn minimize(opt: &mut Adam, steps: usize) -> f32 {
         let mut store = ParamStore::new();
         let id = store.register("w", Tensor::scalar(0.0));
         for _ in 0..steps {
@@ -213,43 +106,10 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let w = minimize(&mut opt, 100);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::new(0.05).with_momentum(0.9);
-        let w = minimize(&mut opt, 200);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.2);
         let w = minimize(&mut opt, 200);
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
-    fn weight_decay_shrinks_unused_directions() {
-        // With pure decay (zero gradient signal towards growth) the
-        // parameter should shrink towards the origin relative to no decay.
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::scalar(1.0));
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        for _ in 0..10 {
-            let mut sess = Session::new(&store);
-            let w = sess.param(id);
-            let loss = sess.graph.scale(w, 0.0).unwrap();
-            let loss = sess.graph.sum(loss).unwrap();
-            let grads = sess.backward(loss).unwrap();
-            opt.step(&mut store, &grads).unwrap();
-        }
-        let w = store.value(id).item().unwrap();
-        assert!(w < 1.0 && w > 0.0, "w = {w}");
     }
 
     #[test]
@@ -261,17 +121,9 @@ mod tests {
         let w = sess.param(used);
         let loss = sess.graph.mul(w, w).unwrap();
         let grads = sess.backward(loss).unwrap();
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         opt.step(&mut store, &grads).unwrap();
         assert!(store.value(used).item().unwrap() < 1.0);
         assert_eq!(store.value(frozen).item().unwrap(), 7.0);
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.5);
-        assert_eq!(opt.learning_rate(), 0.5);
     }
 }

@@ -12,8 +12,8 @@ pub struct ParamId(pub(crate) usize);
 ///
 /// Layers register parameters at construction time and keep only the
 /// returned [`ParamId`]s; a [`Session`] binds those ids into an autograd
-/// graph for each training step, and an [`Optimizer`](crate::Optimizer)
-/// mutates the stored values between steps.
+/// graph for each training step, and [`Adam`](crate::Adam) mutates the
+/// stored values between steps.
 ///
 /// # Examples
 ///
@@ -190,7 +190,7 @@ pub struct Session<'s> {
     store: &'s ParamStore,
     bindings: Vec<Option<Var>>,
     /// When `false`, parameters are leafed without gradient tracking
-    /// (inference mode) and dropout layers should be skipped by callers.
+    /// (inference mode).
     pub train: bool,
 }
 

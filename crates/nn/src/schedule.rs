@@ -20,11 +20,6 @@
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrSchedule {
-    /// A constant rate.
-    Constant {
-        /// The rate.
-        base: f32,
-    },
     /// Linear warmup followed by cosine decay to zero.
     WarmupCosine {
         /// Peak rate reached at the end of warmup.
@@ -34,39 +29,22 @@ pub enum LrSchedule {
         /// Total steps (decay finishes here).
         total_steps: usize,
     },
-    /// Multiplies the rate by `gamma` every `every` steps.
-    StepDecay {
-        /// Initial rate.
-        base: f32,
-        /// Multiplier applied at each boundary.
-        gamma: f32,
-        /// Boundary interval in steps.
-        every: usize,
-    },
 }
 
 impl LrSchedule {
     /// Learning rate at training step `step` (0-based).
     pub fn at(&self, step: usize) -> f32 {
-        match *self {
-            LrSchedule::Constant { base } => base,
-            LrSchedule::WarmupCosine {
-                base,
-                warmup_steps,
-                total_steps,
-            } => {
-                if warmup_steps > 0 && step < warmup_steps {
-                    base * (step + 1) as f32 / warmup_steps as f32
-                } else {
-                    let span = total_steps.saturating_sub(warmup_steps).max(1) as f32;
-                    let progress =
-                        ((step.saturating_sub(warmup_steps)) as f32 / span).clamp(0.0, 1.0);
-                    base * 0.5 * (1.0 + (std::f32::consts::PI * progress).cos())
-                }
-            }
-            LrSchedule::StepDecay { base, gamma, every } => {
-                base * gamma.powi((step / every.max(1)) as i32)
-            }
+        let LrSchedule::WarmupCosine {
+            base,
+            warmup_steps,
+            total_steps,
+        } = *self;
+        if warmup_steps > 0 && step < warmup_steps {
+            base * (step + 1) as f32 / warmup_steps as f32
+        } else {
+            let span = total_steps.saturating_sub(warmup_steps).max(1) as f32;
+            let progress = ((step.saturating_sub(warmup_steps)) as f32 / span).clamp(0.0, 1.0);
+            base * 0.5 * (1.0 + (std::f32::consts::PI * progress).cos())
         }
     }
 }
@@ -74,13 +52,6 @@ impl LrSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constant_is_constant() {
-        let s = LrSchedule::Constant { base: 0.1 };
-        assert_eq!(s.at(0), 0.1);
-        assert_eq!(s.at(10_000), 0.1);
-    }
 
     #[test]
     fn warmup_cosine_ramps_then_decays() {
@@ -106,17 +77,5 @@ mod tests {
             total_steps: 100,
         };
         assert!((s.at(0) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn step_decay_boundaries() {
-        let s = LrSchedule::StepDecay {
-            base: 1.0,
-            gamma: 0.1,
-            every: 10,
-        };
-        assert_eq!(s.at(9), 1.0);
-        assert!((s.at(10) - 0.1).abs() < 1e-6);
-        assert!((s.at(25) - 0.01).abs() < 1e-6);
     }
 }

@@ -1,18 +1,9 @@
 //! The full coded-exposure sensor array with shift-register pattern
 //! streaming (paper Sec. V).
 
-use crate::{CePixel, Readout, Result, SensorError};
+use crate::{CePixel, Result, SensorError};
 use snappix_ce::ExposureMask;
-use snappix_tensor::{parallel, Tensor};
-
-/// Pixel-slots (one pixel through one exposure slot: two packed streams,
-/// reset, expose, transfer) each scoped worker must receive before it is
-/// worth spawning, fed to [`parallel::workers_for`]. A pixel-slot costs
-/// ~7 ns on a 2-core x86-64 box, so this slab runs on the order of
-/// 100 µs: a 48x48, T=16 capture splits in two (~240 → ~200 µs there),
-/// while a 32x32 one (~110 µs), where the split measured no gain, stays
-/// serial.
-const PAR_PIXEL_SLOTS_PER_WORKER: usize = 1 << 14;
+use snappix_tensor::Tensor;
 
 /// Cycle and pulse accounting for one capture, used by the energy model to
 /// price the CE control overhead (the paper reports 9 pJ/pixel at a
@@ -109,7 +100,8 @@ impl CeSensor {
     }
 
     /// Captures a `[t, h, w]` irradiance video through the slot protocol
-    /// and returns the analog `[h, w]` FD image.
+    /// and returns the analog `[h, w]` FD image, which
+    /// [`crate::Readout::digitize`] turns into ADC codes.
     ///
     /// Protocol per slot (paper Sec. V): stream bits, pulse `M6`
     /// (conditional PD reset), integrate the slot, stream the same bits
@@ -120,13 +112,9 @@ impl CeSensor {
     /// and transfer are purely local, so bands are fully independent.
     /// Each stream clocks every edge of a tile's chain on a bit-packed
     /// register, 64 DFFs per word op, so a capture costs a few steps per
-    /// pixel and slot.
-    /// Large captures (tens of thousands of pixel-slots) split the bands
-    /// across the shared worker pool (see [`snappix_tensor::parallel`]);
-    /// with `SNAPPIX_THREADS=1` — or a small array — all bands run on
-    /// the calling thread. Either way every pixel sees the exact same
-    /// operation sequence, so results are bit-for-bit identical at every
-    /// thread count.
+    /// pixel and slot. The bands run one after another on the calling
+    /// thread, so the result does not depend on `SNAPPIX_THREADS`; serve
+    /// replicas each own a sensor and capture concurrently.
     ///
     /// # Errors
     ///
@@ -164,9 +152,9 @@ impl CeSensor {
             pack_edge_bits(&pattern[slot * chain_len..(slot + 1) * chain_len], seq);
         }
         let frames = video.as_slice();
-        let run_band = |band_index: usize, band: &mut [CePixel]| {
+        let mut scratch = vec![0u64; 2 * words];
+        for (band_index, band) in self.pixels.chunks_mut(th * w).enumerate() {
             let row0 = band_index * th;
-            let mut scratch = vec![0u64; 2 * words];
             for slot in 0..t {
                 let slot_edges = &edge_bits[slot * words..(slot + 1) * words];
                 // Phase 1: program the slot's bits and conditionally
@@ -188,14 +176,7 @@ impl CeSensor {
                     p.pattern_transfer();
                 }
             }
-        };
-        let band_pixels = th * w;
-        // Every pixel takes the same few steps per slot; clocking the
-        // packed chain adds `2 * words` word steps per pixel and slot.
-        let workers = parallel::workers_for(t * h * w, PAR_PIXEL_SLOTS_PER_WORKER);
-        parallel::with_threads(workers, || {
-            parallel::par_chunks_mut(&mut self.pixels, band_pixels, run_band)
-        });
+        }
         // Protocol accounting is deterministic in the geometry: two
         // streams of `chain_len` cycles plus one reset and one transfer
         // pulse per slot (matching the per-call counting the serial loop
@@ -214,18 +195,6 @@ impl CeSensor {
             *d = p.read();
         }
         Ok(out)
-    }
-
-    /// Captures and digitizes in one call: the analog image from
-    /// [`CeSensor::capture`] pushed through a [`Readout`] chain (noise +
-    /// ADC).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CeSensor::capture`].
-    pub fn capture_digital(&mut self, video: &Tensor, readout: &mut Readout) -> Result<Tensor> {
-        let analog = self.capture(video)?;
-        Ok(readout.digitize(&analog))
     }
 }
 
@@ -480,8 +449,8 @@ mod tests {
     }
 
     /// A capture must be bit-for-bit identical across thread counts 1, 2
-    /// and > bands, including a geometry large enough to cross the
-    /// parallel threshold, with identical protocol accounting.
+    /// and > bands, with identical protocol accounting, so a future split
+    /// of the bands cannot change a coded image.
     #[test]
     fn capture_parallel_matches_serial_bit_for_bit() {
         use snappix_tensor::parallel::with_threads;

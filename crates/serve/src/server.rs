@@ -26,7 +26,6 @@ pub struct ServerBuilder<S: Sense = AlgorithmicEncoder> {
     workers: usize,
     queue_depth: usize,
     policy: BatchPolicy,
-    worker_threads: Option<usize>,
     tracer: Tracer,
     metrics: Registry,
 }
@@ -41,6 +40,13 @@ impl<S: Sense> ServerBuilder<S> {
     /// ([`PipelineBuilder::build_replicas`]), so scaling workers adds
     /// session/backend state but not weight memory (see
     /// [`ServerStats::resident_weight_bytes`]).
+    ///
+    /// Each replica runs under a data-parallel budget of
+    /// `ambient_threads / workers` (at least 1), applied through
+    /// [`PipelineBuilder::with_threads`], so N serving workers never
+    /// oversubscribe the `SNAPPIX_THREADS` / core budget
+    /// ([`Server::worker_threads`] reports it). The budget overrides any
+    /// `with_threads` already set on the recipe.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -99,9 +105,9 @@ impl<S: Sense> ServerBuilder<S> {
     /// Sets the metrics [`Registry`] the server records into: request
     /// counters, queue/compute latency histograms (with trace-id
     /// exemplars when a tracer is attached), the batch-size histogram,
-    /// and per-stage summaries, all under `snappix_server_*` family
-    /// names. [`Server::stats`] is derived from the same cells, so the
-    /// registry's rendered page and the stats struct always agree.
+    /// and the per-stage latency histogram, all under `snappix_server_*`
+    /// family names. [`Server::stats`] is derived from the same cells, so
+    /// the registry's rendered page and the stats struct always agree.
     ///
     /// Defaults to an enabled [`Registry::new`] private to this server.
     /// Pass a shared registry to fold the server's families into a
@@ -112,22 +118,6 @@ impl<S: Sense> ServerBuilder<S> {
     #[must_use]
     pub fn with_metrics(mut self, metrics: Registry) -> Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Pins the data-parallel worker count *inside* each replica,
-    /// applied to every replica through the same
-    /// [`PipelineBuilder::with_threads`] scoping the rest of the
-    /// workspace uses.
-    ///
-    /// Defaults to `ambient_threads / workers` (at least 1), so the
-    /// server as a whole never oversubscribes the machine: N serving
-    /// workers times the per-replica budget stays within the
-    /// `SNAPPIX_THREADS` / core budget. This (explicit or derived)
-    /// budget overrides any `with_threads` already set on the recipe.
-    #[must_use]
-    pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        self.worker_threads = Some(threads.max(1));
         self
     }
 
@@ -145,9 +135,7 @@ impl<S: Sense> ServerBuilder<S> {
         Error: From<S::Error>,
     {
         let workers = self.workers;
-        let per_replica = self
-            .worker_threads
-            .unwrap_or_else(|| (parallel::default_threads() / workers).max(1));
+        let per_replica = (parallel::default_threads() / workers).max(1);
         let replicas = self
             .recipe
             .with_threads(per_replica)
@@ -266,7 +254,6 @@ impl Server {
             workers: parallel::default_threads(),
             queue_depth: 64,
             policy: BatchPolicy::default(),
-            worker_threads: None,
             tracer: Tracer::disabled(),
             metrics: Registry::new(),
         }
@@ -578,14 +565,25 @@ fn run_worker<S>(
             }
         }
         recorder.record_profile(&pipeline.take_profile());
+        // A prediction-count regression in the pipeline fails every
+        // rider loudly instead of `zip` silently dropping the tail (which
+        // would break the conserved accounting and strand clients on
+        // `Disconnected`).
+        let result = result.map_err(|e| e.to_string()).and_then(|inference| {
+            if inference.len() == live.len() {
+                Ok(inference)
+            } else {
+                Err(format!(
+                    "pipeline returned {} predictions for a batch of {} clips",
+                    inference.len(),
+                    live.len()
+                ))
+            }
+        });
+        let executed = live.len();
         match result {
-            // Guarded so a prediction-count regression in the pipeline
-            // fails every rider loudly instead of `zip` silently
-            // dropping the tail (which would break the conserved
-            // accounting and strand clients on `Disconnected`).
-            Ok(inference) if inference.len() == live.len() => {
+            Ok(inference) => {
                 let compute = started.elapsed();
-                let executed = live.len();
                 for (request, prediction) in live.into_iter().zip(inference) {
                     request.answer(Ok(prediction));
                 }
@@ -596,23 +594,7 @@ fn run_worker<S>(
                     Some((compute, compute_trace)),
                 );
             }
-            Ok(inference) => {
-                let message = format!(
-                    "pipeline returned {} predictions for a batch of {} clips",
-                    inference.len(),
-                    live.len()
-                );
-                let executed = live.len();
-                for request in live {
-                    request.answer(Err(ServeError::Inference {
-                        message: message.clone(),
-                    }));
-                }
-                recorder.record_batch(&queue_latencies, expired_count, executed, None);
-            }
-            Err(e) => {
-                let message = e.to_string();
-                let executed = live.len();
+            Err(message) => {
                 for request in live {
                     request.answer(Err(ServeError::Inference {
                         message: message.clone(),

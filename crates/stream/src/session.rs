@@ -356,11 +356,6 @@ impl<'a> StreamSession<'a> {
         self.id
     }
 
-    /// The currently active (last confirmed) label, if any.
-    pub fn active_label(&self) -> Option<usize> {
-        self.detector.active()
-    }
-
     /// A point-in-time stats snapshot (latency percentiles over the
     /// windows inferred so far).
     pub fn stats(&self) -> StreamStats {

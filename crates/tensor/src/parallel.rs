@@ -1,12 +1,11 @@
 //! Shared data-parallel execution layer for the workspace's hot kernels.
 //!
-//! Every compute-heavy crate in the workspace (tensor matmul, the
-//! convolution loops in `snappix-nn`, the Pearson statistics in
-//! `snappix-ce`, the per-pixel capture simulation in `snappix-sensor`)
-//! splits its work through the helpers here instead of spawning ad-hoc
-//! threads per call site. The helpers are built on [`std::thread::scope`],
-//! so borrowed inputs flow into workers without `'static` bounds or any
-//! `unsafe`.
+//! Every parallel region in the workspace (tensor matmul, the
+//! convolution loops in `snappix-nn`, the pipeline's clip sharding and
+//! dataset evaluation) splits its work through the helpers here instead
+//! of spawning ad-hoc threads per call site. The helpers are built on
+//! [`std::thread::scope`], so borrowed inputs flow into workers without
+//! `'static` bounds or any `unsafe`.
 //!
 //! # Thread-count resolution
 //!

@@ -679,15 +679,6 @@ impl Tensor {
         self.zip_with(other, |a, b| a / b)
     }
 
-    /// Elementwise maximum with broadcasting.
-    ///
-    /// # Errors
-    ///
-    /// See [`Tensor::zip_with`].
-    pub fn maximum(&self, other: &Tensor) -> Result<Self> {
-        self.zip_with(other, f32::max)
-    }
-
     /// Adds `other` into `self` in place; shapes must match exactly.
     ///
     /// # Errors
@@ -994,7 +985,6 @@ mod tests {
         assert_eq!(a.sub(&b).unwrap().as_slice(), &[-2.0, -1.0, 0.0, 1.0]);
         assert_eq!(a.mul(&b).unwrap().as_slice(), &[0.0, 2.0, 4.0, 6.0]);
         assert_eq!(a.div(&b).unwrap().as_slice(), &[0.0, 0.5, 1.0, 1.5]);
-        assert_eq!(a.maximum(&b).unwrap().as_slice(), &[2.0, 2.0, 2.0, 3.0]);
     }
 
     #[test]

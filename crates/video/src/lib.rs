@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 mod action;
-pub mod augment;
 mod dataset;
 mod metrics;
 mod scene;

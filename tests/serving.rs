@@ -300,3 +300,24 @@ fn serve_errors_unify_into_the_umbrella_error() {
     assert!(matches!(e, snappix::Error::Serve(_)));
     assert!(e.to_string().contains("overloaded"));
 }
+
+/// Each replica's data-parallel budget is derived from the ambient
+/// thread count and the worker count alone, so N workers never
+/// oversubscribe the `SNAPPIX_THREADS` / core budget — including more
+/// workers than threads, where every replica still gets one.
+#[test]
+fn per_replica_thread_budget_splits_the_ambient_threads() {
+    let ambient = parallel::default_threads();
+    for workers in [1, 2, ambient + 1] {
+        let server = Server::builder(Pipeline::builder(model()))
+            .with_workers(workers)
+            .build()
+            .expect("server assembly");
+        assert_eq!(server.workers(), workers);
+        assert_eq!(
+            server.worker_threads(),
+            (ambient / workers).max(1),
+            "{workers} workers over {ambient} ambient threads"
+        );
+    }
+}
