@@ -63,16 +63,22 @@ pub fn encode_batch_normalized(videos: &Tensor, mask: &ExposureMask) -> Result<T
     integrate(videos, 4, mask, true)
 }
 
-/// Divides a raw `[h, w]` coded image by each pixel's exposure count (the
-/// paper's pre-ViT normalization); unexposed pixels stay zero.
+/// Divides a raw `[h, w]` coded image, or each image of a `[batch, h, w]`
+/// batch, by each pixel's exposure count (the paper's pre-ViT
+/// normalization); unexposed pixels stay zero.
 ///
 /// Useful when the coded image came from the hardware simulator rather
 /// than [`encode`], e.g. a digitized sensor readout.
 pub fn normalize_coded(coded: &Tensor, mask: &ExposureMask) -> Tensor {
-    let (h, w) = (coded.shape()[0], coded.shape()[1]);
+    let (h, w) = (
+        coded.shape()[coded.rank() - 2],
+        coded.shape()[coded.rank() - 1],
+    );
     let count_rows = widen_rows(mask.exposure_counts().as_slice(), mask.tile().1, w);
     let mut out = coded.clone();
-    divide_by_counts(&mut out.as_mut_slice()[..h * w], w, &count_rows);
+    for image in out.as_mut_slice().chunks_exact_mut(h * w) {
+        divide_by_counts(image, w, &count_rows);
+    }
     out
 }
 
@@ -310,6 +316,7 @@ mod tests {
                 let normalized = encode_batch_normalized(&videos, mask).unwrap();
                 assert_eq!(raw.shape(), &[3, h, w]);
                 assert_eq!(normalized.shape(), &[3, h, w]);
+                assert_eq!(bits(&normalize_coded(&raw, mask)), bits(&normalized));
                 for b in 0..3 {
                     let clip = videos.index_axis(0, b).unwrap();
                     let single = encode(&clip, mask).unwrap();

@@ -210,7 +210,8 @@ mod tests {
         use snappix_tensor::parallel::with_threads;
         let mut rng = StdRng::seed_from_u64(21);
         // (300, 64) drives the Gram matmul over the slab split; (16, 256)
-        // drives the row-split normalization; (37, 5) stays fully serial.
+        // gives the serial normalization a wide 256x256 matrix; (37, 5)
+        // stays fully serial.
         for (s, p) in [(37usize, 5usize), (300, 64), (16, 256)] {
             let samples = Tensor::rand_normal(&mut rng, &[s, p], 0.0, 1.0);
             let reference = with_threads(1, || pearson_matrix(&samples).unwrap());

@@ -22,18 +22,44 @@ pub struct CaptureStats {
     pub pixels_read: u64,
 }
 
-/// A behavioral coded-exposure sensor: an `h x w` array of [`CePixel`]s
-/// whose bottom-die DFFs form one shift register per exposure tile.
+/// Integration time of one exposure slot: a full slot of irradiance `e`
+/// adds `e` to a PD.
+const SLOT_DT: f32 = 1.0;
+
+/// A behavioral coded-exposure sensor: an `h x w` pixel array whose
+/// bottom-die DFFs form one shift register per exposure tile.
 ///
 /// [`CeSensor::capture`] runs the full slot protocol of Sec. V and returns
 /// the analog FD image, which equals the algorithmic Eqn. 1 encoding
 /// exactly (property-tested in the workspace integration tests).
+///
+/// The array keeps each [`CePixel`]'s state packed, not as `CePixel`s:
+/// PD and FD charge in two row-major `f32` arrays, and the DFF bits and
+/// their power gates as the shift-register words themselves. A tile's
+/// register is `chain_len.div_ceil(64)` words, where bit `k % 64` of
+/// word `k / 64` is chain position `k`, and pixel `(y, x)` sits at
+/// position `(y % th) * tw + x % tw` of tile `(y / th, x / tw)`. A stream
+/// clocks those words in place, and reset, exposure and transfer are
+/// branch-free selects over whole rows of charge. [`CePixel`] stays the
+/// reference model: [`CeSensor::pixel`] assembles one from the arrays,
+/// and the tests compare it with a per-pixel run of the same protocol.
 #[derive(Debug, Clone)]
 pub struct CeSensor {
     width: usize,
     height: usize,
     mask: ExposureMask,
-    pixels: Vec<CePixel>,
+    /// Photodiode charge, row-major.
+    pd: Vec<f32>,
+    /// Floating-diffusion charge, row-major.
+    fd: Vec<f32>,
+    /// The DFF bits as shift-register words, one register per tile,
+    /// tiles row-major.
+    dff: Vec<u64>,
+    /// The DFFs' power gates, laid out as `dff`.
+    gated: Vec<u64>,
+    /// Per slot, the bits entering every chain edge by edge (see
+    /// [`pack_edge_bits`]), one register's worth of words each.
+    edge_bits: Vec<u64>,
     stats: CaptureStats,
 }
 
@@ -56,11 +82,26 @@ impl CeSensor {
                 context: format!("tile {th}x{tw} does not divide array {height}x{width}"),
             });
         }
+        let chain_len = th * tw;
+        let words = chain_len.div_ceil(64);
+        let registers = words * (height / th) * (width / tw);
+        let mut edge_bits = vec![0u64; mask.num_slots() * words];
+        let pattern = mask.pattern().as_slice();
+        for (slot_bits, seq) in pattern
+            .chunks_exact(chain_len)
+            .zip(edge_bits.chunks_exact_mut(words))
+        {
+            pack_edge_bits(slot_bits, seq);
+        }
         Ok(CeSensor {
             width,
             height,
             mask,
-            pixels: vec![CePixel::new(); height * width],
+            pd: vec![0.0; height * width],
+            fd: vec![0.0; height * width],
+            dff: vec![0; registers],
+            gated: vec![0; registers],
+            edge_bits,
             stats: CaptureStats::default(),
         })
     }
@@ -85,18 +126,29 @@ impl CeSensor {
         self.stats
     }
 
-    /// Direct access to a pixel's state (diagnostics and tests).
+    /// A pixel's state, assembled from the array (diagnostics and tests).
     ///
     /// # Errors
     ///
     /// Returns [`SensorError::Geometry`] for out-of-range coordinates.
-    pub fn pixel(&self, y: usize, x: usize) -> Result<&CePixel> {
+    pub fn pixel(&self, y: usize, x: usize) -> Result<CePixel> {
         if y >= self.height || x >= self.width {
             return Err(SensorError::Geometry {
                 context: format!("pixel ({y}, {x}) outside {}x{}", self.height, self.width),
             });
         }
-        Ok(&self.pixels[y * self.width + x])
+        let (th, tw) = self.mask.tile();
+        let words = (th * tw).div_ceil(64);
+        let tile = (y / th) * (self.width / tw) + x / tw;
+        let register = tile * words..(tile + 1) * words;
+        let k = (y % th) * tw + x % tw;
+        let i = y * self.width + x;
+        Ok(CePixel::from_state(
+            self.pd[i],
+            self.fd[i],
+            chain_bit(&self.dff[register.clone()], k),
+            chain_bit(&self.gated[register], k),
+        ))
     }
 
     /// Captures a `[t, h, w]` irradiance video through the slot protocol
@@ -110,23 +162,35 @@ impl CeSensor {
     /// The simulation runs the protocol per *band* of `th` pixel rows:
     /// shift chains never leave their tile, and per-pixel reset, exposure
     /// and transfer are purely local, so bands are fully independent.
-    /// Each stream clocks every edge of a tile's chain on a bit-packed
-    /// register, 64 DFFs per word op, so a capture costs a few steps per
-    /// pixel and slot. The bands run one after another on the calling
-    /// thread, so the result does not depend on `SNAPPIX_THREADS`; serve
-    /// replicas each own a sensor and capture concurrently.
+    /// Each stream clocks a tile's register words in place, up to 64
+    /// edges per word op, so a capture costs a few steps per pixel and
+    /// slot. The bands run one after another on the calling thread, so
+    /// the result does not depend on `SNAPPIX_THREADS`; serve replicas
+    /// each own a sensor and capture concurrently.
     ///
     /// # Errors
     ///
     /// Returns [`SensorError::Stimulus`] when the video does not match the
     /// sensor resolution or the mask's slot count.
     pub fn capture(&mut self, video: &Tensor) -> Result<Tensor> {
-        if video.rank() != 3 {
+        self.check_video(video.shape())?;
+        let mut out = Tensor::zeros(&[self.height, self.width]);
+        self.capture_into(video.as_slice(), out.as_mut_slice());
+        Ok(out)
+    }
+
+    /// Checks that a video of `shape` is one `[t, h, w]` clip this sensor
+    /// captures.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SensorError::Stimulus`] otherwise.
+    pub(crate) fn check_video(&self, shape: &[usize]) -> Result<()> {
+        let &[t, h, w] = shape else {
             return Err(SensorError::Stimulus {
-                context: format!("expected [t, h, w] video, got {:?}", video.shape()),
+                context: format!("expected [t, h, w] video, got {shape:?}"),
             });
-        }
-        let (t, h, w) = (video.shape()[0], video.shape()[1], video.shape()[2]);
+        };
         if t != self.mask.num_slots() || h != self.height || w != self.width {
             return Err(SensorError::Stimulus {
                 context: format!(
@@ -137,50 +201,56 @@ impl CeSensor {
                 ),
             });
         }
-        for p in &mut self.pixels {
-            *p = CePixel::new();
-            p.reset_fd();
-        }
+        Ok(())
+    }
+
+    /// [`capture`](Self::capture) of one row-major `[t, h, w]` clip that
+    /// [`check_video`](Self::check_video) accepted, read out into the
+    /// `[h, w]` slice `image`.
+    pub(crate) fn capture_into(&mut self, clip: &[f32], image: &mut [f32]) {
         let (th, tw) = self.mask.tile();
+        let (h, w, t) = (self.height, self.width, self.mask.num_slots());
         let chain_len = th * tw;
-        let pattern = self.mask.pattern().as_slice();
-        let chain = chain_offsets(th, tw, w);
-        let tiles_x = w / tw;
         let words = chain_len.div_ceil(64);
-        let mut edge_bits = vec![0u64; t * words];
-        for (slot, seq) in edge_bits.chunks_mut(words).enumerate() {
-            pack_edge_bits(&pattern[slot * chain_len..(slot + 1) * chain_len], seq);
-        }
-        let frames = video.as_slice();
-        let mut scratch = vec![0u64; 2 * words];
-        for (band_index, band) in self.pixels.chunks_mut(th * w).enumerate() {
-            let row0 = band_index * th;
-            for slot in 0..t {
-                let slot_edges = &edge_bits[slot * words..(slot + 1) * words];
-                // Phase 1: program the slot's bits and conditionally
-                // reset PDs.
-                stream_band(band, slot_edges, &chain, tiles_x, tw, &mut scratch);
-                for p in band.iter_mut() {
-                    p.pattern_reset();
-                }
-                // Phase 2: integrate the slot (every PD integrates;
-                // gating is done purely through reset/transfer).
-                let frame = &frames[(slot * h + row0) * w..(slot * h + row0 + th) * w];
-                for (p, &light) in band.iter_mut().zip(frame) {
-                    p.expose(light, 1.0);
-                }
-                // Phase 3: re-stream the same bits and conditionally
-                // transfer.
-                stream_band(band, slot_edges, &chain, tiles_x, tw, &mut scratch);
-                for p in band.iter_mut() {
-                    p.pattern_transfer();
-                }
+        let full = chain_mask(chain_len);
+        let mut carries = vec![0u64; words];
+        // A fresh capture: `M2` resets every FD, the PDs are empty and
+        // the DFFs cleared and ungated.
+        self.pd.fill(0.0);
+        self.fd.fill(0.0);
+        self.dff.fill(0);
+        self.gated.fill(0);
+        let (band_len, band_words) = (th * w, (w / tw) * words);
+        let charges = self
+            .pd
+            .chunks_exact_mut(band_len)
+            .zip(self.fd.chunks_exact_mut(band_len));
+        let registers = self
+            .dff
+            .chunks_exact_mut(band_words)
+            .zip(self.gated.chunks_exact_mut(band_words));
+        for (band, ((pd, fd), (dff, gated))) in charges.zip(registers).enumerate() {
+            for (slot, edges) in self.edge_bits.chunks_exact(words).enumerate() {
+                // Phase 1: program the slot's bits; `M6` resets the PDs
+                // whose bit is set. Phase 2: every PD integrates the slot
+                // (gating is done purely through reset and transfer).
+                stream_band(dff, gated, edges, chain_len, &full, &mut carries);
+                let frame = &clip[(slot * h + band * th) * w..][..band_len];
+                for_each_bit(dff, words, th, tw, |i, set| {
+                    pd[i] = (if set { 0.0 } else { pd[i] }) + frame[i] * SLOT_DT;
+                });
+                // Phase 3: re-stream the same bits; `M7` moves the PD
+                // charge of the pixels whose bit is set into their FD.
+                stream_band(dff, gated, edges, chain_len, &full, &mut carries);
+                for_each_bit(dff, words, th, tw, |i, set| {
+                    fd[i] = if set { fd[i] + pd[i] } else { fd[i] };
+                    pd[i] = if set { 0.0 } else { pd[i] };
+                });
             }
         }
         // Protocol accounting is deterministic in the geometry: two
         // streams of `chain_len` cycles plus one reset and one transfer
-        // pulse per slot (matching the per-call counting the serial loop
-        // used to do).
+        // pulse per slot.
         self.stats = CaptureStats {
             pattern_clock_cycles: 2 * t as u64 * chain_len as u64,
             pattern_reset_pulses: t as u64,
@@ -189,21 +259,40 @@ impl CeSensor {
             pixels_read: (h * w) as u64,
         };
         // Rolling readout of the FD array.
-        let mut out = Tensor::zeros(&[h, w]);
-        let data = out.as_mut_slice();
-        for (d, p) in data.iter_mut().zip(&self.pixels) {
-            *d = p.read();
-        }
-        Ok(out)
+        image.copy_from_slice(&self.fd);
     }
 }
 
-/// Band-slice offset of each chain position from its tile's origin in a
-/// band `width` pixels wide: position `k` sits at tile row `k / tw`,
-/// tile column `k % tw`. Precomputing them removes a div/mod per DFF
-/// from every stream.
-fn chain_offsets(th: usize, tw: usize, width: usize) -> Vec<usize> {
-    (0..th * tw).map(|k| (k / tw) * width + (k % tw)).collect()
+/// Chain position `k`'s bit in a tile's register `words`.
+fn chain_bit(words: &[u64], k: usize) -> bool {
+    (words[k / 64] >> (k % 64)) & 1 != 0
+}
+
+/// Each register word's chain positions: all 64 bits of every full
+/// word, the low `chain_len % 64` of a partial last one. It is also a
+/// tile's gate mask with every DFF power-gated.
+fn chain_mask(chain_len: usize) -> Vec<u64> {
+    (0..chain_len.div_ceil(64))
+        .map(|i| u64::MAX >> (64 - (chain_len - 64 * i).min(64)))
+        .collect()
+}
+
+/// Calls `op(i, bit)` for every pixel of a band of `th` rows, in
+/// row-major order: `i` is the pixel's index in the band, `bit` its DFF
+/// bit, read from `dff`, the band's registers of `words` words each.
+/// Pixel `(r, x)` of the band is chain position `r * tw + x % tw` of
+/// register `x / tw`.
+#[inline(always)]
+fn for_each_bit(dff: &[u64], words: usize, th: usize, tw: usize, mut op: impl FnMut(usize, bool)) {
+    let mut i = 0;
+    for r in 0..th {
+        for register in dff.chunks_exact(words) {
+            for k in r * tw..(r + 1) * tw {
+                op(i, chain_bit(register, k));
+                i += 1;
+            }
+        }
+    }
 }
 
 /// Packs one slot's CE bits into the edge sequence a stream clocks in:
@@ -216,85 +305,77 @@ fn pack_edge_bits(slot_bits: &[f32], seq: &mut [u64]) {
     }
 }
 
+/// `n` clock edges, `1..=64`, on one register word: the word shifts up
+/// `n` positions and takes bit `c` of `carry_in`, the bit entering it on
+/// edge `c`, at position `n - 1 - c`.
+fn clock(bits: u64, carry_in: u64, n: usize) -> u64 {
+    let entered = (carry_in & (u64::MAX >> (64 - n))).reverse_bits() >> (64 - n);
+    bits.checked_shl(n as u32).unwrap_or(0) | entered
+}
+
 /// Streams one slot's CE bits into every shift register of a band of
 /// `th` pixel rows (one tile-row of the array).
 ///
 /// All tiles stream in parallel in hardware (each has its own 4-wire
-/// interface); the pattern clock runs `chain.len()` cycles and bits are
+/// interface); the pattern clock runs `chain_len` cycles and bits are
 /// pushed last-pixel-first so that after the final cycle pixel `k` of
 /// each tile holds bit `k`. Tiles never interact, so the simulation walks
 /// them one at a time.
 ///
-/// Each tile's chain is simulated as a bit-packed register: bit `k % 64`
-/// of `register[k / 64]` holds chain position `k`. The tile's DFF bits
-/// are loaded into the register, every clock edge is one shift-or per
-/// word (64 DFFs per op), and each DFF then latches its position's bit.
+/// `dff` and `gated` hold the band's registers, `edge_bits.len()` words
+/// each (see [`CeSensor`] for the layout), and `full` is
+/// [`chain_mask`]`(chain_len)`. Each register is ungated, clocked through
+/// all `chain_len` edges in place, latched where ungated and gated again.
 /// The DFF states afterwards equal those of the clocked chain, one
 /// [`CePixel::shift`] call per DFF per edge, which the tests keep as the
-/// reference.
-///
-/// `chain[k]` is the precomputed band-slice offset of chain position `k`
-/// from the tile's origin. `edge_bits` packs the bit entering the chain
-/// on each edge (bit `c` for edge `c`, see [`pack_edge_bits`]) in
-/// `chain.len().div_ceil(64)` words; `scratch` holds twice as many, for
-/// the register and the carries between its words.
+/// reference. `carries` holds `edge_bits.len()` words of scratch.
 fn stream_band(
-    band: &mut [CePixel],
+    dff: &mut [u64],
+    gated: &mut [u64],
     edge_bits: &[u64],
-    chain: &[usize],
-    tiles_x: usize,
-    tw: usize,
-    scratch: &mut [u64],
+    chain_len: usize,
+    full: &[u64],
+    carries: &mut [u64],
 ) {
-    let chain_len = chain.len();
-    let (register, carries) = scratch.split_at_mut(edge_bits.len());
-    for tx in 0..tiles_x {
-        let origin = tx * tw;
-        // Ungate every DFF for streaming and load its bit.
-        for (word, offsets) in register.iter_mut().zip(chain.chunks(64)) {
-            let mut bits = 0u64;
-            for &offset in offsets.iter().rev() {
-                let p = &mut band[origin + offset];
-                p.set_gated(false);
-                bits = (bits << 1) | u64::from(p.dff_bit());
-            }
-            *word = bits;
-        }
-        // Clock all `chain_len` edges a word at a time. Word `i`'s carry
-        // in on edge `c` is word `i - 1`'s bit 63 just before edge `c`,
-        // so each word runs every edge once its predecessor has: it reads
-        // its carries as a packed edge sequence and leaves its own carry
-        // outs in their place for the next word. Within a block of up to
-        // 64 edges, edge `c` carries out the block's starting bit
+    let words = edge_bits.len();
+    for (register, gates) in dff
+        .chunks_exact_mut(words)
+        .zip(gated.chunks_exact_mut(words))
+    {
+        // Ungate every DFF for streaming.
+        gates.fill(0);
+        // Clock all `chain_len` edges, up to 64 per word op. Word `i`'s
+        // carry in on edge `c` is word `i - 1`'s bit 63 just before edge
+        // `c`, so each word runs every edge once its predecessor has: it
+        // reads its carries as a packed edge sequence and leaves its own
+        // carry outs in their place for the next word. Within a block of
+        // up to 64 edges, edge `c` carries out the block's starting bit
         // `63 - c`, so a block's carry outs are its starting word
-        // bit-reversed (the next word reads only the block's `edges`
-        // low bits). Bits carried out of the last chain position leave
-        // the chain.
+        // bit-reversed (the next word reads only the block's low bits).
+        // Bits carried out of the last chain position leave the chain,
+        // and those shifted past it are masked off by `full`.
         carries.copy_from_slice(edge_bits);
-        for word in register.iter_mut() {
+        for ((word, gate), &valid) in register.iter_mut().zip(gates.iter_mut()).zip(full) {
             let mut bits = *word;
             for (e, seq) in carries.iter_mut().enumerate() {
-                let edges = (chain_len - 64 * e).min(64);
-                let mut carry_in = *seq;
+                let carry_in = *seq;
                 *seq = bits.reverse_bits();
-                for _ in 0..edges {
-                    bits = (bits << 1) | (carry_in & 1);
-                    carry_in >>= 1;
-                }
+                bits = clock(bits, carry_in, (chain_len - 64 * e).min(64));
             }
-            *word = bits;
-        }
-        // Latch the streamed bits, then power-gate again.
-        for (&word, offsets) in register.iter().zip(chain.chunks(64)) {
-            let mut bits = word;
-            for &offset in offsets {
-                let p = &mut band[origin + offset];
-                p.latch(bits & 1 != 0);
-                p.set_gated(true);
-                bits >>= 1;
-            }
+            // Latch the streamed bits where ungated, then power-gate
+            // again.
+            *word = ((bits & !*gate) | (*word & *gate)) & valid;
+            *gate = valid;
         }
     }
+}
+
+/// Band-slice offset of each chain position from its tile's origin in a
+/// band `width` pixels wide: position `k` sits at tile row `k / tw`,
+/// tile column `k % tw`.
+#[cfg(test)]
+fn chain_offsets(th: usize, tw: usize, width: usize) -> Vec<usize> {
+    (0..th * tw).map(|k| (k / tw) * width + (k % tw)).collect()
 }
 
 /// The clocked reference [`stream_band`] must match: every DFF of the
@@ -358,13 +439,70 @@ mod tests {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Packs a band of `CePixel`s' DFF bits and gates into register
+    /// words, the layout [`stream_band`] works on.
+    fn pack_band(
+        band: &[CePixel],
+        chain: &[usize],
+        tiles_x: usize,
+        tw: usize,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let words = chain.len().div_ceil(64);
+        let (mut dff, mut gated) = (vec![0u64; tiles_x * words], vec![0u64; tiles_x * words]);
+        for tx in 0..tiles_x {
+            for (k, &offset) in chain.iter().enumerate() {
+                let p = &band[tx * tw + offset];
+                dff[tx * words + k / 64] |= u64::from(p.dff_bit()) << (k % 64);
+                gated[tx * words + k / 64] |= u64::from(p.is_gated()) << (k % 64);
+            }
+        }
+        (dff, gated)
+    }
+
+    /// The slot protocol of [`CeSensor::capture`] run on one `CePixel`
+    /// per pixel, with the clocked chain for every stream: the reference
+    /// state a capture of `video` must leave in the array.
+    fn capture_clocked(mask: &ExposureMask, video: &Tensor) -> Vec<CePixel> {
+        let (t, h, w) = (video.shape()[0], video.shape()[1], video.shape()[2]);
+        let (th, tw) = mask.tile();
+        let chain = chain_offsets(th, tw, w);
+        let pattern = mask.pattern().as_slice();
+        let frames = video.as_slice();
+        let mut pixels = vec![CePixel::new(); h * w];
+        for p in &mut pixels {
+            p.reset_fd();
+        }
+        for (band_index, band) in pixels.chunks_mut(th * w).enumerate() {
+            let row0 = band_index * th;
+            for slot in 0..t {
+                let slot_bits = &pattern[slot * th * tw..(slot + 1) * th * tw];
+                stream_band_clocked(band, slot_bits, &chain, w / tw, tw);
+                for p in band.iter_mut() {
+                    p.pattern_reset();
+                }
+                let frame = &frames[(slot * h + row0) * w..(slot * h + row0 + th) * w];
+                for (p, &light) in band.iter_mut().zip(frame) {
+                    p.expose(light, 1.0);
+                }
+                stream_band_clocked(band, slot_bits, &chain, w / tw, tw);
+                for p in band.iter_mut() {
+                    p.pattern_transfer();
+                }
+            }
+        }
+        pixels
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The packed register leaves every pixel exactly as the clocked
-        /// per-DFF chain does, from arbitrary DFF and gate states, over
-        /// two back-to-back streams sharing the scratch words: each DFF
-        /// holds its chain position's CE bit and is power-gated again.
+        /// The packed-word stream leaves every DFF exactly as the clocked
+        /// per-`CePixel` chain does, from arbitrary DFF and gate states,
+        /// over two back-to-back streams sharing the carry words: each
+        /// DFF holds its chain position's CE bit and is power-gated
+        /// again, and no bit lands past the chain. At capture level, a
+        /// capture that follows a dirty one leaves every pixel equal to a
+        /// per-`CePixel` run of the same protocol.
         #[test]
         fn packed_stream_matches_clocked_chain(
             tile in 0usize..TILES.len(),
@@ -375,28 +513,54 @@ mod tests {
             let (width, chain_len) = (tiles_x * tw, th * tw);
             let chain = chain_offsets(th, tw, width);
             let words = chain_len.div_ceil(64);
+            let full = chain_mask(chain_len);
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut packed = vec![CePixel::new(); th * width];
-            for p in &mut packed {
+            let mut clocked = vec![CePixel::new(); th * width];
+            for p in &mut clocked {
                 p.shift(rng.random());
                 p.set_gated(rng.random());
             }
-            let mut clocked = packed.clone();
-            let mut scratch = vec![0u64; 2 * words];
+            let (mut dff, mut gated) = pack_band(&clocked, &chain, tiles_x, tw);
+            let mut carries = vec![0u64; words];
             for stream in 0..2 {
                 let slot_bits: Vec<f32> =
                     (0..chain_len).map(|_| f32::from(u8::from(rng.random::<bool>()))).collect();
                 let mut edge_bits = vec![0u64; words];
                 pack_edge_bits(&slot_bits, &mut edge_bits);
-                stream_band(&mut packed, &edge_bits, &chain, tiles_x, tw, &mut scratch);
+                stream_band(&mut dff, &mut gated, &edge_bits, chain_len, &full, &mut carries);
                 stream_band_clocked(&mut clocked, &slot_bits, &chain, tiles_x, tw);
-                prop_assert!(packed == clocked, "tile {th}x{tw} stream {stream}: chains differ");
-                for tx in 0..tiles_x {
-                    for (k, &offset) in chain.iter().enumerate() {
-                        let p = &packed[tx * tw + offset];
-                        prop_assert_eq!(p.dff_bit(), slot_bits[k] != 0.0);
-                        prop_assert!(p.is_gated());
+                let expected = pack_band(&clocked, &chain, tiles_x, tw);
+                prop_assert!(
+                    (&dff, &gated) == (&expected.0, &expected.1),
+                    "tile {th}x{tw} stream {stream}: chains differ"
+                );
+                for (tx, register) in dff.chunks_exact(words).enumerate() {
+                    let gates = &gated[tx * words..(tx + 1) * words];
+                    for (k, &bit) in slot_bits.iter().enumerate() {
+                        prop_assert_eq!(chain_bit(register, k), bit != 0.0);
+                        prop_assert!(chain_bit(gates, k));
                     }
+                    for ((&word, &gate), &valid) in register.iter().zip(gates).zip(&full) {
+                        prop_assert_eq!((word & !valid, gate), (0, valid));
+                    }
+                }
+            }
+
+            let tiles_y = rng.random_range(1..4usize);
+            let t = rng.random_range(1..5usize);
+            let height = tiles_y * th;
+            let mask = patterns::random(t, (th, tw), 0.5, &mut rng).unwrap();
+            let mut sensor = CeSensor::new(height, width, mask.clone()).unwrap();
+            let dirty = Tensor::rand_uniform(&mut rng, &[t, height, width], 0.0, 1.0);
+            let video = Tensor::rand_uniform(&mut rng, &[t, height, width], 0.0, 1.0);
+            sensor.capture(&dirty).unwrap();
+            let image = sensor.capture(&video).unwrap();
+            let reference = capture_clocked(&mask, &video);
+            for y in 0..height {
+                for x in 0..width {
+                    let expected = reference[y * width + x];
+                    prop_assert!(sensor.pixel(y, x).unwrap() == expected, "pixel ({y}, {x})");
+                    prop_assert_eq!(image.get(&[y, x]).unwrap().to_bits(), expected.read().to_bits());
                 }
             }
         }
@@ -455,8 +619,8 @@ mod tests {
     fn capture_parallel_matches_serial_bit_for_bit() {
         use snappix_tensor::parallel::with_threads;
         let mut rng = StdRng::seed_from_u64(5);
-        // 48x48 with 8x8 tiles at t=16: 6 bands, 36,864 pixel-slots —
-        // two workers' worth of PAR_PIXEL_SLOTS_PER_WORKER.
+        // 48x48 with 8x8 tiles at t=16: 6 bands, so 40 threads are more
+        // than there are bands.
         let mask = patterns::random(16, (8, 8), 0.5, &mut rng).unwrap();
         let video = Tensor::rand_uniform(&mut rng, &[16, 48, 48], 0.0, 1.0);
         let (reference, ref_stats) = with_threads(1, || {

@@ -3,7 +3,7 @@
 
 use crate::{CaptureStats, CeSensor, Readout, ReadoutConfig, Result};
 use snappix_ce::{normalize_coded, ExposureMask, Sense};
-use snappix_tensor::Tensor;
+use snappix_tensor::{Tensor, TensorError};
 
 /// The hardware [`Sense`] backend: clips pass through the simulated CE
 /// pixel array ([`CeSensor`]), optionally a noisy/quantizing [`Readout`],
@@ -115,6 +115,20 @@ impl HardwareSensor {
     pub fn stats(&self) -> CaptureStats {
         self.sensor.stats()
     }
+
+    /// The readout chain and normalization applied to analog FD images,
+    /// one `[h, w]` image or a `[batch, h, w]` batch.
+    fn read_out(&mut self, analog: Tensor) -> Tensor {
+        let digital = match &mut self.readout {
+            Some(readout) => readout.digitize(&analog),
+            None => analog,
+        };
+        if self.normalize {
+            normalize_coded(&digital, self.sensor.mask())
+        } else {
+            digital
+        }
+    }
 }
 
 impl Sense for HardwareSensor {
@@ -130,15 +144,37 @@ impl Sense for HardwareSensor {
 
     fn sense(&mut self, clip: &Tensor) -> Result<Tensor> {
         let analog = self.sensor.capture(clip)?;
-        let digital = match &mut self.readout {
-            Some(readout) => readout.digitize(&analog),
-            None => analog,
-        };
-        Ok(if self.normalize {
-            normalize_coded(&digital, self.sensor.mask())
-        } else {
-            digital
-        })
+        Ok(self.read_out(analog))
+    }
+
+    /// Captures each clip straight from its slice of the batch into its
+    /// slot of one `[batch, h, w]` image, then reads the whole batch out
+    /// at once. Readout and normalization run pixel by pixel in order,
+    /// so a noisy readout draws its noise clip after clip, as a loop
+    /// over [`sense`](Sense::sense) does.
+    fn sense_batch(&mut self, clips: &Tensor) -> Result<Tensor> {
+        if clips.rank() != 4 {
+            return Err(TensorError::RankMismatch {
+                expected: 4,
+                got: clips.rank(),
+            }
+            .into());
+        }
+        let batch = clips.shape()[0];
+        if batch == 0 {
+            return Err(TensorError::InvalidArgument {
+                context: "cannot sense an empty batch".to_string(),
+            }
+            .into());
+        }
+        self.sensor.check_video(&clips.shape()[1..])?;
+        let (h, w) = (self.sensor.height(), self.sensor.width());
+        let mut analog = Tensor::zeros(&[batch, h, w]);
+        let frames = clips.as_slice().chunks_exact(clips.len() / batch);
+        for (clip, image) in frames.zip(analog.as_mut_slice().chunks_exact_mut(h * w)) {
+            self.sensor.capture_into(clip, image);
+        }
+        Ok(self.read_out(analog))
     }
 }
 
@@ -211,5 +247,37 @@ mod tests {
             assert!(batch.index_axis(0, b).unwrap().approx_eq(&single, 0.0));
         }
         assert!(hw.sense(&Tensor::zeros(&[4, 4, 4])).is_err());
+    }
+
+    /// A noisy readout draws its noise clip after clip in a batch, so a
+    /// batch reads out bit for bit as a loop of single captures on a
+    /// twin sensor does.
+    #[test]
+    fn noisy_sense_batch_matches_a_loop_of_sense() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mask = patterns::random(4, (4, 4), 0.5, &mut rng).unwrap();
+        let clips = Tensor::rand_uniform(&mut rng, &[3, 4, 8, 8], 0.0, 1.0);
+        let config = ReadoutConfig {
+            full_scale: 4.0,
+            seed: 7,
+            ..ReadoutConfig::default()
+        };
+        let mut batched = HardwareSensor::new(8, 8, mask)
+            .unwrap()
+            .with_readout(config);
+        let mut single = batched.clone();
+        let batch = batched.sense_batch(&clips).unwrap();
+        for b in 0..3 {
+            let one = single.sense(&clips.index_axis(0, b).unwrap()).unwrap();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&batch.index_axis(0, b).unwrap()),
+                bits(&one),
+                "clip {b}"
+            );
+        }
+        assert!(batched.sense_batch(&Tensor::zeros(&[0, 4, 8, 8])).is_err());
+        assert!(batched.sense_batch(&Tensor::zeros(&[2, 3, 8, 8])).is_err());
+        assert!(batched.sense_batch(&Tensor::zeros(&[4, 8, 8])).is_err());
     }
 }

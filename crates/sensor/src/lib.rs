@@ -10,9 +10,12 @@
 //! behavioral level:
 //!
 //! * [`CePixel`] — charge-domain state machine of one pixel (PD, FD, DFF,
-//!   switches `M1`–`M7`);
+//!   switches `M1`–`M7`), the reference model of the array;
 //! * [`CeSensor`] — a full array with per-tile shift-register pattern
-//!   streaming, the slot protocol of Sec. V, and cycle accounting;
+//!   streaming, the slot protocol of Sec. V, and cycle accounting. It
+//!   keeps every pixel's state packed: PD and FD charge as plain `f32`
+//!   arrays, and the DFF bits and their power gates as each tile's
+//!   shift-register words, which a stream clocks in place;
 //! * [`Readout`] — shot noise, read noise and ADC quantization;
 //! * [`HardwareSensor`] — the deployment-path [`snappix_ce::Sense`]
 //!   backend: capture + readout + normalization behind the same trait as
@@ -23,7 +26,8 @@
 //!   alternative (2N wires/pixel), regenerating the Sec. V numbers.
 //!
 //! The central correctness claim — the hardware computes exactly Eqn. 1 —
-//! is property-tested against [`snappix_ce::encode`].
+//! is property-tested against [`snappix_ce::encode`], and the packed
+//! array against a per-[`CePixel`] run of the same protocol.
 //!
 //! # Examples
 //!

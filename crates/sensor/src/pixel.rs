@@ -17,6 +17,11 @@
 
 /// Behavioral state of a single coded-exposure pixel.
 ///
+/// This is the reference model of the array: [`crate::CeSensor`] keeps
+/// the same four fields for every pixel, packed into plain charge arrays
+/// and shift-register words, and its tests check it against a
+/// per-`CePixel` run of the slot protocol.
+///
 /// Charge is modeled in normalized units: exposing to irradiance `e` for a
 /// full slot adds `e` to the PD.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -70,13 +75,10 @@ impl CePixel {
         out
     }
 
-    /// Sets the DFF to `bit`, the value a packed simulation of the
-    /// whole shift register computed for it. A power-gated DFF holds its
-    /// state, as it does under [`shift`](Self::shift).
-    pub(crate) fn latch(&mut self, bit: bool) {
-        if !self.gated {
-            self.dff = bit;
-        }
+    /// A pixel in the given state: how [`crate::CeSensor::pixel`]
+    /// assembles one from the array's packed state.
+    pub(crate) fn from_state(pd: f32, fd: f32, dff: bool, gated: bool) -> Self {
+        CePixel { pd, fd, dff, gated }
     }
 
     /// Power-gates or ungates the DFF.

@@ -11,6 +11,10 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Tile shapes for [`multi_word_chains_equal_codec`].
+const WORD_TILES: [(usize, usize); 7] =
+    [(1, 1), (3, 1), (7, 9), (5, 13), (9, 9), (12, 7), (16, 16)];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -57,6 +61,31 @@ proptest! {
         let sensed = backend.sense(&video).expect("sense");
         let encoded = reference.sense(&video).expect("encode");
         prop_assert!(bits(&sensed) == bits(&encoded), "seed {seed}: sense != encoder");
+    }
+
+    /// Tiles whose rows straddle register words, or whose chains fill
+    /// several: 1x1 and 3x1 chains, 63- and 65-DFF chains, 81 and 84
+    /// DFFs over two words and 16x16 over four. Two back-to-back
+    /// captures on one sensor each equal Eqn. 1 bit for bit.
+    #[test]
+    fn multi_word_chains_equal_codec(
+        tile in 0usize..WORD_TILES.len(),
+        t in 1usize..18,
+        tiles_y in 1usize..4,
+        tiles_x in 1usize..4,
+        seed in 0u64..10_000,
+    ) {
+        let (th, tw) = WORD_TILES[tile];
+        let (h, w) = (tiles_y * th, tiles_x * tw);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mask = patterns::random(t, (th, tw), 0.5, &mut rng).expect("valid dims");
+        let mut sensor = CeSensor::new(h, w, mask.clone()).expect("geometry");
+        for capture in 0..2 {
+            let video = Tensor::rand_uniform(&mut rng, &[t, h, w], 0.0, 1.0);
+            let hw = sensor.capture(&video).expect("capture");
+            prop_assert!(bits(&hw) == bits(&encode(&video, &mask).expect("encode")),
+                "tile {th}x{tw}, t {t}, capture {capture}: hw != Eqn. 1");
+        }
     }
 
     /// With a noiseless ADC, digitization error is bounded by half an LSB
