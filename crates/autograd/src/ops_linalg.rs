@@ -2,7 +2,7 @@
 
 use crate::graph::reduce_to_shape;
 use crate::{AutogradError, Graph, Result, Var};
-use snappix_tensor::Tensor;
+use snappix_tensor::{math, parallel, Tensor};
 
 impl Graph {
     /// Matrix multiplication (rank-2, batched rank-3, or rank-3 by shared
@@ -162,13 +162,89 @@ impl Graph {
     pub fn softmax(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
         let value = self.value(a).softmax_last()?;
-        Ok(self.push_op_keeping_output(value, a, |g, s| {
-            // dX = S * (dY - sum(dY * S, last))
-            let gs = g.mul(s).expect("same shape");
-            let row_sum = gs.sum_axis(s.rank() - 1, true).expect("axis valid");
-            let centered = g.sub(&row_sum).expect("broadcast row");
-            centered.mul(s).expect("same shape")
-        }))
+        Ok(self.push_op_keeping_output(value, a, softmax_backward))
+    }
+
+    /// Multi-head scaled dot-product attention as one tape node: for each
+    /// of `heads` heads of width `dh = dim / heads`,
+    /// `softmax(q_h k_hᵀ / sqrt(dh)) v_h`, merged back into the
+    /// `[batch, seq, dim]` shape of `q`, `k` and `v`.
+    ///
+    /// Head `h` owns columns `h·dh..(h+1)·dh` of every token row. The
+    /// node reads those columns by stride straight out of `q`, `k` and
+    /// `v`, and writes the head's context into the same columns of the
+    /// output, so no split or merged copy of a tensor is made. Per clip
+    /// and head it stages `k_hᵀ` in one `dh × seq` scratch buffer, which
+    /// makes each score row an axpy over the keys.
+    ///
+    /// The f32 sequence is that of the 17-node composite this node
+    /// replaces (reshape, permute and reshape to split each input into
+    /// `[batch·heads, seq, dh]`, then `transpose`, `matmul`, `scale`,
+    /// `softmax`, `matmul`, and reshape, permute and reshape to merge):
+    /// - each score is an ascending-`p` sum from `+0.0` of
+    ///   `q[i, p] · k[j, p]`, then times `1 / sqrt(dh)`;
+    /// - each score row goes through [`math::softmax_in_place`], the helper
+    ///   behind [`Tensor::softmax_last`];
+    /// - each output is an ascending-`j` sum from `+0.0` of
+    ///   `a_j · v[j, c]`.
+    ///
+    /// The value is therefore bit-identical to the composite. The backward
+    /// replays the composite's tensor-level gradient ops in its order:
+    /// undo the merge, the `matmul` gradients of `attn · v_h`, the softmax
+    /// backward on the kept probabilities, `scale`, the `matmul` gradients
+    /// of `q_h · k_hᵀ`, `transpose`, and undo the split, so the gradients
+    /// of `q`, `k` and `v` are bit-identical too. The probabilities are
+    /// kept only when an input needs a gradient; an inference tape keeps
+    /// nothing extra.
+    ///
+    /// # Errors
+    ///
+    /// Fails unless `q`, `k` and `v` share one `[batch, seq, dim]` shape
+    /// with `dim` a nonzero multiple of `heads`.
+    pub fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize) -> Result<Var> {
+        self.check(q)?;
+        self.check(k)?;
+        self.check(v)?;
+        let (qv, kv, vv) = (self.value(q), self.value(k), self.value(v));
+        let layout = match *qv.shape() {
+            [batch, seq, dim]
+                if kv.shape() == qv.shape()
+                    && vv.shape() == qv.shape()
+                    && heads > 0
+                    && dim > 0
+                    && dim.is_multiple_of(heads) =>
+            {
+                Heads {
+                    batch,
+                    seq,
+                    dim,
+                    heads,
+                    dh: dim / heads,
+                }
+            }
+            _ => {
+                let context = format!(
+                    "attention over {heads} heads needs one [batch, seq, dim] shape for q, k \
+                     and v with heads dividing dim, got {:?}, {:?} and {:?}",
+                    qv.shape(),
+                    kv.shape(),
+                    vv.shape()
+                );
+                return Err(AutogradError::Tensor(
+                    snappix_tensor::TensorError::IncompatibleShapes { context },
+                ));
+            }
+        };
+        let keep = [q, k, v].iter().any(|p| self.nodes[p.0].needs_grad);
+        let (value, probs) = attention_forward(qv, kv, vv, layout, keep);
+        Ok(self.push_op(
+            value,
+            vec![q, k, v],
+            Box::new(move |g, parents| {
+                let probs = probs.as_ref().expect("kept when a gradient is needed");
+                attention_backward(g, parents, probs, layout)
+            }),
+        ))
     }
 
     /// Layer normalization over the last axis with learnable `gamma`/`beta`
@@ -375,6 +451,167 @@ fn matmul_grads(ranks: (usize, usize), g: &Tensor, av: &Tensor, bv: &Tensor) -> 
         }
         _ => unreachable!("forward would have rejected these ranks"),
     }
+}
+
+/// Gradient of a last-axis softmax with output `s` for upstream `g`:
+/// `dX = S * (dY - sum(dY * S, last))`.
+fn softmax_backward(g: &Tensor, s: &Tensor) -> Tensor {
+    let gs = g.mul(s).expect("same shape");
+    let row_sum = gs.sum_axis(s.rank() - 1, true).expect("axis valid");
+    let centered = g.sub(&row_sum).expect("broadcast row");
+    centered.mul(s).expect("same shape")
+}
+
+/// Multiply-adds per product a worker should receive before
+/// [`attention_forward`] splits clips across threads: the floor of the
+/// batched matmuls the node replaces, about 100 µs of work, so the node
+/// goes parallel at the sizes where they did.
+const ATTENTION_MACS_PER_WORKER: usize = 1 << 18;
+
+/// Geometry of a [`Graph::attention`] node: `[batch, seq, dim]` inputs,
+/// `heads` heads of `dh` columns each.
+#[derive(Debug, Clone, Copy)]
+struct Heads {
+    batch: usize,
+    seq: usize,
+    dim: usize,
+    heads: usize,
+    dh: usize,
+}
+
+/// The value of [`Graph::attention`], and its `[batch·heads, seq, seq]`
+/// probabilities when `keep`. Clips are independent, so they split
+/// across threads without changing a bit.
+fn attention_forward(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    layout: Heads,
+    keep: bool,
+) -> (Tensor, Option<Tensor>) {
+    let Heads {
+        batch,
+        seq,
+        dim,
+        heads,
+        dh,
+    } = layout;
+    let mut out = Tensor::zeros(&[batch, seq, dim]);
+    let mut probs = keep.then(|| Tensor::zeros(&[batch * heads, seq, seq]));
+    if out.is_empty() {
+        return (out, probs);
+    }
+    let clip_probs = if keep { heads * seq * seq } else { 0 };
+    let mut rest: &mut [f32] = match probs.as_mut() {
+        Some(p) => p.as_mut_slice(),
+        None => &mut [],
+    };
+    let mut clips: Vec<(&mut [f32], &mut [f32])> = out
+        .as_mut_slice()
+        .chunks_exact_mut(seq * dim)
+        .map(|clip_out| {
+            let (clip_p, tail) = std::mem::take(&mut rest).split_at_mut(clip_probs);
+            rest = tail;
+            (clip_out, clip_p)
+        })
+        .collect();
+    let threads = parallel::workers_for(batch * heads * seq * seq * dh, ATTENTION_MACS_PER_WORKER);
+    let span = seq * dim;
+    let (q, k, v) = (q.as_slice(), k.as_slice(), v.as_slice());
+    parallel::with_threads(threads, || {
+        parallel::par_chunks_mut(&mut clips, 1, |b, clip| {
+            let rows = b * span..(b + 1) * span;
+            let (clip_out, clip_p) = &mut clip[0];
+            attend_clip(
+                &q[rows.clone()],
+                &k[rows.clone()],
+                &v[rows],
+                clip_out,
+                clip_p,
+                layout,
+            );
+        });
+    });
+    (out, probs)
+}
+
+/// One clip of [`attention_forward`]: `q`, `k`, `v` and `out` are its
+/// `[seq, dim]` rows, `out` zeroed; `probs` takes its
+/// `[heads, seq, seq]` probabilities, or is empty when none are kept.
+fn attend_clip(q: &[f32], k: &[f32], v: &[f32], out: &mut [f32], probs: &mut [f32], l: Heads) {
+    let Heads {
+        seq,
+        dim,
+        heads,
+        dh,
+        ..
+    } = l;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let mut kt = vec![0.0f32; dh * seq];
+    let mut row = vec![0.0f32; seq];
+    for h in 0..heads {
+        let cols = h * dh..(h + 1) * dh;
+        for (j, key) in k.chunks_exact(dim).enumerate() {
+            for (p, &x) in key[cols.clone()].iter().enumerate() {
+                kt[p * seq + j] = x;
+            }
+        }
+        let rows = q.chunks_exact(dim).zip(out.chunks_exact_mut(dim));
+        for (i, (query, out_row)) in rows.enumerate() {
+            row.fill(0.0);
+            for (&a, kt_row) in query[cols.clone()].iter().zip(kt.chunks_exact(seq)) {
+                for (s, &b) in row.iter_mut().zip(kt_row) {
+                    *s += a * b;
+                }
+            }
+            for s in row.iter_mut() {
+                *s *= scale;
+            }
+            math::softmax_in_place(&mut row);
+            if !probs.is_empty() {
+                probs[(h * seq + i) * seq..][..seq].copy_from_slice(&row);
+            }
+            let ctx = &mut out_row[cols.clone()];
+            for (&a, value) in row.iter().zip(v.chunks_exact(dim)) {
+                for (c, &x) in ctx.iter_mut().zip(&value[cols.clone()]) {
+                    *c += a * x;
+                }
+            }
+        }
+    }
+}
+
+/// Gradients of [`Graph::attention`] for `q`, `k` and `v` (`parents`)
+/// under upstream `g`, from the kept probabilities: the composite's
+/// tensor-level gradient ops, in its order.
+fn attention_backward(g: &Tensor, parents: &[&Tensor], probs: &Tensor, l: Heads) -> Vec<Tensor> {
+    let Heads {
+        batch,
+        seq,
+        dim,
+        heads,
+        dh,
+    } = l;
+    // [batch, seq, dim] -> [batch·heads, seq, dh] and back.
+    let split = |t: &Tensor| {
+        t.reshape(&[batch, seq, heads, dh])
+            .and_then(|t| t.permute(&[0, 2, 1, 3]))
+            .and_then(|t| t.reshape(&[batch * heads, seq, dh]))
+            .expect("[batch, seq, dim] by construction")
+    };
+    let merge = |t: &Tensor| {
+        t.reshape(&[batch, heads, seq, dh])
+            .and_then(|t| t.permute(&[0, 2, 1, 3]))
+            .and_then(|t| t.reshape(&[batch, seq, dim]))
+            .expect("[batch·heads, seq, dh] by construction")
+    };
+    let (qh, kh, vh) = (split(parents[0]), split(parents[1]), split(parents[2]));
+    let kt = kh.transpose().expect("rank 3");
+    let [d_attn, dvh] = matmul_grads((3, 3), &split(g), probs, &vh);
+    let d_scores = softmax_backward(&d_attn, probs).scale(1.0 / (dh as f32).sqrt());
+    let [dqh, dkt] = matmul_grads((3, 3), &d_scores, &qh, &kt);
+    let dkh = dkt.transpose().expect("rank 3");
+    vec![merge(&dqh), merge(&dkh), merge(&dvh)]
 }
 
 /// Rows whose reductions run interleaved, so their add chains overlap.
@@ -617,6 +854,46 @@ mod tests {
                 g.sum(sq)
             })
             .unwrap();
+        }
+    }
+
+    #[test]
+    fn attention_numeric() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let shape = [2, 3, 4];
+        let inputs: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::rand_uniform(&mut rng, &shape, -1.0, 1.0))
+            .collect();
+        let probe = Tensor::rand_uniform(&mut rng, &shape, -1.0, 1.0);
+        check_gradients(&inputs, |g, vars| {
+            let y = g.attention(vars[0], vars[1], vars[2], 2)?;
+            let p = g.leaf(probe.clone(), false);
+            let m = g.mul(y, p)?;
+            g.sum(m)
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn attention_parallel_matches_serial_bit_for_bit() {
+        // 4 x 2 x 64 x 64 x 16 multiply-adds per product: two workers.
+        let mut rng = StdRng::seed_from_u64(13);
+        let shape = [4, 64, 32];
+        let inputs: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::rand_uniform(&mut rng, &shape, -1.0, 1.0))
+            .collect();
+        let run = |threads| {
+            snappix_tensor::parallel::with_threads(threads, || {
+                let mut g = Graph::new();
+                let v: Vec<Var> = inputs.iter().map(|t| g.leaf(t.clone(), true)).collect();
+                let y = g.attention(v[0], v[1], v[2], 2).unwrap();
+                let bits: Vec<u32> = g.value(y).as_slice().iter().map(|x| x.to_bits()).collect();
+                bits
+            })
+        };
+        let serial = run(1);
+        for threads in [2, 3] {
+            assert_eq!(run(threads), serial, "{threads} threads");
         }
     }
 

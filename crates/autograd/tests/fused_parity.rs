@@ -1,9 +1,11 @@
-//! The fused [`Graph::layer_norm`] and [`Graph::linear`] nodes against the
-//! primitive-op composites they replace: forward values must match bit
-//! for bit over random shapes (rank 1 to 3, row counts that leave a
-//! remainder after the 8-row reduction blocks). `linear` gradients match
-//! bit for bit too; `layer_norm`'s analytic gradients match the
-//! composite's to rounding.
+//! The fused [`Graph::layer_norm`], [`Graph::linear`] and
+//! [`Graph::attention`] nodes against the primitive-op composites they
+//! replace: forward values must match bit for bit over random shapes
+//! (rank 1 to 3, row counts that leave a remainder after the 8-row
+//! reduction blocks; one to three clips, one to four heads, sequences of
+//! one token up). `linear` and `attention` gradients match bit for bit
+//! too; `layer_norm`'s analytic gradients match the composite's to
+//! rounding.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -30,6 +32,32 @@ fn composite_layer_norm(g: &mut Graph, x: Var, gamma: Var, beta: Var) -> Result<
 fn composite_linear(g: &mut Graph, x: Var, w: Var, b: Var) -> Result<Var> {
     let y = g.matmul(x, w)?;
     g.add(y, b)
+}
+
+/// Multi-head attention as the seventeen primitive nodes it used to be:
+/// split each input into `[batch * heads, seq, dh]`, attend, merge back.
+fn composite_attention(g: &mut Graph, q: Var, k: Var, v: Var, heads: usize) -> Result<Var> {
+    let (batch, seq, dim) = match *g.value(q).shape() {
+        [batch, seq, dim] => (batch, seq, dim),
+        ref other => panic!("attention input {other:?}"),
+    };
+    let dh = dim / heads;
+    let split = |g: &mut Graph, t: Var| -> Result<Var> {
+        let t = g.reshape(t, &[batch, seq, heads, dh])?;
+        let t = g.permute(t, &[0, 2, 1, 3])?;
+        g.reshape(t, &[batch * heads, seq, dh])
+    };
+    let qh = split(g, q)?;
+    let kh = split(g, k)?;
+    let vh = split(g, v)?;
+    let kt = g.transpose(kh)?;
+    let scores = g.matmul(qh, kt)?;
+    let scores = g.scale(scores, 1.0 / (dh as f32).sqrt())?;
+    let attn = g.softmax(scores)?;
+    let ctx = g.matmul(attn, vh)?;
+    let ctx = g.reshape(ctx, &[batch, heads, seq, dh])?;
+    let ctx = g.permute(ctx, &[0, 2, 1, 3])?;
+    g.reshape(ctx, &[batch, seq, dim])
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -134,6 +162,33 @@ proptest! {
             prop_assert_eq!(bits(f), bits(c));
         }
     }
+
+    #[test]
+    fn attention_matches_the_composite(
+        seed in 0u64..10_000,
+        batch in 1usize..4,
+        head_choice in 0usize..3,
+        dh in 1usize..10,
+        seq in 1usize..18,
+        spread in 0.1f32..8.0,
+    ) {
+        let heads = [1, 2, 4][head_choice];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = [batch, seq, heads * dh];
+        let inputs: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::rand_uniform(&mut rng, &shape, -spread, spread))
+            .collect();
+        let probe = Tensor::rand_uniform(&mut rng, &shape, -1.0, 1.0);
+        let (fused, fused_grads) =
+            run(&inputs, &probe, |g, v| g.attention(v[0], v[1], v[2], heads));
+        let (composite, composite_grads) =
+            run(&inputs, &probe, |g, v| composite_attention(g, v[0], v[1], v[2], heads));
+        prop_assert_eq!(bits(&fused), bits(&composite));
+        for (f, c) in fused_grads.iter().zip(&composite_grads) {
+            prop_assert_eq!(f.shape(), c.shape());
+            prop_assert_eq!(bits(f), bits(c));
+        }
+    }
 }
 
 #[test]
@@ -155,6 +210,15 @@ fn fused_ops_reject_mismatched_parameters() {
     assert!(g.linear(x, w, wide).is_err());
     let bad_w = g.leaf(Tensor::zeros(&[5, 3]), false);
     assert!(g.linear(x, bad_w, b).is_err());
+
+    let tokens = g.leaf(Tensor::zeros(&[2, 3, 4]), false);
+    let longer = g.leaf(Tensor::zeros(&[2, 5, 4]), false);
+    assert!(g.attention(tokens, tokens, tokens, 2).is_ok());
+    assert!(g.attention(tokens, longer, tokens, 2).is_err());
+    assert!(g.attention(tokens, tokens, longer, 2).is_err());
+    assert!(g.attention(tokens, tokens, tokens, 3).is_err());
+    assert!(g.attention(tokens, tokens, tokens, 0).is_err());
+    assert!(g.attention(x, x, x, 2).is_err());
 }
 
 #[test]
@@ -165,8 +229,10 @@ fn fused_ops_record_one_node_each() {
     let beta = g.leaf(Tensor::zeros(&[4]), false);
     let w = g.leaf(Tensor::ones(&[4, 2]), false);
     let b = g.leaf(Tensor::zeros(&[2]), false);
+    let tokens = g.leaf(Tensor::ones(&[2, 3, 4]), false);
     let before = g.len();
     let y = g.layer_norm(x, gamma, beta, EPS).unwrap();
     g.linear(y, w, b).unwrap();
-    assert_eq!(g.len(), before + 2);
+    g.attention(tokens, tokens, tokens, 2).unwrap();
+    assert_eq!(g.len(), before + 3);
 }

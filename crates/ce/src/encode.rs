@@ -121,17 +121,20 @@ fn integrate(clips: &Tensor, rank: usize, mask: &ExposureMask, normalize: bool) 
     let out_shape: Vec<usize> = lead.iter().copied().chain([h, w]).collect();
     let mut out = Tensor::zeros(&out_shape);
     // `[t, th, w]`: every tile row of every slot, repeated across the frame
-    // width once per call, so the loop below runs over whole frame rows.
+    // width once per call, so each slot's `th x w` block lines up with
+    // every band of `th` frame rows.
     let mask_rows = widen_rows(mask.pattern().as_slice(), tw, w);
     let count_rows = normalize.then(|| widen_rows(mask.exposure_counts().as_slice(), tw, w));
+    let band = th * w;
     let images = out.as_mut_slice().chunks_exact_mut(h * w);
     for (clip, image) in clips.as_slice().chunks_exact(t * h * w).zip(images) {
-        let slots = mask_rows.chunks_exact(th * w);
+        let slots = mask_rows.chunks_exact(band);
         for (video_frame, slot) in clip.chunks_exact(h * w).zip(slots) {
-            let rows = image.chunks_exact_mut(w).zip(video_frame.chunks_exact(w));
-            for (y, (coded_row, video_row)) in rows.enumerate() {
-                let mask_row = &slot[(y % th) * w..(y % th + 1) * w];
-                for ((c, &v), &m) in coded_row.iter_mut().zip(video_row).zip(mask_row) {
+            let bands = image
+                .chunks_exact_mut(band)
+                .zip(video_frame.chunks_exact(band));
+            for (coded_band, video_band) in bands {
+                for ((c, &v), &m) in coded_band.iter_mut().zip(video_band).zip(slot) {
                     *c += m * v;
                 }
             }

@@ -18,10 +18,10 @@ fn snappix_s_batch8_forward_size_is_pinned() {
     let mut sess = Session::inference(model.store());
     let logits = model.build_logits(&mut sess, &clips).expect("forward");
     assert_eq!(sess.graph.value(logits).shape(), &[8, 10]);
-    assert_eq!(sess.graph.len(), 100, "tape nodes per forward");
+    assert_eq!(sess.graph.len(), 68, "tape nodes per forward");
     assert_eq!(
         sess.graph.value_bytes(),
-        1_262_056,
+        639_464,
         "bytes of node values per forward"
     );
 }

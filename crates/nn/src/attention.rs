@@ -10,6 +10,15 @@ use snappix_autograd::Var;
 /// (paper Sec. IV): patch-wise embeddings and MLPs handle within-tile pixel
 /// variation, while attention lets tiles exchange scene context.
 ///
+/// A forward records five tape nodes: the `q`, `k` and `v` projections
+/// (one [`Linear`] node each), one [`Graph::attention`] node that runs
+/// every head over strided columns of those projections, and the output
+/// projection. With `dh = dim / heads`, head `h` owns columns
+/// `h·dh..(h+1)·dh` of each token row, so no tensor is split into heads or
+/// merged back.
+///
+/// [`Graph::attention`]: snappix_autograd::Graph::attention
+///
 /// # Examples
 ///
 /// ```
@@ -72,7 +81,9 @@ impl MultiHeadAttention {
         self.heads
     }
 
-    /// Applies scaled dot-product self-attention.
+    /// Applies scaled dot-product self-attention:
+    /// `proj(attention(q(x), k(x), v(x)))`, with the heads fused into one
+    /// tape node.
     ///
     /// # Errors
     ///
@@ -88,33 +99,10 @@ impl MultiHeadAttention {
                 ),
             });
         }
-        let (batch, seq) = (shape[0], shape[1]);
-        let dh = self.dim / self.heads;
-
         let q = self.q.forward(sess, x)?;
         let k = self.k.forward(sess, x)?;
         let v = self.v.forward(sess, x)?;
-
-        // [b, s, d] -> [b*heads, s, dh]
-        let split = |sess: &mut Session<'_>, t: Var| -> Result<Var> {
-            let t = sess.graph.reshape(t, &[batch, seq, self.heads, dh])?;
-            let t = sess.graph.permute(t, &[0, 2, 1, 3])?;
-            Ok(sess.graph.reshape(t, &[batch * self.heads, seq, dh])?)
-        };
-        let qh = split(sess, q)?;
-        let kh = split(sess, k)?;
-        let vh = split(sess, v)?;
-
-        let kt = sess.graph.transpose(kh)?;
-        let scores = sess.graph.matmul(qh, kt)?;
-        let scores = sess.graph.scale(scores, 1.0 / (dh as f32).sqrt())?;
-        let attn = sess.graph.softmax(scores)?;
-        let ctx = sess.graph.matmul(attn, vh)?;
-
-        // [b*heads, s, dh] -> [b, s, d]
-        let ctx = sess.graph.reshape(ctx, &[batch, self.heads, seq, dh])?;
-        let ctx = sess.graph.permute(ctx, &[0, 2, 1, 3])?;
-        let ctx = sess.graph.reshape(ctx, &[batch, seq, self.dim])?;
+        let ctx = sess.graph.attention(q, k, v, self.heads)?;
         self.proj.forward(sess, ctx)
     }
 }

@@ -1,4 +1,5 @@
-//! Pure-Rust `exp` and `tanh` for the forward pass.
+//! Pure-Rust `exp` and `tanh` for the forward pass, and the softmax row
+//! built on `exp`.
 //!
 //! `f32::exp` and `f32::tanh` call the platform libm, which costs a
 //! function call per element, keeps elementwise loops scalar, and makes
@@ -150,6 +151,37 @@ pub fn tanh(x: f32) -> f32 {
         x
     } else {
         rational
+    }
+}
+
+/// Softmax of one row, in place: the row maximum `m` (a `f32::max` fold
+/// from `-inf`), then [`exp`]`(x - m)` per element, then their sum in
+/// ascending order, then one divide per element.
+///
+/// `Tensor::softmax_last` runs every row through this helper, and so does
+/// the fused attention node of `snappix-autograd`, which keeps the two
+/// bit-identical.
+///
+/// # Examples
+///
+/// ```
+/// use snappix_tensor::math;
+///
+/// let mut row = [1.0, 1.0, 1000.0];
+/// math::softmax_in_place(&mut row);
+/// assert_eq!(row[2], 1.0);
+/// assert_eq!(row[0], 0.0);
+/// ```
+pub fn softmax_in_place(row: &mut [f32]) {
+    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    // Exponentiate in one pass (it vectorizes) and sum in ascending order
+    // in another.
+    for x in row.iter_mut() {
+        *x = exp(*x - m);
+    }
+    let total: f32 = row.iter().sum();
+    for x in row.iter_mut() {
+        *x /= total;
     }
 }
 

@@ -406,8 +406,8 @@ impl Tensor {
 
     /// Softmax along the last axis.
     ///
-    /// Numerically stabilized by subtracting the row maximum; the
-    /// exponentials come from [`math::exp`].
+    /// Numerically stabilized by subtracting the row maximum; each row
+    /// runs through [`math::softmax_in_place`].
     ///
     /// # Errors
     ///
@@ -420,21 +420,9 @@ impl Tensor {
             });
         }
         let n = *self.shape().last().expect("rank >= 1");
-        let rows = self.len() / n.max(1);
         let mut out = self.clone();
-        let data = out.as_mut_slice();
-        for r in 0..rows {
-            let row = &mut data[r * n..(r + 1) * n];
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            // Exponentiate in one pass (it vectorizes) and sum in
-            // ascending order in another.
-            for x in row.iter_mut() {
-                *x = math::exp(*x - m);
-            }
-            let total: f32 = row.iter().sum();
-            for x in row.iter_mut() {
-                *x /= total;
-            }
+        for row in out.as_mut_slice().chunks_exact_mut(n.max(1)) {
+            math::softmax_in_place(row);
         }
         Ok(out)
     }

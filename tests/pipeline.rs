@@ -2,11 +2,12 @@
 //! backend abstraction and the batched `Pipeline` inference engine.
 //!
 //! Property tests (vendored proptest): the algorithmic encoder and the
-//! noiseless hardware sensor agree *through the trait*, and batched
-//! inference is bit-for-bit identical to per-clip inference.
+//! noiseless hardware sensor agree *through the trait*, batched
+//! inference is bit-for-bit identical to per-clip inference, and a
+//! poisoned clip cannot move its batch-mates' logits.
 
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use snappix::prelude::*;
 
 const HW: usize = 16;
@@ -29,6 +30,29 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 fn model_for(mask: &ExposureMask) -> SnapPixAr {
     SnapPixAr::new(VitConfig::snappix_s(HW, HW, CLASSES), mask.clone()).expect("geometry")
+}
+
+/// Clips of `batch` other than `victim` whose logits from one batched
+/// `infer` differ in any bit from the same clip of `clean` inferred alone.
+fn batch_mates_that_moved<S: Sense>(
+    pipeline: &mut Pipeline<S>,
+    clean: &Tensor,
+    batch: &Tensor,
+    victim: usize,
+) -> Vec<usize>
+where
+    Error: From<S::Error>,
+{
+    let batched = pipeline.infer(batch).expect("batched inference");
+    (0..clean.shape()[0])
+        .filter(|&b| b != victim)
+        .filter(|&b| {
+            let clip = clean.index_axis(0, b).expect("clip");
+            let single = pipeline.infer_clip(&clip).expect("single inference");
+            let row = batched.logits.index_axis(0, b).expect("row");
+            bits(&single.logits) != bits(&row)
+        })
+        .collect()
 }
 
 proptest! {
@@ -86,6 +110,46 @@ proptest! {
                 single.logits.approx_eq(&row.logits, 0.0),
                 "clip {}: batched logits must equal single-clip logits exactly", b
             );
+        }
+    }
+
+    /// NaN, ±inf or 3e38 pixels in one clip of a batch leave every other
+    /// clip's logits bit-identical to its clean single-clip inference, on
+    /// both backends at one and two threads: no stage of the forward, the
+    /// fused attention node included, reads another clip's rows.
+    #[test]
+    fn a_poisoned_clip_leaves_its_batch_mates_bit_identical(
+        seed in 0u64..10_000,
+        batch in 2usize..9,
+        kind in 0usize..4,
+        pixels in 1usize..6,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mask = patterns::random(4, TILE, 0.5, &mut rng).expect("valid dims");
+        let clean = Tensor::rand_uniform(&mut rng, &[batch, 4, HW, HW], 0.0, 1.0);
+        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38][kind];
+        let victim = rng.random_range(0..batch);
+        let clip_len = 4 * HW * HW;
+        let mut poisoned = clean.clone();
+        for _ in 0..pixels {
+            let at = victim * clip_len + rng.random_range(0..clip_len);
+            poisoned.as_mut_slice()[at] = poison;
+        }
+        for threads in [1, 2] {
+            let mut algorithmic = Pipeline::builder(model_for(&mask))
+                .with_threads(threads)
+                .build()
+                .expect("assembly");
+            let mut hardware = Pipeline::builder(model_for(&mask))
+                .with_hardware_sensor(ReadoutConfig::noiseless(12, 4.0))
+                .expect("sensor assembly")
+                .with_threads(threads)
+                .build()
+                .expect("assembly");
+            let moved = batch_mates_that_moved(&mut algorithmic, &clean, &poisoned, victim);
+            prop_assert!(moved.is_empty(), "algorithmic, {threads} threads: clips {moved:?} moved");
+            let moved = batch_mates_that_moved(&mut hardware, &clean, &poisoned, victim);
+            prop_assert!(moved.is_empty(), "hardware, {threads} threads: clips {moved:?} moved");
         }
     }
 }
