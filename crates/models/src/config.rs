@@ -73,6 +73,24 @@ impl VitConfig {
         self.patch * self.patch
     }
 
+    /// Multiply-adds one clip's forward pass costs, counted statically
+    /// from the geometry: the patch embedding, each block's q/k/v/proj
+    /// projections, fc1/fc2 and attention scores plus context, and the
+    /// head on the pooled token. Biases, norms, softmax and pooling are
+    /// left out.
+    ///
+    /// This is the work measure the pipeline's clip sharding sizes its
+    /// workers by.
+    pub fn macs_per_clip(&self) -> usize {
+        let (n, d) = (self.num_tokens(), self.dim);
+        let projections = 4 * n * d * d;
+        let mlp = 2 * n * d * (d * self.mlp_ratio);
+        let attention = 2 * n * n * d;
+        n * self.patch_pixels() * d
+            + self.depth * (projections + mlp + attention)
+            + d * self.num_classes
+    }
+
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -130,6 +148,15 @@ mod tests {
         assert_eq!(s.patch, 8, "patch must match the CE tile");
         assert_eq!(s.num_tokens(), 16);
         assert_eq!(s.patch_pixels(), 64);
+    }
+
+    #[test]
+    fn macs_per_clip_counts_every_matmul() {
+        assert_eq!(VitConfig::snappix_s(16, 16, 10).macs_per_clip(), 76_096);
+        assert_eq!(VitConfig::snappix_s(32, 32, 10).macs_per_clip(), 328_000);
+        assert_eq!(VitConfig::snappix_s(64, 64, 10).macs_per_clip(), 1_704_256);
+        // B at 32x32: 65,536 patch embed + 4 blocks of 557,056 + 640 head.
+        assert_eq!(VitConfig::snappix_b(32, 32, 10).macs_per_clip(), 2_294_400);
     }
 
     #[test]

@@ -30,8 +30,9 @@ pub enum ServeError {
     /// The server is shutting down and no longer admits work.
     ShuttingDown,
     /// The clip was rejected at submission: its geometry does not match
-    /// the model the server runs, and admitting it would poison a whole
-    /// batch at execution time.
+    /// the model the server runs (admitting it would poison a whole
+    /// batch at execution time), or a pixel is NaN or infinite (its
+    /// logits would be NaN, which argmax reads as class 0).
     BadClip {
         /// Human-readable description of the mismatch.
         context: String,

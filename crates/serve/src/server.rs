@@ -321,7 +321,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadClip`] for a geometry mismatch,
+    /// [`ServeError::BadClip`] for a geometry mismatch or a non-finite
+    /// pixel,
     /// [`ServeError::Overloaded`] at capacity,
     /// [`ServeError::ShuttingDown`] during shutdown.
     pub fn try_submit(&self, clip: &Tensor) -> Result<Ticket, ServeError> {
@@ -349,7 +350,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadClip`] for a geometry mismatch,
+    /// [`ServeError::BadClip`] for a geometry mismatch or a non-finite
+    /// pixel,
     /// [`ServeError::ShuttingDown`] during shutdown.
     pub fn submit(&self, clip: &Tensor) -> Result<Ticket, ServeError> {
         self.admit(clip, None, true)
@@ -409,6 +411,14 @@ impl Server {
                     "expected a [t, h, w] = {:?} clip, got {:?}",
                     self.expected_clip,
                     clip.shape()
+                ),
+            });
+        }
+        if let Some(at) = clip.as_slice().iter().position(|x| !x.is_finite()) {
+            return Err(ServeError::BadClip {
+                context: format!(
+                    "pixel {at} is {}; clips must be finite",
+                    clip.as_slice()[at]
                 ),
             });
         }

@@ -7,7 +7,8 @@
 //! bindings are reused across calls instead of being reallocated per
 //! clip, it accepts `[batch, t, h, w]` clip batches so the whole batch
 //! shares one forward pass (sharded by clip across the pipeline's
-//! threads), and it is generic over the [`Sense`] backend
+//! threads when the batch is big enough to pay for them), and it is
+//! generic over the [`Sense`] backend
 //! so the training-time algorithmic encoder and the deployment-time
 //! hardware simulation run through identical code.
 
@@ -504,7 +505,8 @@ impl<S: Sense> PipelineBuilder<S> {
 /// Clips go through the [`Sense`] backend (algorithmic encoder or
 /// hardware simulation), the coded images drive the co-designed ViT in
 /// *one* forward pass per batch — split into clip shards across the
-/// pipeline's threads — and the sessions behind that pass are reused
+/// pipeline's threads when the batch's work pays for them — and the
+/// sessions behind that pass are reused
 /// across calls via persistent [`SessionPool`]s, the structure a node
 /// serving heavy traffic needs, instead of the per-clip
 /// allocate-and-drop of the retired `SnapPixSystem`.
@@ -642,12 +644,14 @@ where
     /// simulation captures clip by clip, as a physical sensor would).
     ///
     /// Batching is the throughput path: per-clip graph construction and
-    /// tensor allocation are amortized over the whole batch. With more
-    /// than one thread the forward pass is sharded by clip, about two
-    /// shards per thread, on the calling thread plus scoped helpers;
-    /// sensing stays on the calling thread. Logits are bit-for-bit the
-    /// same at every thread count. The `offline_batch` workload of the
-    /// `perfbench` benchmark measures this path.
+    /// tensor allocation are amortized over the whole batch. When the
+    /// batch's forward work pays for more than one worker (at least
+    /// 2^19 multiply-adds each, so at 16x16 no batch of 13 clips or
+    /// fewer, at 32x32 batches of 4 and up) the forward pass is sharded
+    /// by clip, about two shards per worker, on the calling thread plus
+    /// scoped helpers; sensing stays on the calling thread. Logits are
+    /// bit-for-bit the same at every thread count. The `offline_batch`
+    /// workload of the `perfbench` benchmark measures this path.
     ///
     /// An *empty* batch (`[0, t, h, w]`, any trailing extents) is
     /// well-defined and returns an empty [`Inference`] without touching
@@ -733,44 +737,41 @@ where
         out
     }
 
-    /// The model pass over `[batch, h, w]` coded images, sharded by clip.
+    /// The model pass over `[batch, h, w]` coded images, sharded by clip
+    /// as [`shard_plan`] sizes it.
     ///
     /// Every op in the forward treats each clip independently, so the
-    /// batch splits into contiguous shards of
-    /// `batch.div_ceil(2 * threads)` clips — about two per worker, for
-    /// balance — that run in their own pooled sessions on the calling
-    /// thread plus scoped helpers, and their logits concatenate in shard
-    /// order to the same bits one pass would give. With one thread or
-    /// one clip the whole batch is one pass on the calling thread.
+    /// batch splits into contiguous shards that run in their own pooled
+    /// sessions on the calling thread plus scoped helpers, and their
+    /// logits concatenate in shard order to the same bits one pass would
+    /// give. A batch too small to pay for a helper is one pass on the
+    /// calling thread.
     fn forward(&mut self, coded: &Tensor) -> Result<Tensor, Error> {
         let batch = coded.shape().first().copied().unwrap_or(0);
-        let shard = match parallel::current_threads() {
-            1 => batch,
-            threads => batch.div_ceil(2 * threads),
-        }
-        .max(1);
-        let shards = batch.div_ceil(shard).max(1);
-        if self.pools.len() < shards {
-            self.pools.resize_with(shards, SessionPool::new);
+        let plan = shard_plan(batch, self.model.encoder().config().macs_per_clip());
+        if self.pools.len() < plan.shards {
+            self.pools.resize_with(plan.shards, SessionPool::new);
         }
         let model = &self.model;
-        if shards == 1 {
+        if plan.shards == 1 {
             return forward_shard(model, &mut self.pools[0], coded);
         }
-        let mut slots: Vec<_> = self.pools[..shards]
+        let mut slots: Vec<_> = self.pools[..plan.shards]
             .iter_mut()
             .map(|pool| (pool, None))
             .collect();
-        parallel::par_chunks_mut(&mut slots, 1, |index, slot| {
-            let (pool, logits) = &mut slot[0];
-            let start = index * shard;
-            let end = (start + shard).min(batch);
-            *logits = Some(
-                coded
-                    .slice_axis(0, start, end)
-                    .map_err(Error::Tensor)
-                    .and_then(|part| forward_shard(model, pool, &part)),
-            );
+        parallel::with_threads(plan.workers, || {
+            parallel::par_chunks_mut(&mut slots, 1, |index, slot| {
+                let (pool, logits) = &mut slot[0];
+                let start = index * plan.shard;
+                let end = (start + plan.shard).min(batch);
+                *logits = Some(
+                    coded
+                        .slice_axis(0, start, end)
+                        .map_err(Error::Tensor)
+                        .and_then(|part| forward_shard(model, pool, &part)),
+                );
+            });
         });
         let logits = slots
             .into_iter()
@@ -778,6 +779,47 @@ where
             .collect::<Result<Vec<_>, _>>()?;
         let parts: Vec<&Tensor> = logits.iter().collect();
         Ok(Tensor::concat(&parts, 0)?)
+    }
+}
+
+/// Forward multiply-adds a clip-shard worker must receive before a
+/// scoped helper is worth spawning: about 130 µs of forward work on a
+/// 2-vCPU box, at least 2.5x the 51–56 µs median that spawning and
+/// joining a scoped helper was measured to cost there (its p90 is
+/// 110–175 µs). Fed to [`parallel::workers_for`] with the batch's
+/// [`VitConfig::macs_per_clip`](snappix_models::VitConfig::macs_per_clip)
+/// total, so a 16x16 SnapPix-S batch of up to 13 clips stays one pass.
+const FORWARD_MACS_PER_WORKER: usize = 1 << 19;
+
+/// How [`Pipeline`]'s forward splits a batch: `workers` threads claim
+/// `shards` contiguous shards of `shard` clips (the last may be shorter).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShardPlan {
+    workers: usize,
+    shard: usize,
+    shards: usize,
+}
+
+/// Plans the forward pass over `batch` clips of `macs_per_clip` work each
+/// at the calling thread's worker count. Below two workers' worth of
+/// [`FORWARD_MACS_PER_WORKER`] the batch is one shard on one worker;
+/// above it, shards are `batch.div_ceil(2 * workers)` clips, about two
+/// per worker for balance.
+fn shard_plan(batch: usize, macs_per_clip: usize) -> ShardPlan {
+    let work = batch.saturating_mul(macs_per_clip);
+    let workers = parallel::workers_for(work, FORWARD_MACS_PER_WORKER).min(batch);
+    if workers <= 1 {
+        return ShardPlan {
+            workers: 1,
+            shard: batch,
+            shards: 1,
+        };
+    }
+    let shard = batch.div_ceil(2 * workers);
+    ShardPlan {
+        workers,
+        shard,
+        shards: batch.div_ceil(shard),
     }
 }
 
@@ -1135,14 +1177,22 @@ mod tests {
     #[test]
     fn sharded_forward_records_one_stage_call_and_span_per_batch() {
         let tracer = Tracer::new();
-        let mut p = Pipeline::builder(model())
+        let mask = patterns::long_exposure(4, (8, 8)).unwrap();
+        let model = SnapPixAr::new(VitConfig::snappix_s(32, 32, 5), mask).unwrap();
+        let mut p = Pipeline::builder(model)
             .with_threads(2)
             .with_tracer(tracer.clone())
             .build()
             .unwrap();
-        // Batch 8 at 2 threads: four 2-clip shards, two per worker.
+        // Batch 8 at 32x32 and 2 threads: four 2-clip shards, two per
+        // worker (16x16 batches this size run as one pass).
+        let clips = {
+            use rand::{rngs::StdRng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(42);
+            Tensor::rand_uniform(&mut rng, &[8, 4, 32, 32], 0.0, 1.0)
+        };
         for _ in 0..2 {
-            p.infer(&clips(8)).unwrap();
+            p.infer(&clips).unwrap();
         }
         let profile = p.profile();
         assert_eq!(profile.batches, 2);
@@ -1161,6 +1211,39 @@ mod tests {
             snap.records.iter().all(|r| r.lane == caller),
             "no spans from the shard helpers"
         );
+    }
+
+    #[test]
+    fn shard_plan_spawns_helpers_only_for_work_that_pays_for_them() {
+        let macs = |side| VitConfig::snappix_s(side, side, 10).macs_per_clip();
+        let serial = |batch| ShardPlan {
+            workers: 1,
+            shard: batch,
+            shards: 1,
+        };
+        parallel::with_threads(2, || {
+            assert_eq!(shard_plan(8, macs(16)), serial(8), "16x16x8 is one pass");
+            assert_eq!(shard_plan(1, macs(32)), serial(1), "one clip is one pass");
+            assert_eq!(
+                shard_plan(8, macs(32)),
+                ShardPlan {
+                    workers: 2,
+                    shard: 2,
+                    shards: 4,
+                }
+            );
+        });
+        parallel::with_threads(3, || {
+            assert_eq!(
+                shard_plan(8, macs(32)),
+                ShardPlan {
+                    workers: 3,
+                    shard: 2,
+                    shards: 4,
+                }
+            );
+        });
+        parallel::with_threads(1, || assert_eq!(shard_plan(8, macs(32)), serial(8)));
     }
 
     #[test]

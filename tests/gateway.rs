@@ -843,6 +843,35 @@ fn malformed_requests_get_4xx_and_health_and_stats_respond() {
     assert_eq!(gateway_stats.requests_with_status(413), 1);
 }
 
+/// A well-sized body holding a NaN pixel is refused at admission with
+/// 400, never answered as a class, and the gateway keeps serving.
+#[test]
+fn a_nan_clip_body_gets_400_and_never_reaches_the_queue() {
+    let server = Server::builder(Pipeline::builder(model()))
+        .with_workers(1)
+        .build()
+        .expect("server assembly");
+    let gateway = Gateway::builder(server).bind().expect("bind");
+    let addr = gateway.local_addr();
+    let clean = &clips(1)[0];
+    let mut poisoned = clean.clone();
+    poisoned.as_mut_slice()[17] = f32::NAN;
+
+    let reply = Client::connect(addr).send("POST", "/v1/classify", &[], &clip_bytes(&poisoned));
+    assert_eq!(reply.status, 400, "{}", reply.text());
+    assert!(reply.text().contains("NaN"), "{}", reply.text());
+    let reply = classify(&mut Client::connect(addr), clean);
+    assert_eq!(reply.status, 200, "{}", reply.text());
+
+    let (gateway_stats, server_stats) = gateway.shutdown();
+    assert_eq!(
+        server_stats.submitted, 1,
+        "only the clean clip was admitted"
+    );
+    assert_eq!(server_stats.completed, 1);
+    assert_eq!(gateway_stats.requests_with_status(400), 1);
+}
+
 /// Gateway errors unify into `snappix::Error` for callers mixing layers.
 #[test]
 fn gateway_errors_unify_into_the_umbrella_error() {

@@ -17,14 +17,22 @@ use snappix::prelude::*;
 const THREAD_COUNTS: [usize; 3] = [2, 6, 64];
 
 fn model() -> SnapPixAr {
+    model_at(32)
+}
+
+fn model_at(side: usize) -> SnapPixAr {
     let mut rng = StdRng::seed_from_u64(33);
     let mask = patterns::random(8, (8, 8), 0.5, &mut rng).expect("valid dims");
-    SnapPixAr::new(VitConfig::snappix_s(32, 32, 7), mask).expect("geometry")
+    SnapPixAr::new(VitConfig::snappix_s(side, side, 7), mask).expect("geometry")
 }
 
 fn clips(batch: usize) -> Tensor {
+    clips_at(batch, 32)
+}
+
+fn clips_at(batch: usize, side: usize) -> Tensor {
     let mut rng = StdRng::seed_from_u64(34);
-    Tensor::rand_uniform(&mut rng, &[batch, 8, 32, 32], 0.0, 1.0)
+    Tensor::rand_uniform(&mut rng, &[batch, 8, side, side], 0.0, 1.0)
 }
 
 /// The full inference engine — algorithmic sensing plus the ViT forward
@@ -93,6 +101,73 @@ fn sharded_inference_matches_serial_at_every_batch_size() {
                 reference[k].logits.as_slice(),
                 "logits must be bit-for-bit at batch {n}, {threads} threads"
             );
+        }
+    }
+}
+
+/// Runs each batch through one pipeline at `threads`, on the hardware
+/// sensor or the algorithmic encoder.
+fn infer_batches(
+    side: usize,
+    hardware: bool,
+    threads: usize,
+    batches: &[Tensor],
+) -> Vec<Inference> {
+    let builder = Pipeline::builder(model_at(side)).with_threads(threads);
+    if hardware {
+        let mut p = builder
+            .with_hardware_sensor(ReadoutConfig::noiseless(12, 8.0))
+            .expect("sensor assembly")
+            .build()
+            .expect("assembly");
+        batches
+            .iter()
+            .map(|b| p.infer(b).expect("inference"))
+            .collect()
+    } else {
+        let mut p = builder.build().expect("assembly");
+        batches
+            .iter()
+            .map(|b| p.infer(b).expect("inference"))
+            .collect()
+    }
+}
+
+/// The pipeline only shards a batch whose forward work is worth two
+/// workers, so this case picks geometries where every batch clears that
+/// bar: 32x32 at 8-9 clips and 64x64 (about 1.70 M MACs per clip) at
+/// 2-3. Several plans leave the shard count indivisible by the worker
+/// count (32x32x8 at 3 threads: four shards on three workers; 64x64x3
+/// at 2: three 1-clip shards on two). Both backends must give the
+/// serial logits bit for bit.
+#[test]
+fn every_sharded_batch_matches_serial_on_both_backends() {
+    // Two workers' worth of the pipeline's 2^19-MAC-per-worker floor.
+    const SHARDS_ABOVE: usize = 2 << 19;
+    for (side, sizes) in [(32usize, [8usize, 9]), (64, [2, 3])] {
+        let macs = VitConfig::snappix_s(side, side, 7).macs_per_clip();
+        let all = clips_at(sizes[1], side);
+        let batches: Vec<Tensor> = sizes
+            .iter()
+            .map(|&n| {
+                assert!(n * macs >= SHARDS_ABOVE, "{side}x{side}x{n} must shard");
+                all.slice_axis(0, 0, n).expect("prefix batch")
+            })
+            .collect();
+        for hardware in [false, true] {
+            let reference = infer_batches(side, hardware, 1, &batches);
+            for threads in [2usize, 3, 6, 64] {
+                let outs = infer_batches(side, hardware, threads, &batches);
+                for ((out, want), n) in outs.iter().zip(&reference).zip(sizes) {
+                    let what = format!("{side}x{side}x{n}, hardware {hardware}, {threads} threads");
+                    assert_eq!(out.labels, want.labels, "{what}");
+                    assert_eq!(
+                        out.logits.as_slice(),
+                        want.logits.as_slice(),
+                        "logits must be bit-for-bit at {what}"
+                    );
+                }
+            }
         }
     }
 }

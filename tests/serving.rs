@@ -273,6 +273,50 @@ fn bad_clips_and_shutdown_are_rejected_at_the_door() {
     assert_eq!(label, direct.label);
 }
 
+/// A clip with a NaN or infinite pixel is refused at the door like a
+/// misshapen one: it would otherwise come back as NaN logits read as
+/// class 0. Nothing is admitted for it, and the server's next answer is
+/// still bit for bit the serial pipeline's.
+#[test]
+fn non_finite_clips_are_rejected_at_the_door() {
+    let server = Server::builder(Pipeline::builder(model()))
+        .with_workers(1)
+        .build()
+        .expect("server assembly");
+    let clean = &clips(1)[0];
+    for (pixel, poison) in [
+        (0, f32::NAN),
+        (100, f32::INFINITY),
+        (1023, f32::NEG_INFINITY),
+    ] {
+        let mut clip = clean.clone();
+        clip.as_mut_slice()[pixel] = poison;
+        match server.try_submit(&clip) {
+            Err(ServeError::BadClip { context }) => {
+                assert!(context.contains(&format!("pixel {pixel}")), "{context}");
+            }
+            other => panic!("{poison} pixel admitted: {other:?}"),
+        }
+        assert!(matches!(
+            server.submit(&clip),
+            Err(ServeError::BadClip { .. })
+        ));
+    }
+    let stats = server.stats();
+    assert_eq!(stats.submitted, 0, "poisoned clips never reach the queue");
+    assert_eq!(stats.check_conserved(), Ok(0));
+
+    let served = server.infer_clip(clean).expect("clean clip served");
+    let mut serial = Pipeline::builder(model()).build().expect("assembly");
+    let reference = serial.infer_clip(clean).expect("serial inference");
+    assert_eq!(served.label, reference.label);
+    let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&served.logits), bits(&reference.logits));
+    let stats = server.shutdown();
+    assert_eq!((stats.submitted, stats.completed), (1, 1));
+    assert_eq!(stats.check_conserved(), Ok(0));
+}
+
 /// The hardware-sensor path serves through replicas too (each replica
 /// clones the readout chain), and agrees with the algorithmic path on
 /// the decision for a noiseless ADC.
