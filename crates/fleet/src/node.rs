@@ -303,7 +303,9 @@ impl<'a> Node<'a> {
     }
 
     /// Submits one window under the configured overload policy; on a
-    /// declined admission (SkipWindow) the window degrades to shed.
+    /// declined admission (SkipWindow), or when the server refuses the
+    /// window as a bad clip (a NaN or infinite pixel), the window
+    /// degrades to shed and the node goes on.
     fn submit(
         &mut self,
         at_us: u64,
@@ -326,9 +328,9 @@ impl<'a> Node<'a> {
                 self.in_flight = Some((index, ticket));
                 Ok(true)
             }
-            Err(ServeError::Overloaded { .. }) => {
-                // Server-side shed: the capture happened, readout and
-                // transmission did not.
+            Err(ServeError::Overloaded { .. } | ServeError::BadClip { .. }) => {
+                // Server-side shed, on overload or a clip refused for a
+                // non-finite pixel: the node pays for the capture only.
                 self.shed_window(at_us, index);
                 Ok(false)
             }

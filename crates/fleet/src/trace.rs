@@ -24,9 +24,10 @@ pub enum TraceKind {
         label: usize,
     },
     /// The window was captured but shed before readout (the
-    /// [`Shed`](DutyRung::Shed) rung, an unaffordable inference, or the
+    /// [`Shed`](DutyRung::Shed) rung, an unaffordable inference, the
     /// server declining admission under
-    /// [`SkipWindow`](snappix_stream::OverloadPolicy::SkipWindow)).
+    /// [`SkipWindow`](snappix_stream::OverloadPolicy::SkipWindow), or the
+    /// server refusing a window with a NaN or infinite pixel).
     Shed,
     /// The node slept through the window (the [`Sleep`](DutyRung::Sleep)
     /// rung, a rate-skip at a reduced rung, or nothing left to spend).

@@ -163,10 +163,12 @@ impl CeSensor {
     /// shift chains never leave their tile, and per-pixel reset, exposure
     /// and transfer are purely local, so bands are fully independent.
     /// Each stream clocks a tile's register words in place, up to 64
-    /// edges per word op, so a capture costs a few steps per pixel and
-    /// slot. The bands run one after another on the calling thread, so
-    /// the result does not depend on `SNAPPIX_THREADS`; serve replicas
-    /// each own a sensor and capture concurrently.
+    /// edges per word op; the band's bits are then spread to one byte per
+    /// pixel, eight at a time, and reset, exposure and transfer are
+    /// branch-free selects over the band, so a capture costs a few steps
+    /// per pixel and slot. The bands run one after another on the calling
+    /// thread, so the result does not depend on `SNAPPIX_THREADS`; serve
+    /// replicas each own a sensor and capture concurrently.
     ///
     /// # Errors
     ///
@@ -221,6 +223,10 @@ impl CeSensor {
         self.dff.fill(0);
         self.gated.fill(0);
         let (band_len, band_words) = (th * w, (w / tw) * words);
+        // The band's DFF bits, one byte per pixel, and the register words
+        // they were read from.
+        let mut set = vec![0u8; band_len];
+        let mut read = vec![0u64; band_words];
         let charges = self
             .pd
             .chunks_exact_mut(band_len)
@@ -236,16 +242,23 @@ impl CeSensor {
                 // (gating is done purely through reset and transfer).
                 stream_band(dff, gated, edges, chain_len, &full, &mut carries);
                 let frame = &clip[(slot * h + band * th) * w..][..band_len];
-                for_each_bit(dff, words, th, tw, |i, set| {
-                    pd[i] = (if set { 0.0 } else { pd[i] }) + frame[i] * SLOT_DT;
-                });
+                read_bits(dff, words, th, tw, &mut set);
+                read.copy_from_slice(dff);
+                for ((p, &f), &s) in pd.iter_mut().zip(frame).zip(&set) {
+                    *p = f32::from_bits(p.to_bits() & keep(s)) + f * SLOT_DT;
+                }
                 // Phase 3: re-stream the same bits; `M7` moves the PD
                 // charge of the pixels whose bit is set into their FD.
+                // The bits are re-read only if the stream changed them.
                 stream_band(dff, gated, edges, chain_len, &full, &mut carries);
-                for_each_bit(dff, words, th, tw, |i, set| {
-                    fd[i] = if set { fd[i] + pd[i] } else { fd[i] };
-                    pd[i] = if set { 0.0 } else { pd[i] };
-                });
+                if dff != read.as_slice() {
+                    read_bits(dff, words, th, tw, &mut set);
+                }
+                for ((p, q), &s) in pd.iter_mut().zip(fd.iter_mut()).zip(&set) {
+                    let keep = keep(s);
+                    *q = f32::from_bits(((*q + *p).to_bits() & !keep) | (q.to_bits() & keep));
+                    *p = f32::from_bits(p.to_bits() & keep);
+                }
             }
         }
         // Protocol accounting is deterministic in the geometry: two
@@ -277,23 +290,58 @@ fn chain_mask(chain_len: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Calls `op(i, bit)` for every pixel of a band of `th` rows, in
-/// row-major order: `i` is the pixel's index in the band, `bit` its DFF
-/// bit, read from `dff`, the band's registers of `words` words each.
-/// Pixel `(r, x)` of the band is chain position `r * tw + x % tw` of
-/// register `x / tw`.
-#[inline(always)]
-fn for_each_bit(dff: &[u64], words: usize, th: usize, tw: usize, mut op: impl FnMut(usize, bool)) {
-    let mut i = 0;
-    for r in 0..th {
-        for register in dff.chunks_exact(words) {
-            for k in r * tw..(r + 1) * tw {
-                op(i, chain_bit(register, k));
-                i += 1;
+/// Writes every DFF bit of a band of `th` rows into `set` as 0 or 1, the
+/// band's pixels row-major. Pixel `(r, x)` of the band is chain position
+/// `r * tw + x % tw` of register `x / tw`, so each register's row is a run
+/// of `tw` positions, read eight at a time.
+fn read_bits(dff: &[u64], words: usize, th: usize, tw: usize, set: &mut [u8]) {
+    let w = set.len() / th;
+    for (x0, register) in (0..w).step_by(tw).zip(dff.chunks_exact(words)) {
+        for (r, row) in set.chunks_exact_mut(w).enumerate() {
+            for (c, run) in row[x0..x0 + tw].chunks_mut(8).enumerate() {
+                let bytes = SPREAD[usize::from(byte_at(register, r * tw + 8 * c))].to_le_bytes();
+                match <&mut [u8; 8]>::try_from(&mut *run) {
+                    Ok(run) => *run = bytes,
+                    Err(_) => run.copy_from_slice(&bytes[..run.len()]),
+                }
             }
         }
     }
 }
+
+/// The eight chain bits of `register` from position `k` up, bit `j` of
+/// the result being position `k + j` (positions past the last word read
+/// 0).
+fn byte_at(register: &[u64], k: usize) -> u8 {
+    let (word, bit) = (k / 64, k % 64);
+    let high = match register.get(word + 1) {
+        Some(&next) if bit > 56 => next << (64 - bit),
+        _ => 0,
+    };
+    ((register[word] >> bit) | high) as u8
+}
+
+/// All ones where DFF bit `s` (0 or 1) is clear, zero where it is set:
+/// `x & keep(s)` selects `x` or `+0.0` without a branch.
+#[inline(always)]
+fn keep(s: u8) -> u32 {
+    u32::from(s).wrapping_sub(1)
+}
+
+/// `SPREAD[b]` holds bit `j` of `b` in its byte `j`.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            table[b] |= ((b as u64 >> j) & 1) << (8 * j);
+            j += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// Packs one slot's CE bits into the edge sequence a stream clocks in:
 /// bit `c` of `seq` is the bit entering every chain on clock edge `c`,

@@ -645,13 +645,17 @@ where
     ///
     /// Batching is the throughput path: per-clip graph construction and
     /// tensor allocation are amortized over the whole batch. When the
-    /// batch's forward work pays for more than one worker (at least
-    /// 2^19 multiply-adds each, so at 16x16 no batch of 13 clips or
-    /// fewer, at 32x32 batches of 4 and up) the forward pass is sharded
-    /// by clip, about two shards per worker, on the calling thread plus
-    /// scoped helpers; sensing stays on the calling thread. Logits are
-    /// bit-for-bit the same at every thread count. The `offline_batch`
-    /// workload of the `perfbench` benchmark measures this path.
+    /// batch's forward work (its size times
+    /// [`VitConfig::macs_per_clip`](snappix_models::VitConfig::macs_per_clip))
+    /// pays for more than one worker, the forward pass is sharded by
+    /// clip, about two shards per worker, on the calling thread plus
+    /// scoped helpers; smaller batches are one pass on the calling
+    /// thread. The per-worker floor, the spawn cost it was measured
+    /// against and the batch sizes it keeps serial are documented at
+    /// `FORWARD_MACS_PER_WORKER` in this module's source. Sensing stays
+    /// on the calling thread. Logits are bit-for-bit the same at every
+    /// thread count. The `offline_batch` workload of the `perfbench`
+    /// benchmark measures this path.
     ///
     /// An *empty* batch (`[0, t, h, w]`, any trailing extents) is
     /// well-defined and returns an empty [`Inference`] without touching
@@ -783,12 +787,20 @@ where
 }
 
 /// Forward multiply-adds a clip-shard worker must receive before a
-/// scoped helper is worth spawning: about 130 µs of forward work on a
-/// 2-vCPU box, at least 2.5x the 51–56 µs median that spawning and
-/// joining a scoped helper was measured to cost there (its p90 is
-/// 110–175 µs). Fed to [`parallel::workers_for`] with the batch's
+/// scoped helper is worth spawning. This is the one place that records
+/// the measurement behind the workspace's parallel floors; other docs
+/// refer here.
+///
+/// Measured on a 2-vCPU box, spawning and joining one scoped helper
+/// costs a median of 51–56 µs (p90 110–175 µs, p99 2.2–2.9 ms), and the
+/// helper starts about 40 µs late at the median. 2^19 multiply-adds are
+/// about 130 µs of forward work there, at least 2.5x that median.
+///
+/// Fed to [`parallel::workers_for`] with the batch's
 /// [`VitConfig::macs_per_clip`](snappix_models::VitConfig::macs_per_clip)
-/// total, so a 16x16 SnapPix-S batch of up to 13 clips stays one pass.
+/// total. For SnapPix-S with 10 classes (76,096 multiply-adds per clip
+/// at 16x16, 328,000 at 32x32) a 16x16 batch of up to 13 clips stays
+/// one pass, and at 32x32 batches of 4 and up shard.
 const FORWARD_MACS_PER_WORKER: usize = 1 << 19;
 
 /// How [`Pipeline`]'s forward splits a batch: `workers` threads claim

@@ -7,12 +7,12 @@ use std::fmt;
 /// Everything that can go wrong between a frame entering a stream and
 /// its window's result (or drop) being accounted for.
 ///
-/// Policy *outcomes* — a window shed under overload, a deadline expiring
-/// — are not errors: they are counted in
-/// [`StreamStats`](crate::StreamStats) and recorded per window. This
-/// enum covers genuine failures: misconfiguration, geometry mismatches,
-/// a source that cannot produce frames, or a serving failure that is not
-/// an overload/deadline outcome.
+/// Policy *outcomes* — a window shed under overload, a deadline
+/// expiring, a window the server refuses as a bad clip — are not errors:
+/// they are counted in [`StreamStats`](crate::StreamStats) and recorded
+/// per window. This enum covers genuine failures: misconfiguration,
+/// geometry mismatches, a source that cannot produce frames, or a
+/// serving failure that is not one of those outcomes.
 ///
 /// The enum is `#[non_exhaustive]`: the streaming layer can grow failure
 /// modes without a breaking release.

@@ -145,11 +145,18 @@ pub enum WindowOutcome {
     Shed,
     /// Its deadline expired in the server queue.
     Expired,
+    /// The server refused the window at admission as a bad clip (a NaN
+    /// or infinite pixel); the session goes on with the next window.
+    Refused {
+        /// The server's description of what was wrong with the clip.
+        reason: String,
+    },
 }
 
 /// The one record a session hands its sink per assembled window.
-/// Inferred and expired windows arrive in window order; a shed window
-/// arrives when it is shed, possibly before an older window's answer.
+/// Inferred and expired windows arrive in window order; a shed or
+/// refused window arrives when it is dropped, possibly before an older
+/// window's answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowResult {
     /// Window index `k` (window covers frames `[k * hop, k * hop + t)`).
@@ -186,6 +193,7 @@ struct Telemetry {
     inferred: Counter,
     shed: Counter,
     expired: Counter,
+    refused: Counter,
     events: Counter,
     latency: Histogram,
 }
@@ -212,6 +220,10 @@ impl Telemetry {
             expired: registry.counter(
                 "snappix_stream_expired_total",
                 "Windows whose deadline expired in the serving queue.",
+            ),
+            refused: registry.counter(
+                "snappix_stream_refused_total",
+                "Windows the server refused at admission as a bad clip.",
             ),
             events: registry.counter(
                 "snappix_stream_events_total",
@@ -301,6 +313,7 @@ pub struct StreamSession<'a> {
     inferred: u64,
     shed: u64,
     expired: u64,
+    refused: u64,
     events: u64,
     /// This stream's window latencies, next to the registry's shared
     /// cell (which aggregates every stream on the server).
@@ -345,6 +358,7 @@ impl<'a> StreamSession<'a> {
             inferred: 0,
             shed: 0,
             expired: 0,
+            refused: 0,
             events: 0,
             latency: Histogram::standalone(HistogramOpts::nanos()),
             telemetry: Telemetry::new(server.metrics()),
@@ -365,6 +379,7 @@ impl<'a> StreamSession<'a> {
             inferred: self.inferred,
             shed: self.shed,
             expired: self.expired,
+            refused: self.refused,
             events: self.events,
             latency: LatencySummary::from_histogram(&self.latency.snapshot()),
         }
@@ -419,7 +434,7 @@ impl<'a> StreamSession<'a> {
         mut self,
         sink: &mut impl FnMut(WindowResult),
     ) -> Result<StreamReport, StreamError> {
-        self.drain_pending()?;
+        self.drain_pending(sink)?;
         while let Some(p) = self.pending.pop_front() {
             self.emit(p.index, WindowOutcome::Shed, sink);
         }
@@ -428,7 +443,7 @@ impl<'a> StreamSession<'a> {
         }
         let stats = self.stats();
         debug_assert_eq!(
-            stats.inferred + stats.shed + stats.expired,
+            stats.inferred + stats.shed + stats.expired + stats.refused,
             stats.windows,
             "window accounting must be conserved"
         );
@@ -441,19 +456,29 @@ impl<'a> StreamSession<'a> {
 
     /// Routes one completed window through the overload policy: block
     /// for queue room, or buffer it and shed the oldest windows beyond
-    /// the buffer's cap.
+    /// the buffer's cap. A window the server refuses as a bad clip is
+    /// accounted as refused under every policy.
     fn admit(
         &mut self,
         window: PendingWindow,
         sink: &mut impl FnMut(WindowResult),
     ) -> Result<(), StreamError> {
         let Some(cap) = self.buffer else {
-            let ticket = self.server.submit_within(&window.window, self.deadline)?;
-            self.in_flight.push_back(window.admitted(ticket));
+            match self.server.submit_within(&window.window, self.deadline) {
+                Ok(ticket) => self.in_flight.push_back(window.admitted(ticket)),
+                Err(ServeError::BadClip { context }) => {
+                    self.emit(
+                        window.index,
+                        WindowOutcome::Refused { reason: context },
+                        sink,
+                    );
+                }
+                Err(e) => return Err(e.into()),
+            }
             return Ok(());
         };
         self.pending.push_back(window);
-        self.drain_pending()?;
+        self.drain_pending(sink)?;
         while self.pending.len() > cap {
             let victim = self.pending.pop_front().expect("len checked");
             self.emit(victim.index, WindowOutcome::Shed, sink);
@@ -462,8 +487,9 @@ impl<'a> StreamSession<'a> {
     }
 
     /// Tries to move buffered windows into the server, oldest first, so
-    /// submission order always equals window order.
-    fn drain_pending(&mut self) -> Result<(), StreamError> {
+    /// submission order always equals window order. A refused window
+    /// leaves the buffer, so it cannot block the windows behind it.
+    fn drain_pending(&mut self, sink: &mut impl FnMut(WindowResult)) -> Result<(), StreamError> {
         while let Some(front) = self.pending.front() {
             match self.server.try_submit_within(&front.window, self.deadline) {
                 Ok(ticket) => {
@@ -471,6 +497,10 @@ impl<'a> StreamSession<'a> {
                     self.in_flight.push_back(p.admitted(ticket));
                 }
                 Err(ServeError::Overloaded { .. }) => break,
+                Err(ServeError::BadClip { context }) => {
+                    let p = self.pending.pop_front().expect("front checked");
+                    self.emit(p.index, WindowOutcome::Refused { reason: context }, sink);
+                }
                 Err(e) => return Err(e.into()),
             }
         }
@@ -542,6 +572,10 @@ impl<'a> StreamSession<'a> {
             WindowOutcome::Expired => {
                 self.expired += 1;
                 self.telemetry.expired.inc();
+            }
+            WindowOutcome::Refused { .. } => {
+                self.refused += 1;
+                self.telemetry.refused.inc();
             }
         }
         sink(WindowResult {

@@ -10,7 +10,7 @@ use std::fmt;
 /// [`StreamStats::aggregate`], for a whole multi-stream run.
 ///
 /// Accounting is conserved per stream: every assembled window ends up in
-/// exactly one of `inferred`, `shed`, or `expired`.
+/// exactly one of `inferred`, `shed`, `expired`, or `refused`.
 ///
 /// End-to-end latency is measured per inferred window from the instant
 /// its last frame arrived (the window *could* first exist) to the
@@ -32,6 +32,9 @@ pub struct StreamStats {
     pub shed: u64,
     /// Windows whose per-window deadline expired in the server queue.
     pub expired: u64,
+    /// Windows the server refused at admission as a bad clip (a NaN or
+    /// infinite pixel).
+    pub refused: u64,
     /// Label-change events emitted.
     pub events: u64,
     /// End-to-end (window-complete to prediction-received) latency.
@@ -63,6 +66,7 @@ impl StreamStats {
             total.inferred += s.inferred;
             total.shed += s.shed;
             total.expired += s.expired;
+            total.refused += s.refused;
             total.events += s.events;
             latency = Some(match latency {
                 None => report.latency_histogram.clone(),
@@ -80,13 +84,14 @@ impl fmt::Display for StreamStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} frames -> {} windows ({} inferred, {} shed, {} expired), {} events; \
+            "{} frames -> {} windows ({} inferred, {} shed, {} expired, {} refused), {} events; \
              e2e latency p50 {:.2?} p95 {:.2?} p99 {:.2?} max {:.2?}",
             self.frames,
             self.windows,
             self.inferred,
             self.shed,
             self.expired,
+            self.refused,
             self.events,
             self.latency.p50,
             self.latency.p95,
@@ -127,6 +132,7 @@ mod tests {
             inferred: 18,
             shed: 2,
             expired: 0,
+            refused: 0,
             events: 3,
             latency: LatencySummary::default(),
         };
@@ -136,6 +142,7 @@ mod tests {
             inferred: 7,
             shed: 1,
             expired: 2,
+            refused: 0,
             events: 1,
             latency: LatencySummary::default(),
         };
@@ -158,5 +165,18 @@ mod tests {
         let text = total.to_string();
         assert!(text.contains("25 inferred"));
         assert!(text.contains("p99"));
+    }
+
+    #[test]
+    fn aggregate_sums_refused_windows() {
+        let refused = StreamStats {
+            windows: 3,
+            inferred: 1,
+            refused: 2,
+            ..StreamStats::default()
+        };
+        let total = StreamStats::aggregate([&report(refused.clone(), &[]), &report(refused, &[])]);
+        assert_eq!((total.windows, total.inferred, total.refused), (6, 2, 4));
+        assert!(total.to_string().contains("4 refused"));
     }
 }

@@ -568,9 +568,10 @@ const NR: usize = 8;
 const JC: usize = 128;
 /// Multiply-adds each scoped worker must receive before it is worth
 /// spawning: a slab of this size runs about 37 µs serially at about
-/// 7 GMAC/s on a 2-vCPU box, where spawning and joining a scoped helper
-/// was measured at a 51–56 µs median. The effective worker count is
-/// `min(current_threads, work / PAR_FLOPS_PER_WORKER)`, so small
+/// 7 GMAC/s on a 2-vCPU box, less than spawning and joining a scoped
+/// helper was measured to cost there (see
+/// [`workers_for`](crate::parallel::workers_for)). The effective worker
+/// count is `min(current_threads, work / PAR_FLOPS_PER_WORKER)`, so small
 /// products stay on the calling thread and medium ones use fewer
 /// workers than the machine has. A product just past two workers'
 /// worth therefore gains little from its helper; the split pays from

@@ -229,13 +229,10 @@ where
 /// ViT forward 2.3x when oversubscribed; CHANGES.md records it). Scaling
 /// the worker count by the work keeps each spawn paid for, on any
 /// machine and under any `SNAPPIX_THREADS` setting. Callers pick
-/// `min_per_worker` so a slice runs tens to hundreds of µs. Measured on
-/// a 2-vCPU box, one scoped helper costs a median of 51–56 µs to spawn
-/// and join (p90 110–175 µs, p99 2.2–2.9 ms) and starts about 40 µs
-/// late at the median, so a floor must be well above that: the tensor
-/// matmul's `PAR_FLOPS_PER_WORKER` (2^18 multiply-adds) is about 37 µs
-/// of matmul at about 7 GMAC/s, and the pipeline's clip-shard floor
-/// (2^19 forward multiply-adds) about 130 µs.
+/// `min_per_worker` so a slice runs well above what spawning and joining
+/// a scoped helper costs. That cost was measured for the pipeline's
+/// clip-shard floor; the numbers are in the doc of
+/// `FORWARD_MACS_PER_WORKER` in `crates/snappix/src/pipeline.rs`.
 pub fn workers_for(work: usize, min_per_worker: usize) -> usize {
     current_threads().min(work / min_per_worker.max(1)).max(1)
 }

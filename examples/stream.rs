@@ -5,7 +5,7 @@
 //!
 //! Events print from the run's sink as they happen. The example exits
 //! nonzero unless, for every stream, the sink received one record per
-//! assembled window and its inferred/shed/expired counts equal the
+//! assembled window and its inferred/shed/expired/refused counts equal the
 //! stream's stats.
 //!
 //! Run with `cargo run --release --example stream`. Environment knobs:
@@ -30,6 +30,7 @@ struct Tally {
     inferred: u64,
     shed: u64,
     expired: u64,
+    refused: u64,
 }
 
 fn main() -> Result<(), snappix::Error> {
@@ -93,6 +94,7 @@ fn main() -> Result<(), snappix::Error> {
             }
             WindowOutcome::Shed => tally.shed += 1,
             WindowOutcome::Expired => tally.expired += 1,
+            WindowOutcome::Refused { .. } => tally.refused += 1,
         }
     })?;
 
@@ -113,6 +115,7 @@ fn main() -> Result<(), snappix::Error> {
             inferred: s.inferred,
             shed: s.shed,
             expired: s.expired,
+            refused: s.refused,
         };
         if *seen != want {
             eprintln!(

@@ -290,6 +290,63 @@ fn unbounded_nodes_infer_every_window_and_match_offline_labels() {
     assert_eq!(streamed, offline, "fleet labels == offline labels");
 }
 
+/// A window with a NaN or infinite pixel is refused by the server; the
+/// node sheds it and goes on, and every other window is still inferred
+/// with its offline label.
+#[test]
+fn a_poisoned_window_is_shed_and_the_node_goes_on() {
+    let server = server(1);
+    let clean = fleet_videos(1).remove(0);
+    let hop = 4;
+    // Frames 9 and 25 each lie in exactly one window [4k, 4k + 4).
+    let mut frames = clean.frames().clone();
+    for (t, value) in [(9, f32::NAN), (25, f32::INFINITY)] {
+        frames.as_mut_slice()[t * HW * HW] = value;
+    }
+    let video = Video::new(frames).expect("same geometry");
+    let mut sim = FleetSim::new(&server);
+    sim.add_node(
+        ReplaySource::new(video),
+        NodeConfig::new(T, hop)
+            .with_smoothing(Smoothing::Off)
+            .with_hysteresis(1),
+    )
+    .expect("valid node");
+    let report = sim.run().expect("a poisoned window does not fail the run");
+    server.shutdown();
+
+    let stats = &report.nodes[0].stats;
+    let windows = ((FRAMES - T) / hop + 1) as u64;
+    assert_eq!(stats.windows, windows);
+    assert_eq!((stats.inferred, stats.shed), (windows - 2, 2));
+    assert_eq!((stats.expired, stats.slept), (0, 0));
+    assert!(report.check_conserved());
+    let shed: Vec<usize> = report
+        .trace
+        .iter()
+        .filter(|e| e.kind == TraceKind::Shed)
+        .map(|e| e.window)
+        .collect();
+    assert_eq!(shed, [2, 6]);
+
+    let mut pipeline = Pipeline::builder(model()).build().expect("pipeline");
+    let offline: Vec<usize> = clean
+        .windows(T, hop)
+        .enumerate()
+        .filter(|(k, _)| !shed.contains(k))
+        .map(|(_, w)| pipeline.infer_clip(&w).expect("offline inference").label)
+        .collect();
+    let streamed: Vec<usize> = report
+        .trace
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::Inferred { label } => Some(label),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(streamed, offline);
+}
+
 #[test]
 fn a_draining_budget_walks_the_ladder_and_harvest_recovers_it() {
     let cost = infer_cost();

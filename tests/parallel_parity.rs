@@ -63,11 +63,12 @@ fn pipeline_inference_is_thread_count_invariant() {
     }
 }
 
-/// `infer` shards each batch by clip across the pipeline's threads
-/// (about two shards per thread, the caller working one of them). The
-/// sharded logits must equal the serial pass bit for bit at every batch
-/// size, including batches smaller than, equal to and not divisible by
-/// the shard count. One pipeline per thread count serves every batch
+/// `infer` shards a batch by clip across the pipeline's threads when
+/// its forward work pays for more than one worker (about two shards per
+/// worker, the caller working one of them). At this 32x32 geometry
+/// batches of 1-3 clips run as one serial pass and batches of 8 and 9
+/// shard, on fewer workers than 6 or 64 threads offer. The logits must
+/// equal the serial pass bit for bit at every batch size. One pipeline per thread count serves every batch
 /// size in turn, so its per-shard session pools grow, sit partly idle
 /// and are reused across calls.
 #[test]
@@ -88,7 +89,8 @@ fn sharded_inference_matches_serial_at_every_batch_size() {
             .with_threads(threads)
             .build()
             .expect("assembly");
-        // The shard count rises and falls: 1, 2, 3, 8, 9, 8, then 1 clip.
+        // Serial and sharded batches alternate: 1, 2 and 3 clips run as
+        // one pass, 8 and 9 shard, then 8 and 1 again.
         for k in [0usize, 1, 2, 3, 4, 3, 0] {
             let n = BATCHES[k];
             let out = p.infer(&batch(n)).expect("sharded inference");
@@ -142,7 +144,8 @@ fn infer_batches(
 /// serial logits bit for bit.
 #[test]
 fn every_sharded_batch_matches_serial_on_both_backends() {
-    // Two workers' worth of the pipeline's 2^19-MAC-per-worker floor.
+    // Two workers' worth of the pipeline's per-worker floor; keep in
+    // step with `FORWARD_MACS_PER_WORKER` in crates/snappix/src/pipeline.rs.
     const SHARDS_ABOVE: usize = 2 << 19;
     for (side, sizes) in [(32usize, [8usize, 9]), (64, [2, 3])] {
         let macs = VitConfig::snappix_s(side, side, 7).macs_per_clip();

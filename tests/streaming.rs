@@ -350,6 +350,94 @@ fn overload_policies_are_deterministic_under_a_saturated_server() {
     assert!(dummy.wait().is_ok(), "the parked request is still served");
 }
 
+/// `video` with pixel 0 of each listed frame set to the given value.
+fn poisoned(video: &Video, pixels: &[(usize, f32)]) -> Video {
+    let mut frames = video.frames().clone();
+    let frame_len = video.height() * video.width();
+    for &(t, value) in pixels {
+        frames.as_mut_slice()[t * frame_len] = value;
+    }
+    Video::new(frames).expect("same geometry")
+}
+
+/// The server refuses a window with a NaN or infinite pixel at
+/// admission. Under every overload policy the session records that
+/// window as refused and goes on: the windows after it are still
+/// inferred, bit for bit the offline pipeline, and `finish` reports a
+/// conserved ledger.
+#[test]
+fn a_poisoned_window_is_refused_and_the_stream_goes_on() {
+    let (clean, hop) = (&workload()[0].0, 3);
+    let windows = (FRAMES - T) / hop + 1; // 12
+                                          // Each poisoned frame lies in exactly one window [3k, 3k + 4).
+    let video = poisoned(
+        clean,
+        &[(10, f32::NAN), (20, f32::INFINITY), (32, f32::NEG_INFINITY)],
+    );
+    let refused = vec![3, 6, 10];
+    let reference = offline_reference(
+        Pipeline::builder(model()).build().expect("assembly"),
+        &[(clean.clone(), hop)],
+    )
+    .remove(0);
+
+    for overload in [
+        OverloadPolicy::Block,
+        OverloadPolicy::SkipWindow,
+        OverloadPolicy::DropOldest { pending: 2 },
+    ] {
+        // A queue as deep as the stream: no window is ever shed.
+        let server = Server::builder(Pipeline::builder(model()))
+            .with_workers(1)
+            .with_queue_depth(windows)
+            .build()
+            .expect("server assembly");
+        let session = StreamSession::new(0, &server, raw_config(hop).with_overload(overload))
+            .expect("session");
+        let (report, records) = stream_video(session, &video);
+        let s = &report.stats;
+        let inferred = (windows - refused.len()) as u64;
+        assert_eq!(
+            (s.windows, s.inferred, s.refused, s.shed, s.expired),
+            (windows as u64, inferred, refused.len() as u64, 0, 0),
+            "{overload:?}"
+        );
+        assert_eq!(
+            records.len(),
+            windows,
+            "{overload:?}: one record per window"
+        );
+        let dropped: Vec<usize> = drops(&records)
+            .into_iter()
+            .map(|(index, outcome)| {
+                let WindowOutcome::Refused { reason } = outcome else {
+                    panic!("{overload:?}: window {index} dropped as {outcome:?}");
+                };
+                assert!(reason.contains("finite"), "{reason}");
+                index
+            })
+            .collect();
+        assert_eq!(dropped, refused, "{overload:?}");
+        for record in &records {
+            if let WindowOutcome::Inferred { prediction, .. } = &record.outcome {
+                let offline = &reference[record.index];
+                assert_eq!(prediction.label, offline.label);
+                assert!(
+                    prediction.logits.approx_eq(&offline.logits, 0.0),
+                    "{overload:?} window {}: logits must be bit-for-bit offline",
+                    record.index
+                );
+            }
+        }
+        let page = server.metrics().render();
+        assert!(
+            page.contains("snappix_stream_refused_total 3\n"),
+            "{overload:?}:\n{page}"
+        );
+        assert_eq!(server.shutdown().completed, inferred, "{overload:?}");
+    }
+}
+
 /// Per-window deadlines expire queued windows server-side and are
 /// accounted as `expired`, not `shed` — deterministically so for a
 /// zero deadline, which is already stale when a worker claims it.
