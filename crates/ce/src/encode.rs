@@ -30,18 +30,7 @@ use snappix_tensor::{Tensor, TensorError};
 /// # }
 /// ```
 pub fn encode(video: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
-    integrate(video, 3, mask, false)
-}
-
-/// Like [`encode`] but divides every pixel by its exposure count, the
-/// normalization the paper applies before feeding the ViT (Sec. IV).
-/// Pixels never exposed are left at zero.
-///
-/// # Errors
-///
-/// Same conditions as [`encode`].
-pub fn encode_normalized(video: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
-    integrate(video, 3, mask, true)
+    integrate(video, 3, mask)
 }
 
 /// Encodes a `[batch, t, h, w]` batch into `[batch, h, w]` coded images.
@@ -51,38 +40,59 @@ pub fn encode_normalized(video: &Tensor, mask: &ExposureMask) -> Result<Tensor> 
 /// Same conditions as [`encode`], plus rank validation of the batch; an
 /// empty batch is a [`CeError::Tensor`] invalid-argument error.
 pub fn encode_batch(videos: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
-    integrate(videos, 4, mask, false)
-}
-
-/// Batched [`encode_normalized`].
-///
-/// # Errors
-///
-/// Same conditions as [`encode_batch`].
-pub fn encode_batch_normalized(videos: &Tensor, mask: &ExposureMask) -> Result<Tensor> {
-    integrate(videos, 4, mask, true)
+    integrate(videos, 4, mask)
 }
 
 /// Divides a raw `[h, w]` coded image, or each image of a `[batch, h, w]`
 /// batch, by each pixel's exposure count (the paper's pre-ViT
-/// normalization); unexposed pixels stay zero.
+/// normalization, Sec. IV); unexposed pixels stay zero.
 ///
-/// Useful when the coded image came from the hardware simulator rather
-/// than [`encode`], e.g. a digitized sensor readout.
-pub fn normalize_coded(coded: &Tensor, mask: &ExposureMask) -> Tensor {
-    let (h, w) = (
-        coded.shape()[coded.rank() - 2],
-        coded.shape()[coded.rank() - 1],
-    );
-    let count_rows = widen_rows(mask.exposure_counts().as_slice(), mask.tile().1, w);
-    let mut out = coded.clone();
-    for image in out.as_mut_slice().chunks_exact_mut(h * w) {
-        divide_by_counts(image, w, &count_rows);
+/// This is the one normalizer: the algorithmic encoder, the hardware
+/// readout and the models all run [`encode_batch`] (or a capture) and
+/// then this pass, in place on the tensor they hand over.
+///
+/// # Errors
+///
+/// Returns [`CeError::Tensor`] with a rank mismatch unless `coded` has
+/// rank 2 or 3, and [`CeError::InvalidMask`] when an image extent is zero
+/// or not a multiple of the mask's tile.
+pub fn normalize_coded(mut coded: Tensor, mask: &ExposureMask) -> Result<Tensor> {
+    let rank = coded.rank();
+    if !(2..=3).contains(&rank) {
+        return Err(CeError::Tensor(TensorError::RankMismatch {
+            expected: rank.clamp(2, 3),
+            got: rank,
+        }));
     }
-    out
+    let (h, w) = (coded.shape()[rank - 2], coded.shape()[rank - 1]);
+    check_frame(h, w, mask)?;
+    // Every image is a whole number of tile bands, so the `[th, w]`
+    // widened counts line up with the rows of the batch read as one.
+    let count_rows = widen_rows(mask.exposure_counts().as_slice(), mask.tile().1, w);
+    let counts = count_rows.chunks_exact(w).cycle();
+    for (row, count_row) in coded.as_mut_slice().chunks_exact_mut(w).zip(counts) {
+        for (x, &c) in row.iter_mut().zip(count_row) {
+            if c > 0.0 {
+                *x /= c;
+            }
+        }
+    }
+    Ok(coded)
 }
 
-/// The one integration loop behind the four encoders: `clips` is one
+/// Checks that the mask's tile divides an `h x w` frame with positive
+/// extents.
+fn check_frame(h: usize, w: usize, mask: &ExposureMask) -> Result<()> {
+    let (th, tw) = mask.tile();
+    if h == 0 || w == 0 || !h.is_multiple_of(th) || !w.is_multiple_of(tw) {
+        return Err(CeError::InvalidMask {
+            context: format!("tile {th}x{tw} does not divide frame {h}x{w}"),
+        });
+    }
+    Ok(())
+}
+
+/// The one integration loop behind both encoders: `clips` is one
 /// `[t, h, w]` clip (`rank` 3) or a `[batch, t, h, w]` batch (`rank` 4),
 /// and every clip is integrated straight into its slot of the output,
 /// which drops the `t` axis.
@@ -90,7 +100,7 @@ pub fn normalize_coded(coded: &Tensor, mask: &ExposureMask) -> Tensor {
 /// Per pixel the frames add in ascending order from `0.0`, each as
 /// `mask * value`, so a clip codes to the same bits alone or in any
 /// batch.
-fn integrate(clips: &Tensor, rank: usize, mask: &ExposureMask, normalize: bool) -> Result<Tensor> {
+fn integrate(clips: &Tensor, rank: usize, mask: &ExposureMask) -> Result<Tensor> {
     if clips.rank() != rank {
         return Err(CeError::Tensor(TensorError::RankMismatch {
             expected: rank,
@@ -112,19 +122,14 @@ fn integrate(clips: &Tensor, rank: usize, mask: &ExposureMask, normalize: bool) 
             ),
         });
     }
+    check_frame(h, w, mask)?;
     let (th, tw) = mask.tile();
-    if h == 0 || w == 0 || !h.is_multiple_of(th) || !w.is_multiple_of(tw) {
-        return Err(CeError::InvalidMask {
-            context: format!("tile {th}x{tw} does not divide frame {h}x{w}"),
-        });
-    }
     let out_shape: Vec<usize> = lead.iter().copied().chain([h, w]).collect();
     let mut out = Tensor::zeros(&out_shape);
     // `[t, th, w]`: every tile row of every slot, repeated across the frame
     // width once per call, so each slot's `th x w` block lines up with
     // every band of `th` frame rows.
     let mask_rows = widen_rows(mask.pattern().as_slice(), tw, w);
-    let count_rows = normalize.then(|| widen_rows(mask.exposure_counts().as_slice(), tw, w));
     let band = th * w;
     let images = out.as_mut_slice().chunks_exact_mut(h * w);
     for (clip, image) in clips.as_slice().chunks_exact(t * h * w).zip(images) {
@@ -139,9 +144,6 @@ fn integrate(clips: &Tensor, rank: usize, mask: &ExposureMask, normalize: bool) 
                 }
             }
         }
-        if let Some(count_rows) = &count_rows {
-            divide_by_counts(image, w, count_rows);
-        }
     }
     Ok(out)
 }
@@ -152,23 +154,6 @@ fn widen_rows(rows: &[f32], tw: usize, w: usize) -> Vec<f32> {
         .flat_map(|row| row.iter().cycle().take(w))
         .copied()
         .collect()
-}
-
-/// Divides each pixel of a row-major image `w` wide by its exposure
-/// count, read from `count_rows` (the `[th, w]` widened counts), leaving
-/// pixels no slot exposes untouched.
-fn divide_by_counts(image: &mut [f32], w: usize, count_rows: &[f32]) {
-    if image.is_empty() {
-        return;
-    }
-    let counts = count_rows.chunks_exact(w).cycle();
-    for (row, count_row) in image.chunks_exact_mut(w).zip(counts) {
-        for (x, &c) in row.iter_mut().zip(count_row) {
-            if c > 0.0 {
-                *x /= c;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +211,7 @@ mod tests {
     fn normalization_divides_by_exposure_count() {
         let video = Tensor::full(&[4, 4, 4], 1.0);
         let mask = patterns::long_exposure(4, (2, 2)).unwrap();
-        let n = encode_normalized(&video, &mask).unwrap();
+        let n = normalize_coded(encode(&video, &mask).unwrap(), &mask).unwrap();
         assert!(n.approx_eq(&Tensor::ones(&[4, 4]), 1e-6));
     }
 
@@ -236,7 +221,7 @@ mod tests {
         let mut p = Tensor::zeros(&[2, 2, 2]);
         p.set(&[0, 0, 0], 1.0).unwrap(); // only pixel (0,0), slot 0
         let mask = ExposureMask::new(p).unwrap();
-        let n = encode_normalized(&video, &mask).unwrap();
+        let n = normalize_coded(encode(&video, &mask).unwrap(), &mask).unwrap();
         assert_eq!(n.get(&[0, 0]).unwrap(), 1.0);
         assert_eq!(n.get(&[1, 1]).unwrap(), 0.0);
     }
@@ -252,7 +237,7 @@ mod tests {
             let single = encode(&videos.index_axis(0, b).unwrap(), &mask).unwrap();
             assert!(batch.index_axis(0, b).unwrap().approx_eq(&single, 1e-6));
         }
-        let nbatch = encode_batch_normalized(&videos, &mask).unwrap();
+        let nbatch = normalize_coded(batch, &mask).unwrap();
         assert_eq!(nbatch.shape(), &[3, 8, 8]);
     }
 
@@ -316,26 +301,22 @@ mod tests {
             let videos = Tensor::rand_uniform(&mut rng, &[3, t, h, w], -1.0, 2.0);
             for mask in &masks {
                 let raw = encode_batch(&videos, mask).unwrap();
-                let normalized = encode_batch_normalized(&videos, mask).unwrap();
+                let normalized = normalize_coded(raw.clone(), mask).unwrap();
                 assert_eq!(raw.shape(), &[3, h, w]);
                 assert_eq!(normalized.shape(), &[3, h, w]);
-                assert_eq!(bits(&normalize_coded(&raw, mask)), bits(&normalized));
                 for b in 0..3 {
                     let clip = videos.index_axis(0, b).unwrap();
                     let single = encode(&clip, mask).unwrap();
-                    let single_n = encode_normalized(&clip, mask).unwrap();
+                    let single_n = normalize_coded(single.clone(), mask).unwrap();
                     assert_eq!(bits(&raw.index_axis(0, b).unwrap()), bits(&single));
                     assert_eq!(bits(&normalized.index_axis(0, b).unwrap()), bits(&single_n));
                     assert_eq!(bits(&single), bits(&reference(&clip, mask, false)));
                     assert_eq!(bits(&single_n), bits(&reference(&clip, mask, true)));
-                    assert_eq!(bits(&single_n), bits(&normalize_coded(&single, mask)));
                 }
             }
             // The dead tile pixel stays 0 wherever the tile repeats.
-            for coded in [
-                encode_batch(&videos, &masks[1]).unwrap(),
-                encode_batch_normalized(&videos, &masks[1]).unwrap(),
-            ] {
+            let raw = encode_batch(&videos, &masks[1]).unwrap();
+            for coded in [raw.clone(), normalize_coded(raw, &masks[1]).unwrap()] {
                 for b in 0..3 {
                     for y in (0..h).step_by(tile) {
                         for x in (1..w).step_by(tile) {
@@ -358,20 +339,15 @@ mod tests {
         };
         let invalid_mask = |r: &Result<Tensor>| matches!(r, Err(CeError::InvalidMask { .. }));
         for normalize in [false, true] {
-            let single = |v: &Tensor| {
+            let normalized = |coded: Tensor| {
                 if normalize {
-                    encode_normalized(v, &mask)
+                    normalize_coded(coded, &mask)
                 } else {
-                    encode(v, &mask)
+                    Ok(coded)
                 }
             };
-            let batch = |v: &Tensor| {
-                if normalize {
-                    encode_batch_normalized(v, &mask)
-                } else {
-                    encode_batch(v, &mask)
-                }
-            };
+            let single = |v: &Tensor| encode(v, &mask).and_then(normalized);
+            let batch = |v: &Tensor| encode_batch(v, &mask).and_then(normalized);
             assert!(rank(&single(&Tensor::zeros(&[4, 4])), 3));
             assert!(rank(&single(&Tensor::zeros(&[1, 4, 4, 4])), 3));
             assert!(rank(&batch(&Tensor::zeros(&[4, 4, 4])), 4));
@@ -389,5 +365,29 @@ mod tests {
                 ));
             }
         }
+    }
+
+    #[test]
+    fn normalize_coded_rejects_what_it_cannot_normalize() {
+        let mask = patterns::long_exposure(4, (2, 2)).unwrap();
+        let normalize = |shape: &[usize]| normalize_coded(Tensor::zeros(shape), &mask);
+        for (shape, want) in [(&[][..], 2), (&[4][..], 2), (&[1, 2, 4, 4][..], 3)] {
+            assert!(
+                matches!(
+                    normalize(shape),
+                    Err(CeError::Tensor(TensorError::RankMismatch { expected, got }))
+                        if expected == want && got == shape.len()
+                ),
+                "{shape:?}"
+            );
+        }
+        for shape in [&[0, 4][..], &[4, 0], &[2, 0, 4], &[3, 4], &[2, 4, 5]] {
+            assert!(
+                matches!(normalize(shape), Err(CeError::InvalidMask { .. })),
+                "{shape:?}"
+            );
+        }
+        assert_eq!(normalize(&[4, 4]).unwrap().shape(), &[4, 4]);
+        assert_eq!(normalize(&[2, 4, 4]).unwrap().shape(), &[2, 4, 4]);
     }
 }

@@ -23,6 +23,12 @@
 //!   sparse-random exposure, reproduced from the paper's Fig. 6
 //!   comparison.
 //!
+//! Capture backends implement [`Sense`], writing only its batched
+//! [`Sense::sense_batch`]; one clip is a batch of one through the
+//! provided [`Sense::sense`]. Exposure-count normalization has one
+//! implementation, [`normalize_coded`], which every path runs after
+//! [`encode_batch`] or a hardware capture.
+//!
 //! # Examples
 //!
 //! ```
@@ -52,9 +58,7 @@ pub mod patterns;
 mod sense;
 mod stats;
 
-pub use encode::{
-    encode, encode_batch, encode_batch_normalized, encode_normalized, normalize_coded,
-};
+pub use encode::{encode, encode_batch, normalize_coded};
 pub use error::CeError;
 pub use io::{load_mask, mask_from_str, mask_to_string, save_mask};
 pub use learner::{

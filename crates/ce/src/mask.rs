@@ -11,7 +11,8 @@ use snappix_tensor::Tensor;
 /// simply an `ExposureMask` whose tile is the whole frame.
 ///
 /// Invariants enforced at construction: rank 3, all extents positive, and
-/// every element exactly `0.0` or `1.0`.
+/// every element exactly `0.0` or `1.0`. The per-pixel exposure counts
+/// are computed once there too; they are a function of the pattern.
 ///
 /// # Examples
 ///
@@ -30,6 +31,7 @@ use snappix_tensor::Tensor;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExposureMask {
     pattern: Tensor,
+    counts: Tensor,
 }
 
 impl ExposureMask {
@@ -55,7 +57,8 @@ impl ExposureMask {
                 context: "mask values must be exactly 0.0 or 1.0".to_string(),
             });
         }
-        Ok(ExposureMask { pattern })
+        let counts = pattern.sum_axis(0, false)?;
+        Ok(ExposureMask { pattern, counts })
     }
 
     /// The underlying `[t, th, tw]` tile pattern.
@@ -86,10 +89,8 @@ impl ExposureMask {
 
     /// Per-tile-pixel exposure counts: `[th, tw]`, each entry the number of
     /// slots in which that pixel is exposed.
-    pub fn exposure_counts(&self) -> Tensor {
-        self.pattern
-            .sum_axis(0, false)
-            .expect("rank-3 invariant guarantees axis 0")
+    pub fn exposure_counts(&self) -> &Tensor {
+        &self.counts
     }
 
     /// The compression ratio achieved by this mask: `t` frames become one

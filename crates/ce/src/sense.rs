@@ -6,12 +6,20 @@
 //! (`snappix_sensor::HardwareSensor`). `Sense` is the trait both sides
 //! implement so pipelines, tests and benches can swap backends via
 //! generics instead of duplicating glue for each path.
+//!
+//! A backend writes one capture method, [`Sense::sense_batch`]; a single
+//! clip is a batch of one through the provided [`Sense::sense`].
 
-use crate::{encode, encode_batch, encode_batch_normalized, encode_normalized, ExposureMask};
+use crate::{encode_batch, normalize_coded, ExposureMask};
 use snappix_tensor::{Tensor, TensorError};
 
 /// A coded-exposure capture backend: turns a `[t, h, w]` clip into the
 /// `[h, w]` coded image an edge node would transmit.
+///
+/// Implementations write [`mask`](Sense::mask) and
+/// [`sense_batch`](Sense::sense_batch) only: [`sense`](Sense::sense) is
+/// provided and runs a batch of one, so a clip codes to the same bits
+/// alone or in a batch by construction.
 ///
 /// Implementations take `&mut self` because physical backends are
 /// stateful (noise RNGs, per-capture accounting); the pure algorithmic
@@ -24,9 +32,9 @@ use snappix_tensor::{Tensor, TensorError};
 pub trait Sense {
     /// Error produced by this backend.
     ///
-    /// The `From<TensorError>` bound lets the provided [`Sense::sense_batch`]
-    /// propagate batching (slice/stack) failures through any backend's
-    /// error type.
+    /// The `From<TensorError>` bound lets the provided [`Sense::sense`]
+    /// propagate its rank check and reshapes through any backend's error
+    /// type.
     type Error: std::error::Error + From<TensorError> + 'static;
 
     /// The exposure mask this backend runs.
@@ -45,44 +53,39 @@ pub trait Sense {
         true
     }
 
-    /// Senses one `[t, h, w]` clip into an `[h, w]` coded image.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the clip does not match the backend's mask or geometry.
-    fn sense(&mut self, clip: &Tensor) -> Result<Tensor, Self::Error>;
-
     /// Senses a `[batch, t, h, w]` clip batch into `[batch, h, w]` coded
-    /// images.
-    ///
-    /// The default implementation loops over [`Sense::sense`] and stacks;
-    /// backends with a cheaper batched path (e.g. the algorithmic
-    /// encoder) override it.
+    /// images: the one capture method every backend implements.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Sense::sense`], plus rank validation of the
-    /// batch.
-    fn sense_batch(&mut self, clips: &Tensor) -> Result<Tensor, Self::Error> {
-        if clips.rank() != 4 {
+    /// Fails when the batch is not rank 4, or its clips do not match the
+    /// backend's mask or geometry.
+    fn sense_batch(&mut self, clips: &Tensor) -> Result<Tensor, Self::Error>;
+
+    /// Senses one `[t, h, w]` clip into an `[h, w]` coded image: the clip
+    /// is viewed as a `[1, t, h, w]` batch for
+    /// [`sense_batch`](Sense::sense_batch), and row 0 is returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TensorError::RankMismatch`] unless the clip has rank
+    /// 3, and otherwise fails as [`sense_batch`](Sense::sense_batch) does.
+    fn sense(&mut self, clip: &Tensor) -> Result<Tensor, Self::Error> {
+        if clip.rank() != 3 {
             return Err(TensorError::RankMismatch {
-                expected: 4,
-                got: clips.rank(),
+                expected: 3,
+                got: clip.rank(),
             }
             .into());
         }
-        let batch = clips.shape()[0];
-        let mut coded = Vec::with_capacity(batch);
-        for b in 0..batch {
-            coded.push(self.sense(&clips.index_axis(0, b)?)?);
-        }
-        let refs: Vec<&Tensor> = coded.iter().collect();
-        Tensor::stack(&refs, 0).map_err(Into::into)
+        let coded = self.sense_batch(&clip.unsqueeze(0)?)?;
+        Ok(coded.squeeze(0)?)
     }
 }
 
 /// The training-time [`Sense`] backend: a stateless wrapper around the
-/// algorithmic Eqn. 1 codec ([`encode`] / [`encode_normalized`]).
+/// algorithmic Eqn. 1 codec ([`encode_batch`], then [`normalize_coded`]
+/// when normalization is on).
 ///
 /// Configuration follows the workspace's builder-style `with_*` idiom:
 /// constructors pick documented defaults and `with_*` methods return
@@ -123,7 +126,7 @@ impl AlgorithmicEncoder {
     }
 
     /// Sets whether coded pixels are divided by their exposure count
-    /// (see [`encode_normalized`]).
+    /// (see [`normalize_coded`]).
     #[must_use]
     pub fn with_normalization(mut self, normalize: bool) -> Self {
         self.normalize = normalize;
@@ -142,19 +145,12 @@ impl Sense for AlgorithmicEncoder {
         self.normalize
     }
 
-    fn sense(&mut self, clip: &Tensor) -> Result<Tensor, Self::Error> {
-        if self.normalize {
-            encode_normalized(clip, &self.mask)
-        } else {
-            encode(clip, &self.mask)
-        }
-    }
-
     fn sense_batch(&mut self, clips: &Tensor) -> Result<Tensor, Self::Error> {
+        let coded = encode_batch(clips, &self.mask)?;
         if self.normalize {
-            encode_batch_normalized(clips, &self.mask)
+            normalize_coded(coded, &self.mask)
         } else {
-            encode_batch(clips, &self.mask)
+            Ok(coded)
         }
     }
 }
@@ -162,7 +158,7 @@ impl Sense for AlgorithmicEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns;
+    use crate::{encode, patterns};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -171,10 +167,10 @@ mod tests {
         let mask = patterns::random(4, (4, 4), 0.5, &mut rng).unwrap();
         let clip = Tensor::rand_uniform(&mut rng, &[4, 8, 8], 0.0, 1.0);
         let mut enc = AlgorithmicEncoder::new(mask.clone());
-        assert!(enc
-            .sense(&clip)
-            .unwrap()
-            .approx_eq(&encode_normalized(&clip, &mask).unwrap(), 0.0));
+        assert!(enc.sense(&clip).unwrap().approx_eq(
+            &normalize_coded(encode(&clip, &mask).unwrap(), &mask).unwrap(),
+            0.0
+        ));
         let mut raw = AlgorithmicEncoder::new(mask.clone()).with_normalization(false);
         assert!(!raw.normalizes());
         assert!(raw
@@ -198,27 +194,41 @@ mod tests {
         }
     }
 
-    /// Exercises the trait's *default* `sense_batch` (which
-    /// `AlgorithmicEncoder` overrides) through a minimal adapter.
+    /// The provided `sense` on a backend that writes only `mask` and
+    /// `sense_batch`: a clip is a batch of one, and a clip of any rank
+    /// but 3 is refused before the backend sees it.
     #[test]
-    fn default_sense_batch_loops_and_stacks() {
-        struct Adapter(AlgorithmicEncoder);
-        impl Sense for Adapter {
+    fn default_sense_is_a_batch_of_one() {
+        struct BatchOnly(AlgorithmicEncoder);
+        impl Sense for BatchOnly {
             type Error = crate::CeError;
             fn mask(&self) -> &ExposureMask {
                 self.0.mask()
             }
-            fn sense(&mut self, clip: &Tensor) -> Result<Tensor, Self::Error> {
-                self.0.sense(clip)
+            fn sense_batch(&mut self, clips: &Tensor) -> Result<Tensor, Self::Error> {
+                self.0.sense_batch(clips)
             }
         }
         let mut rng = StdRng::seed_from_u64(5);
         let mask = patterns::random(4, (4, 4), 0.5, &mut rng).unwrap();
-        let clips = Tensor::rand_uniform(&mut rng, &[2, 4, 8, 8], 0.0, 1.0);
-        let mut adapter = Adapter(AlgorithmicEncoder::new(mask.clone()));
-        let via_default = adapter.sense_batch(&clips).unwrap();
-        let via_override = AlgorithmicEncoder::new(mask).sense_batch(&clips).unwrap();
-        assert!(via_default.approx_eq(&via_override, 0.0));
-        assert!(adapter.sense_batch(&Tensor::zeros(&[4, 8, 8])).is_err());
+        let clip = Tensor::rand_uniform(&mut rng, &[4, 8, 8], 0.0, 1.0);
+        let mut backend = BatchOnly(AlgorithmicEncoder::new(mask));
+        let batch = backend
+            .sense_batch(&clip.reshape(&[1, 4, 8, 8]).unwrap())
+            .unwrap();
+        let single = backend.sense(&clip).unwrap();
+        assert_eq!(single.shape(), &[8, 8]);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&single), bits(&batch.index_axis(0, 0).unwrap()));
+        for shape in [&[8, 8][..], &[1, 4, 8, 8]] {
+            assert!(
+                matches!(
+                    backend.sense(&Tensor::zeros(shape)),
+                    Err(crate::CeError::Tensor(TensorError::RankMismatch { expected: 3, got }))
+                        if got == shape.len()
+                ),
+                "{shape:?}"
+            );
+        }
     }
 }

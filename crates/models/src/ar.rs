@@ -4,7 +4,7 @@ use crate::{ModelError, Result, VitConfig, VitEncoder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snappix_autograd::Var;
-use snappix_ce::{encode_batch, encode_batch_normalized, ExposureMask};
+use snappix_ce::{encode_batch, normalize_coded, ExposureMask};
 use snappix_nn::{Linear, ParamStore, Session};
 use snappix_tensor::Tensor;
 
@@ -142,12 +142,12 @@ impl SnapPixAr {
     ///
     /// Fails when the clips do not match the mask.
     pub fn compress(&self, videos: &Tensor) -> Result<Tensor> {
-        let coded = if self.normalize_by_exposure {
-            encode_batch_normalized(videos, &self.mask)?
+        let coded = encode_batch(videos, &self.mask)?;
+        if self.normalize_by_exposure {
+            Ok(normalize_coded(coded, &self.mask)?)
         } else {
-            encode_batch(videos, &self.mask)?
-        };
-        Ok(coded)
+            Ok(coded)
+        }
     }
 }
 

@@ -12,7 +12,7 @@ use crate::vit::random_token_split;
 use crate::{ModelError, Result, VitConfig, VitEncoder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use snappix_ce::{encode_batch_normalized, ExposureMask};
+use snappix_ce::{encode_batch, normalize_coded, ExposureMask};
 use snappix_nn::{xavier_uniform, Adam, Linear, ParamId, ParamStore, Session, TransformerBlock};
 use snappix_tensor::Tensor;
 use snappix_video::Dataset;
@@ -173,7 +173,7 @@ impl MaePretrainer {
         let ratio = self.config.mask_ratio_pct as f32 / 100.0;
         let (visible, masked) = random_token_split(n, ratio, &mut self.rng);
         let loss_and_grads = {
-            let coded = encode_batch_normalized(videos, &self.mask)?;
+            let coded = normalize_coded(encode_batch(videos, &self.mask)?, &self.mask)?;
             let batch = coded.shape()[0];
             let patch = self.config.vit.patch;
             let target = video_patch_targets(videos, &self.config.predicted_frames(), patch)?;

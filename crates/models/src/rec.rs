@@ -5,7 +5,7 @@ use crate::{ModelError, Result, VitConfig, VitEncoder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snappix_autograd::Var;
-use snappix_ce::{encode_batch_normalized, ExposureMask};
+use snappix_ce::{encode_batch, normalize_coded, ExposureMask};
 use snappix_nn::{xavier_uniform, Adam, Linear, ParamId, ParamStore, Session, TransformerBlock};
 use snappix_tensor::Tensor;
 use snappix_video::{psnr, Dataset};
@@ -101,7 +101,7 @@ impl SnapPixRec {
     }
 
     fn build_prediction(&self, sess: &mut Session<'_>, videos: &Tensor) -> Result<Var> {
-        let coded = encode_batch_normalized(videos, &self.mask)?;
+        let coded = normalize_coded(encode_batch(videos, &self.mask)?, &self.mask)?;
         let patch = self.encoder.config().patch;
         let input = sess.input(coded);
         let patches = sess.graph.extract_patches(input, patch, patch)?;

@@ -115,20 +115,6 @@ impl HardwareSensor {
     pub fn stats(&self) -> CaptureStats {
         self.sensor.stats()
     }
-
-    /// The readout chain and normalization applied to analog FD images,
-    /// one `[h, w]` image or a `[batch, h, w]` batch.
-    fn read_out(&mut self, analog: Tensor) -> Tensor {
-        let digital = match &mut self.readout {
-            Some(readout) => readout.digitize(&analog),
-            None => analog,
-        };
-        if self.normalize {
-            normalize_coded(&digital, self.sensor.mask())
-        } else {
-            digital
-        }
-    }
 }
 
 impl Sense for HardwareSensor {
@@ -140,11 +126,6 @@ impl Sense for HardwareSensor {
 
     fn normalizes(&self) -> bool {
         self.normalize
-    }
-
-    fn sense(&mut self, clip: &Tensor) -> Result<Tensor> {
-        let analog = self.sensor.capture(clip)?;
-        Ok(self.read_out(analog))
     }
 
     /// Captures each clip straight from its slice of the batch into its
@@ -174,7 +155,15 @@ impl Sense for HardwareSensor {
         for (clip, image) in frames.zip(analog.as_mut_slice().chunks_exact_mut(h * w)) {
             self.sensor.capture_into(clip, image);
         }
-        Ok(self.read_out(analog))
+        let digital = match &mut self.readout {
+            Some(readout) => readout.digitize(&analog),
+            None => analog,
+        };
+        if self.normalize {
+            Ok(normalize_coded(digital, self.sensor.mask())?)
+        } else {
+            Ok(digital)
+        }
     }
 }
 

@@ -579,39 +579,31 @@ fn run_worker<S>(
         // rider loudly instead of `zip` silently dropping the tail (which
         // would break the conserved accounting and strand clients on
         // `Disconnected`).
-        let result = result.map_err(|e| e.to_string()).and_then(|inference| {
-            if inference.len() == live.len() {
-                Ok(inference)
-            } else {
-                Err(format!(
-                    "pipeline returned {} predictions for a batch of {} clips",
-                    inference.len(),
-                    live.len()
-                ))
-            }
-        });
         let executed = live.len();
-        match result {
-            Ok(inference) => {
-                let compute = started.elapsed();
-                for (request, prediction) in live.into_iter().zip(inference) {
+        let compute = started.elapsed();
+        let answered = match result {
+            Ok(inference) if inference.len() == executed => {
+                for (request, prediction) in live.into_iter().zip(&inference) {
                     request.answer(Ok(prediction));
                 }
-                recorder.record_batch(
-                    &queue_latencies,
-                    expired_count,
-                    executed,
-                    Some((compute, compute_trace)),
-                );
+                Some((compute, compute_trace))
             }
-            Err(message) => {
+            failed => {
+                let message = match failed {
+                    Ok(inference) => format!(
+                        "pipeline returned {} predictions for a batch of {executed} clips",
+                        inference.len()
+                    ),
+                    Err(e) => e.to_string(),
+                };
                 for request in live {
                     request.answer(Err(ServeError::Inference {
                         message: message.clone(),
                     }));
                 }
-                recorder.record_batch(&queue_latencies, expired_count, executed, None);
+                None
             }
-        }
+        };
+        recorder.record_batch(&queue_latencies, expired_count, executed, answered);
     }
 }

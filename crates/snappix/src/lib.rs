@@ -19,9 +19,9 @@
 //! ([`AlgorithmicEncoder`](snappix_ce::AlgorithmicEncoder)) and the
 //! deployment-time hardware simulation
 //! ([`HardwareSensor`](snappix_sensor::HardwareSensor)) run through
-//! identical code. [`EdgeNode`] prices deployments with the paper's
-//! energy model, [`evaluate_deployment`] combines both, and every failure
-//! across the stack surfaces as the unified [`Error`].
+//! identical code. [`evaluate_deployment`] runs a dataset through the
+//! hardware path and prices it with the paper's energy model, and every
+//! failure across the stack surfaces as the unified [`Error`].
 //!
 //! One layer above this crate, `snappix-serve` turns a single
 //! [`PipelineBuilder`] recipe into a multi-client service: worker
@@ -79,28 +79,26 @@
 #![warn(missing_docs)]
 
 mod error;
-mod node;
 mod pipeline;
 mod report;
 
 pub use error::Error;
-pub use node::EdgeNode;
 pub use pipeline::{
-    resident_weight_bytes, Inference, IntoPredictions, Pipeline, PipelineBuilder, PipelineProfile,
-    Prediction, Predictions, StageProfile,
+    resident_weight_bytes, Inference, Pipeline, PipelineBuilder, PipelineProfile, Prediction,
+    Predictions, StageProfile,
 };
 pub use report::{evaluate_deployment, DeploymentReport};
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use crate::{
-        evaluate_deployment, resident_weight_bytes, DeploymentReport, EdgeNode, Error, Inference,
-        Pipeline, PipelineBuilder, PipelineProfile, Prediction, StageProfile,
+        evaluate_deployment, resident_weight_bytes, DeploymentReport, Error, Inference, Pipeline,
+        PipelineBuilder, PipelineProfile, Prediction, StageProfile,
     };
     pub use snappix_ce::{
-        encode, encode_batch, encode_batch_normalized, encode_normalized,
-        measure_pattern_correlation, normalize_coded, patterns, AlgorithmicEncoder,
-        DecorrelationConfig, DecorrelationTrainer, ExposureMask, PatternKind, Sense,
+        encode, encode_batch, measure_pattern_correlation, normalize_coded, patterns,
+        AlgorithmicEncoder, DecorrelationConfig, DecorrelationTrainer, ExposureMask, PatternKind,
+        Sense,
     };
     pub use snappix_energy::{EnergyModel, Scenario, Wireless};
     pub use snappix_models::{

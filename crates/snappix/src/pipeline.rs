@@ -17,7 +17,7 @@ use snappix_ce::{AlgorithmicEncoder, Sense};
 use snappix_models::{ActionModel, SnapPixAr};
 use snappix_nn::{ArtifactReader, SessionPool};
 use snappix_sensor::{HardwareSensor, ReadoutConfig};
-use snappix_tensor::{parallel, Tensor};
+use snappix_tensor::{parallel, Tensor, TensorError};
 use snappix_trace::Tracer;
 use std::fmt;
 use std::path::Path;
@@ -90,7 +90,7 @@ impl StageProfile {
 /// replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineProfile {
-    /// The sensing/coding stage (`Sense::sense_batch` and `sense`).
+    /// The sensing/coding stage (`Sense::sense_batch`).
     pub sense: StageProfile,
     /// The batched model forward pass.
     pub forward: StageProfile,
@@ -241,47 +241,6 @@ impl<'a> IntoIterator for &'a Inference {
 
     fn into_iter(self) -> Predictions<'a> {
         self.predictions()
-    }
-}
-
-/// Owning iterator over an [`Inference`]'s per-clip [`Prediction`]s.
-///
-/// Created by iterating an [`Inference`] by value.
-#[derive(Debug, Clone)]
-pub struct IntoPredictions {
-    inference: Inference,
-    next: usize,
-}
-
-impl Iterator for IntoPredictions {
-    type Item = Prediction;
-
-    fn next(&mut self) -> Option<Prediction> {
-        if self.next >= self.inference.len() {
-            return None;
-        }
-        let i = self.next;
-        self.next += 1;
-        Some(self.inference.prediction(i).expect("index in range"))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.inference.len() - self.next;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for IntoPredictions {}
-
-impl IntoIterator for Inference {
-    type Item = Prediction;
-    type IntoIter = IntoPredictions;
-
-    fn into_iter(self) -> IntoPredictions {
-        IntoPredictions {
-            inference: self,
-            next: 0,
-        }
     }
 }
 
@@ -625,23 +584,9 @@ where
         snappix_nn::resident_weight_bytes([self.model.store()])
     }
 
-    /// Senses one `[t, h, w]` clip into the coded image the node would
-    /// transmit, without classifying it.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the clip does not match the backend.
-    pub fn sense(&mut self, clip: &Tensor) -> Result<Tensor, Error> {
-        with_pool(self.threads, || {
-            self.stage("sense", None, |p| p.backend.sense(clip))
-        })
-        .map_err(Error::from)
-    }
-
     /// Classifies a `[batch, t, h, w]` clip batch in one model forward
-    /// pass, reusing the pipeline's session. Sensing is batched when the
-    /// backend supports it (the algorithmic encoder does; the hardware
-    /// simulation captures clip by clip, as a physical sensor would).
+    /// pass, reusing the pipeline's session, after one
+    /// [`Sense::sense_batch`] call over the whole batch.
     ///
     /// Batching is the throughput path: per-clip graph construction and
     /// tensor allocation are amortized over the whole batch. When the
@@ -672,12 +617,17 @@ where
         }
         let batch = clips.shape().first().copied().unwrap_or(0);
         with_pool(self.threads, || {
-            let coded = self.stage("sense", Some(batch), |p| p.backend.sense_batch(clips));
-            self.infer_coded(&coded?)
+            let coded = self.stage("sense", Some(batch), |p| p.backend.sense_batch(clips))?;
+            let logits = self.stage("forward", None, |p| p.forward(&coded))?;
+            let labels = self.stage("readout", None, |_| logits.argmax_axis(1))?;
+            self.profile.batches += 1;
+            self.profile.clips += labels.len() as u64;
+            Ok(Inference { logits, labels })
         })
     }
 
-    /// Classifies one `[t, h, w]` clip.
+    /// Classifies one `[t, h, w]` clip: [`infer`](Self::infer) on a
+    /// batch of one.
     ///
     /// Prefer [`infer`](Self::infer) when more than one clip is
     /// available — the batched path is substantially faster than a loop
@@ -685,14 +635,17 @@ where
     ///
     /// # Errors
     ///
-    /// Fails when the clip does not match the backend or the model.
+    /// Fails when the clip is not rank 3 or does not match the backend
+    /// or the model.
     pub fn infer_clip(&mut self, clip: &Tensor) -> Result<Prediction, Error> {
-        with_pool(self.threads, || {
-            let coded = self.stage("sense", Some(1), |p| p.backend.sense(clip))?;
-            let batch = coded.reshape(&[1, coded.shape()[0], coded.shape()[1]])?;
-            self.infer_coded(&batch)
-        })?
-        .prediction(0)
+        if clip.rank() != 3 {
+            return Err(TensorError::RankMismatch {
+                expected: 3,
+                got: clip.rank(),
+            }
+            .into());
+        }
+        self.infer(&clip.unsqueeze(0)?)?.prediction(0)
     }
 
     /// Classifies one `[t, h, w]` clip and returns only the label.
@@ -702,16 +655,6 @@ where
     /// Fails when the clip does not match the backend or the model.
     pub fn classify(&mut self, clip: &Tensor) -> Result<usize, Error> {
         Ok(self.infer_clip(clip)?.label)
-    }
-
-    /// One batched forward pass over already-coded `[batch, h, w]`
-    /// images, reusing the pooled sessions.
-    fn infer_coded(&mut self, coded: &Tensor) -> Result<Inference, Error> {
-        let logits = self.stage("forward", None, |p| p.forward(coded))?;
-        let labels = self.stage("readout", None, |_| logits.argmax_axis(1))?;
-        self.profile.batches += 1;
-        self.profile.clips += labels.len() as u64;
-        Ok(Inference { logits, labels })
     }
 
     /// Runs one pipeline stage inside a tracer span named `name` (with
@@ -1010,14 +953,12 @@ mod tests {
             let by_index = out.prediction(i).unwrap();
             assert_eq!(pred, by_index);
         }
-        // `&Inference` and owned `Inference` iterate identically.
+        // `&Inference` iterates as `predictions()` does.
         let borrowed: Vec<Prediction> = (&out).into_iter().collect();
-        let labels = out.labels.clone();
-        let owned: Vec<Prediction> = out.into_iter().collect();
-        assert_eq!(borrowed, owned);
+        assert_eq!(borrowed, out.predictions().collect::<Vec<_>>());
         assert_eq!(
-            owned.iter().map(|p| p.label).collect::<Vec<_>>(),
-            labels,
+            borrowed.iter().map(|p| p.label).collect::<Vec<_>>(),
+            out.labels,
             "iteration preserves batch order"
         );
     }
@@ -1275,15 +1216,5 @@ mod tests {
         };
         assert_eq!(small.mean(), Duration::from_nanos(3));
         assert_eq!(StageProfile::default().mean(), Duration::ZERO);
-    }
-
-    #[test]
-    fn sense_exposes_the_backend_coded_image() {
-        let mut p = Pipeline::builder(model()).build().unwrap();
-        let coded = p.sense(&Tensor::full(&[4, 16, 16], 0.5)).unwrap();
-        assert_eq!(coded.shape(), &[16, 16]);
-        // Long exposure of constant 0.5, normalized -> 0.5.
-        assert!(coded.approx_eq(&Tensor::full(&[16, 16], 0.5), 1e-6));
-        assert!(p.backend().normalizes());
     }
 }

@@ -2,8 +2,8 @@
 //! hardware-backed [`Pipeline`](crate::Pipeline) over a dataset, in one
 //! report.
 
-use crate::{EdgeNode, Error, Pipeline};
-use snappix_energy::Wireless;
+use crate::{Error, Pipeline};
+use snappix_energy::{EnergyModel, Scenario, Wireless};
 use snappix_sensor::HardwareSensor;
 use snappix_video::Dataset;
 
@@ -53,7 +53,8 @@ impl DeploymentReport {
 const CHUNK: usize = 8;
 
 /// Runs every clip of `dataset` through the hardware path of `pipeline`
-/// and combines the outcome with the energy model for `wireless`.
+/// and prices each capture window with the paper's component energy
+/// model ([`EnergyModel::paper`]) over `wireless`.
 ///
 /// Clips go through [`Pipeline::infer`] in chunks of 8, the last chunk
 /// taking the remainder.
@@ -85,18 +86,19 @@ pub fn evaluate_deployment(
 
     let stats = pipeline.backend().stats();
     let sensor = pipeline.backend().sensor();
-    let node = EdgeNode::new(
-        sensor.height() * sensor.width(),
-        pipeline.model().mask().num_slots(),
+    let scenario = Scenario {
+        frame_pixels: sensor.height() * sensor.width(),
+        slots: pipeline.model().mask().num_slots(),
         wireless,
-    );
+    };
+    let energy = EnergyModel::paper();
     Ok(DeploymentReport {
         clips: dataset.len(),
         correct,
         pattern_clock_cycles_per_capture: stats.pattern_clock_cycles,
         pixels_read_per_capture: stats.pixels_read,
-        energy_uj_per_capture: node.snappix_energy().total_pj() / 1e6,
-        conventional_energy_uj_per_capture: node.conventional_energy().total_pj() / 1e6,
+        energy_uj_per_capture: energy.snappix_energy(&scenario).total_pj() / 1e6,
+        conventional_energy_uj_per_capture: energy.conventional_energy(&scenario).total_pj() / 1e6,
     })
 }
 

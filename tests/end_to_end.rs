@@ -158,11 +158,16 @@ fn edge_node_energy_is_consistent_with_pipeline_compression() {
     let (pipeline, _) = trained_pipeline();
     let pipeline = &*pipeline;
     let t = pipeline.model().mask().num_slots();
-    let node = EdgeNode::new(HW * HW, t, Wireless::PassiveWifi);
+    let model = EnergyModel::paper();
+    let scenario = Scenario {
+        frame_pixels: HW * HW,
+        slots: t,
+        wireless: Wireless::PassiveWifi,
+    };
     // The readout+wireless reduction must equal the compression ratio.
-    let conv = node.conventional_energy();
-    let snap = node.snappix_energy();
+    let conv = model.conventional_energy(&scenario);
+    let snap = model.snappix_energy(&scenario);
     let reduction = (conv.readout_pj + conv.wireless_pj) / (snap.readout_pj + snap.wireless_pj);
     assert!((reduction - t as f64).abs() < 1e-9);
-    assert!(node.snappix_saving() > 1.0);
+    assert!(model.edge_energy_saving(&scenario) > 1.0);
 }

@@ -43,7 +43,7 @@ fn every_builtin_pattern_round_trips_through_the_codec() {
             coded.as_slice().iter().all(|v| v.is_finite() && *v >= 0.0),
             "{kind}: coded values must be finite and non-negative"
         );
-        let normalized = encode_batch_normalized(&batch.videos, &mask).expect("normalize");
+        let normalized = normalize_coded(coded, &mask).expect("normalize");
         // Normalized values stay within the input range [0, 1].
         assert!(
             normalized
@@ -170,7 +170,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mask = patterns::sparse_random(T, TILE, &mut rng).expect("valid dims");
         let video = Tensor::full(&[T, 8, 8], value);
-        let normalized = encode_normalized(&video, &mask).expect("encode");
+        let coded = encode(&video, &mask).expect("encode");
+        let normalized = normalize_coded(coded, &mask).expect("normalize");
         prop_assert!(normalized.approx_eq(&Tensor::full(&[8, 8], value), 1e-5));
     }
 }

@@ -22,7 +22,6 @@ type PreludeSurface = (
     Error,
     AlgorithmicEncoder,
     DeploymentReport,
-    EdgeNode,
     ExposureMask,
     DecorrelationTrainer,
     EnergyModel,
