@@ -136,13 +136,6 @@ impl NodeConfig {
         self
     }
 
-    /// Sets the per-component energy pricing model.
-    #[must_use]
-    pub fn with_energy_model(mut self, model: EnergyModel) -> Self {
-        self.energy_model = model;
-        self
-    }
-
     /// Sets the node's wireless offload link.
     #[must_use]
     pub fn with_wireless(mut self, wireless: Wireless) -> Self {

@@ -66,29 +66,11 @@ impl HardwareSensor {
         })
     }
 
-    /// Wraps an already-built [`CeSensor`] (ideal readout, normalization
-    /// on).
-    pub fn from_sensor(sensor: CeSensor) -> Self {
-        HardwareSensor {
-            sensor,
-            readout: None,
-            normalize: true,
-        }
-    }
-
     /// Digitizes captures through a [`Readout`] chain built from
     /// `config` (shot/read noise and ADC quantization).
     #[must_use]
     pub fn with_readout(mut self, config: ReadoutConfig) -> Self {
         self.readout = Some(Readout::new(config));
-        self
-    }
-
-    /// Removes the readout chain again: captures return the analog FD
-    /// image directly.
-    #[must_use]
-    pub fn with_ideal_readout(mut self) -> Self {
-        self.readout = None;
         self
     }
 
@@ -199,8 +181,7 @@ mod tests {
         let exact = ideal.sense(&clip).unwrap();
         let quantized = coarse.sense(&clip).unwrap();
         assert!(!exact.approx_eq(&quantized, 1e-6), "2-bit ADC must bite");
-        let mut restored = coarse.clone().with_ideal_readout();
-        assert!(restored.sense(&clip).unwrap().approx_eq(&exact, 0.0));
+        assert!(ideal.sense(&clip).unwrap().approx_eq(&exact, 0.0));
     }
 
     #[test]
@@ -216,7 +197,7 @@ mod tests {
             .sense(&clip)
             .unwrap()
             .approx_eq(&Tensor::full(&[8, 8], 2.0), 1e-6));
-        let mut wrapped = HardwareSensor::from_sensor(CeSensor::new(8, 8, mask).unwrap());
+        let mut wrapped = HardwareSensor::new(8, 8, mask).unwrap();
         assert!(wrapped
             .sense(&clip)
             .unwrap()

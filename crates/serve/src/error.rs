@@ -44,8 +44,10 @@ pub enum ServeError {
         /// Display form of the pipeline error.
         message: String,
     },
-    /// The worker processing this request died without answering
-    /// (it panicked mid-batch). The request's fate is unknown.
+    /// The worker processing this request died without answering. A
+    /// panic in the forward pass is answered as [`Inference`](Self::Inference)
+    /// instead, so this means the worker died outside it. The request's
+    /// fate is unknown.
     Disconnected,
 }
 

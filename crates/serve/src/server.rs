@@ -9,6 +9,8 @@ use snappix_ce::{AlgorithmicEncoder, Sense};
 use snappix_metrics::Registry;
 use snappix_tensor::{parallel, Tensor};
 use snappix_trace::{ArgValue, SpanCtx, Tracer};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -487,8 +489,9 @@ impl Server {
         }
         self.queue.shutdown();
         for handle in self.handles.drain(..) {
-            // A worker that panicked already failed its in-flight batch
-            // (clients observe `Disconnected`); the others still drain.
+            // A panic in a batch's forward pass is caught and answered
+            // inside the worker, so workers only end here, once the
+            // queue is drained.
             let _ = handle.join();
         }
     }
@@ -554,9 +557,14 @@ fn run_worker<S>(
         let compute_start_us = tracer.now_us();
         let started = Instant::now();
         let clips: Vec<&Tensor> = live.iter().map(|r| &r.clip).collect();
-        let result = Tensor::stack(&clips, 0)
-            .map_err(Error::Tensor)
-            .and_then(|stacked| pipeline.infer(&stacked));
+        // A panic in the forward pass fails this batch like an error does
+        // and the worker goes on serving; the thread budget and the span
+        // guards restore themselves on unwind.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            Tensor::stack(&clips, 0)
+                .map_err(Error::Tensor)
+                .and_then(|stacked| pipeline.infer(&stacked))
+        }));
         let compute_end_us = tracer.now_us();
         drop(batch_span);
         if tracer.is_enabled() {
@@ -582,7 +590,7 @@ fn run_worker<S>(
         let executed = live.len();
         let compute = started.elapsed();
         let answered = match result {
-            Ok(inference) if inference.len() == executed => {
+            Ok(Ok(inference)) if inference.len() == executed => {
                 for (request, prediction) in live.into_iter().zip(&inference) {
                     request.answer(Ok(prediction));
                 }
@@ -590,11 +598,12 @@ fn run_worker<S>(
             }
             failed => {
                 let message = match failed {
-                    Ok(inference) => format!(
+                    Ok(Ok(inference)) => format!(
                         "pipeline returned {} predictions for a batch of {executed} clips",
                         inference.len()
                     ),
-                    Err(e) => e.to_string(),
+                    Ok(Err(e)) => e.to_string(),
+                    Err(payload) => panic_message(payload.as_ref()),
                 };
                 for request in live {
                     request.answer(Err(ServeError::Inference {
@@ -606,4 +615,15 @@ fn run_worker<S>(
         };
         recorder.record_batch(&queue_latencies, expired_count, executed, answered);
     }
+}
+
+/// The text of a panic caught around a batch: `panic!` payloads are a
+/// `&str` or a `String`.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let text = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload");
+    format!("inference panicked: {text}")
 }

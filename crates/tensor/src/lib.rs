@@ -41,7 +41,7 @@ mod tensor;
 
 pub use error::TensorError;
 pub use ops::argmax_coords;
-pub use shape::{broadcast_shapes, strides_for, Shape};
+pub use shape::{broadcast_shapes, strides_for};
 pub use storage::{DType, SharedBuffer, Storage};
 pub use tensor::Tensor;
 

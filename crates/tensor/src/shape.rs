@@ -1,75 +1,5 @@
 use crate::{Result, TensorError};
 
-/// A lightweight owned shape: the extent of each tensor axis in row-major
-/// order.
-///
-/// `Shape` is a thin wrapper over `Vec<usize>` that centralizes the
-/// shape-algebra used throughout the crate (element counts, stride
-/// computation, broadcasting).
-///
-/// # Examples
-///
-/// ```
-/// use snappix_tensor::Shape;
-///
-/// let s = Shape::new(&[2, 3, 4]);
-/// assert_eq!(s.len(), 24);
-/// assert_eq!(s.rank(), 3);
-/// assert_eq!(s.strides(), vec![12, 4, 1]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Shape(Vec<usize>);
-
-impl Shape {
-    /// Creates a shape from a slice of axis extents.
-    pub fn new(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
-    }
-
-    /// Total number of elements (product of all extents; `1` for rank 0).
-    pub fn len(&self) -> usize {
-        self.0.iter().product()
-    }
-
-    /// Returns `true` if the shape contains zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of axes.
-    pub fn rank(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Extents as a slice.
-    pub fn dims(&self) -> &[usize] {
-        &self.0
-    }
-
-    /// Row-major strides for this shape.
-    pub fn strides(&self) -> Vec<usize> {
-        strides_for(&self.0)
-    }
-}
-
-impl From<Vec<usize>> for Shape {
-    fn from(dims: Vec<usize>) -> Self {
-        Shape(dims)
-    }
-}
-
-impl From<&[usize]> for Shape {
-    fn from(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
-    }
-}
-
-impl AsRef<[usize]> for Shape {
-    fn as_ref(&self) -> &[usize] {
-        &self.0
-    }
-}
-
 /// Computes row-major (C-order) strides for `dims`.
 ///
 /// The last axis always has stride 1; an empty `dims` yields an empty vector.
@@ -227,16 +157,5 @@ mod tests {
         // operand shape [3] right-aligned into rank-3 output.
         assert_eq!(broadcast_strides(&[3], 3), vec![0, 0, 1]);
         assert_eq!(broadcast_strides(&[2, 1, 3], 3), vec![3, 0, 1]);
-    }
-
-    #[test]
-    fn shape_basic_accessors() {
-        let s = Shape::new(&[2, 3]);
-        assert_eq!(s.len(), 6);
-        assert!(!s.is_empty());
-        assert_eq!(s.rank(), 2);
-        assert_eq!(s.dims(), &[2, 3]);
-        let z = Shape::new(&[0, 4]);
-        assert!(z.is_empty());
     }
 }

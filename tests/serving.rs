@@ -317,6 +317,85 @@ fn non_finite_clips_are_rejected_at_the_door() {
     assert_eq!(stats.check_conserved(), Ok(0));
 }
 
+/// First pixel that marks a clip [`PanicsOnPoison`] panics on. It is
+/// finite, so admission lets it through to the worker.
+const POISON: f32 = -1.0;
+
+/// A backend that senses exactly as the algorithmic encoder it wraps,
+/// except that it panics on any batch holding a clip whose first pixel
+/// is [`POISON`].
+#[derive(Debug, Clone)]
+struct PanicsOnPoison(AlgorithmicEncoder);
+
+impl Sense for PanicsOnPoison {
+    type Error = <AlgorithmicEncoder as Sense>::Error;
+
+    fn mask(&self) -> &ExposureMask {
+        self.0.mask()
+    }
+
+    fn sense_batch(&mut self, clips: &Tensor) -> Result<Tensor, Self::Error> {
+        let clip_len = T * HW * HW;
+        if clips
+            .as_slice()
+            .chunks(clip_len)
+            .any(|clip| clip[0] == POISON)
+        {
+            panic!("poisoned clip");
+        }
+        self.0.sense_batch(clips)
+    }
+}
+
+/// A panic inside a worker's forward pass fails that batch like an
+/// inference error: its rider is answered with `Inference` and counted
+/// as failed, nothing is left in flight, the same worker goes on to
+/// serve the next clip bit for bit, and shutdown returns. Every wait is
+/// bounded, so a regression fails instead of hanging.
+#[test]
+fn a_panicking_batch_is_answered_and_the_worker_goes_on() {
+    const BOUND: Duration = Duration::from_secs(60);
+    let mask = patterns::long_exposure(T, (8, 8)).expect("valid mask");
+    let recipe =
+        Pipeline::builder(model()).with_backend(PanicsOnPoison(AlgorithmicEncoder::new(mask)));
+    let server = Server::builder(recipe)
+        .with_workers(1)
+        .with_batch_policy(BatchPolicy::greedy(1))
+        .build()
+        .expect("server assembly");
+    let clean = &clips(1)[0];
+    let mut poisoned = clean.clone();
+    poisoned.as_mut_slice()[0] = POISON;
+
+    let doomed = server.submit(&poisoned).expect("a finite clip is admitted");
+    match doomed.wait_timeout(BOUND) {
+        Err(ServeError::Inference { message }) => {
+            assert!(message.contains("poisoned clip"), "{message}");
+        }
+        other => panic!("expected an Inference error, got {other:?}"),
+    }
+
+    let served = server
+        .submit(clean)
+        .expect("the worker still admits")
+        .wait_timeout(BOUND)
+        .expect("served")
+        .expect("answered within the bound");
+    let mut offline = Pipeline::builder(model()).build().expect("assembly");
+    let reference = offline.infer_clip(clean).expect("offline inference");
+    let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&served.logits), bits(&reference.logits));
+
+    let (done, stopped) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let _ = done.send(server.shutdown());
+    });
+    let stats = stopped.recv_timeout(BOUND).expect("shutdown returns");
+    stopper.join().expect("shutdown thread");
+    assert_eq!((stats.submitted, stats.completed, stats.failed), (2, 1, 1));
+    assert_eq!(stats.check_conserved(), Ok(0), "nothing left in flight");
+}
+
 /// The hardware-sensor path serves through replicas too (each replica
 /// clones the readout chain), and agrees with the algorithmic path on
 /// the decision for a noiseless ADC.
