@@ -99,45 +99,25 @@ impl ParamStore {
     pub fn ids(&self) -> Vec<ParamId> {
         (0..self.values.len()).map(ParamId).collect()
     }
-
-    /// Moves every owned parameter into shared read-only storage so
-    /// that clones of this store reference the same buffers instead of
-    /// deep-copying every weight.
-    ///
-    /// Each owned tensor is *moved* behind its own `Arc` (no element is
-    /// copied); tensors already backed by shared storage — e.g. loaded
-    /// from a model artifact — keep their existing buffers. Training
-    /// after this call still works: the first mutation of a parameter
-    /// detaches a private copy (copy-on-write).
-    pub fn make_shared(&mut self) {
-        self.values = std::mem::take(&mut self.values)
-            .into_iter()
-            .map(Tensor::into_shared)
-            .collect();
-    }
 }
 
 /// Bytes of weight memory actually resident across `stores`, counting
 /// each shared backing buffer once no matter how many stores (replicas)
 /// or tensors reference it.
 ///
-/// This is the number the serve layer's `ServerStats` reports: n
-/// replicas deep-copying a store cost n × the store's bytes, while n
-/// replicas over one artifact cost one payload buffer total.
+/// This is the number the serve layer's `ServerStats` reports: n clones
+/// of a store cost one store's bytes until a clone writes a weight, and
+/// n replicas over one artifact cost one payload buffer total.
 pub fn resident_weight_bytes<'a>(stores: impl IntoIterator<Item = &'a ParamStore>) -> usize {
     let mut seen = std::collections::HashSet::new();
     let mut bytes = 0usize;
     for store in stores {
         for (_, _, value) in store.iter() {
-            match value.shared_buffer() {
-                // A shared buffer may back many tensors (and many
-                // stores); its allocation is resident exactly once.
-                Some(buf) => {
-                    if seen.insert(std::sync::Arc::as_ptr(buf) as usize) {
-                        bytes += buf.len() * value.dtype().size_of();
-                    }
-                }
-                None => bytes += value.len() * value.dtype().size_of(),
+            // A buffer may back many tensors (and many stores); its
+            // allocation is resident exactly once.
+            let buf = value.shared_buffer();
+            if seen.insert(std::sync::Arc::as_ptr(buf) as usize) {
+                bytes += buf.len() * value.dtype().size_of();
             }
         }
     }
@@ -427,17 +407,16 @@ mod tests {
     }
 
     #[test]
-    fn make_shared_lets_clones_share_buffers() {
+    fn store_clones_share_buffers() {
         let mut store = ParamStore::new();
         let a = store.register("a", Tensor::arange(8));
         let b = store.register("b", Tensor::full(&[4], 2.0));
         assert_eq!(resident_weight_bytes([&store]), (8 + 4) * 4);
-        store.make_shared();
         let replica = store.clone();
         for id in [a, b] {
             assert!(std::sync::Arc::ptr_eq(
-                store.value(id).shared_buffer().unwrap(),
-                replica.value(id).shared_buffer().unwrap()
+                store.value(id).shared_buffer(),
+                replica.value(id).shared_buffer()
             ));
         }
         // Two replicas over shared storage are no bigger than one.
@@ -453,7 +432,9 @@ mod tests {
     fn resident_bytes_counts_deep_copies_per_replica() {
         let mut store = ParamStore::new();
         store.register("w", Tensor::zeros(&[16]));
-        let copy = store.clone(); // owned storage: a real deep copy
+        let mut copy = store.clone();
+        // The first write detaches a private copy: a real deep copy.
+        copy.value_mut(copy.ids()[0]).as_mut_slice();
         assert_eq!(resident_weight_bytes([&store, &copy]), 2 * 16 * 4);
         assert_eq!(resident_weight_bytes(std::iter::empty::<&ParamStore>()), 0);
     }

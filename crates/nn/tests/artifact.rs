@@ -107,7 +107,7 @@ fn round_trip_hands_back_identical_values() {
     for (_, name, value) in store.iter() {
         let loaded = reader.tensor(name).unwrap();
         assert_eq!(&loaded, value, "tensor {name} must round-trip bit-for-bit");
-        assert!(loaded.is_shared());
+        assert!(Arc::ptr_eq(loaded.shared_buffer(), reader.payload_buffer()));
     }
 }
 
@@ -157,14 +157,8 @@ fn loaded_tensors_share_one_payload_buffer() {
     // Every handed-out tensor is a window into the reader's buffer.
     let a = reader.tensor("codec.mask").unwrap();
     let b = reader.tensor("head.weight").unwrap();
-    assert!(Arc::ptr_eq(
-        a.shared_buffer().unwrap(),
-        reader.payload_buffer()
-    ));
-    assert!(Arc::ptr_eq(
-        a.shared_buffer().unwrap(),
-        b.shared_buffer().unwrap()
-    ));
+    assert!(Arc::ptr_eq(a.shared_buffer(), reader.payload_buffer()));
+    assert!(Arc::ptr_eq(a.shared_buffer(), b.shared_buffer()));
 
     // Two stores loaded from the same reader share it too — this is the
     // n-replica case.
@@ -174,8 +168,8 @@ fn loaded_tensors_share_one_payload_buffer() {
     reader.load_into(&mut r2).unwrap();
     for (id1, id2) in r1.ids().into_iter().zip(r2.ids()) {
         assert!(Arc::ptr_eq(
-            r1.value(id1).shared_buffer().unwrap(),
-            r2.value(id2).shared_buffer().unwrap()
+            r1.value(id1).shared_buffer(),
+            r2.value(id2).shared_buffer()
         ));
     }
     // Shared resident bytes: two replicas cost one payload.

@@ -534,13 +534,14 @@ fn run_worker<S>(
             .collect();
         let (expired, live): (Vec<Request>, Vec<Request>) =
             batch.into_iter().partition(|r| r.expired(claimed));
-        let expired_count = expired.len() as u64;
+        // Every request is counted before its client hears back, so a
+        // client holding its answer always finds it in `stats()`.
+        recorder.record_batch(&queue_latencies, expired.len() as u64, 0, None);
         for request in expired {
             let waited = claimed.duration_since(request.enqueued);
             request.answer(Err(ServeError::DeadlineExpired { waited }));
         }
         if live.is_empty() {
-            recorder.record_batch(&queue_latencies, expired_count, 0, None);
             continue;
         }
 
@@ -589,31 +590,33 @@ fn run_worker<S>(
         // `Disconnected`).
         let executed = live.len();
         let compute = started.elapsed();
-        let answered = match result {
-            Ok(Ok(inference)) if inference.len() == executed => {
+        let answers = match result {
+            Ok(Ok(inference)) if inference.len() == executed => Ok(inference),
+            failed => Err(match failed {
+                Ok(Ok(inference)) => format!(
+                    "pipeline returned {} predictions for a batch of {executed} clips",
+                    inference.len()
+                ),
+                Ok(Err(e)) => e.to_string(),
+                Err(payload) => panic_message(payload.as_ref()),
+            }),
+        };
+        let compute = answers.is_ok().then_some((compute, compute_trace));
+        recorder.record_batch(&[], 0, executed, compute);
+        match answers {
+            Ok(inference) => {
                 for (request, prediction) in live.into_iter().zip(&inference) {
                     request.answer(Ok(prediction));
                 }
-                Some((compute, compute_trace))
             }
-            failed => {
-                let message = match failed {
-                    Ok(Ok(inference)) => format!(
-                        "pipeline returned {} predictions for a batch of {executed} clips",
-                        inference.len()
-                    ),
-                    Ok(Err(e)) => e.to_string(),
-                    Err(payload) => panic_message(payload.as_ref()),
-                };
+            Err(message) => {
                 for request in live {
                     request.answer(Err(ServeError::Inference {
                         message: message.clone(),
                     }));
                 }
-                None
             }
-        };
-        recorder.record_batch(&queue_latencies, expired_count, executed, answered);
+        }
     }
 }
 

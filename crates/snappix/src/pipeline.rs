@@ -1,16 +1,12 @@
 //! The throughput-first inference engine: batched clips in, logits and
 //! labels per clip out.
 //!
-//! [`Pipeline`] replaced the one-clip-at-a-time `SnapPixSystem` (retired
-//! after its deprecation release): it owns
-//! persistent [`SessionPool`]s so the autograd graph and parameter
-//! bindings are reused across calls instead of being reallocated per
-//! clip, it accepts `[batch, t, h, w]` clip batches so the whole batch
-//! shares one forward pass (sharded by clip across the pipeline's
-//! threads when the batch is big enough to pay for them), and it is
-//! generic over the [`Sense`] backend
-//! so the training-time algorithmic encoder and the deployment-time
-//! hardware simulation run through identical code.
+//! [`Pipeline`] keeps persistent [`SessionPool`]s, so the autograd graph
+//! and parameter bindings are reused across calls. It takes
+//! `[batch, t, h, w]` batches, so a whole batch shares one forward pass
+//! (sharded by clip across threads when that pays), and it is generic
+//! over the [`Sense`] backend, so the training-time encoder and the
+//! deployment-time hardware simulation run through identical code.
 
 use crate::Error;
 use snappix_ce::{AlgorithmicEncoder, Sense};
@@ -292,8 +288,7 @@ impl<S: Sense> PipelineBuilder<S> {
     ///
     /// The sensor geometry and mask are taken from the model, and the
     /// readout's `full_scale` is overridden to the mask's slot count so
-    /// the ADC range matches the worst-case accumulated charge (the same
-    /// convention the retired `SnapPixSystem::new` applied).
+    /// the ADC range matches the worst-case accumulated charge.
     ///
     /// # Errors
     ///
@@ -355,10 +350,9 @@ impl<S: Sense> PipelineBuilder<S> {
     /// `path`.
     ///
     /// The artifact's payload is read into memory once and every
-    /// parameter becomes a zero-copy window into that one shared
-    /// buffer, so [`build_replicas`](Self::build_replicas) stamps out
-    /// replicas that all reference the same weight storage instead of n
-    /// deep copies. To share one already-open artifact across several
+    /// parameter becomes a zero-copy window into that one buffer, which
+    /// the replicas from [`build_replicas`](Self::build_replicas) all
+    /// reference. To share one already-open artifact across several
     /// builders (e.g. a model registry), use
     /// [`with_artifact_reader`](Self::with_artifact_reader).
     ///
@@ -428,12 +422,10 @@ impl<S: Sense> PipelineBuilder<S> {
 
     /// Assembles `replicas` identical pipelines from this one recipe.
     ///
-    /// The model's weights are moved into shared read-only storage
-    /// first, so every replica references the *same* buffers — one
-    /// resident copy of the weights however many workers serve from
-    /// them (weights loaded via [`with_artifact`](Self::with_artifact)
-    /// already share the artifact's single payload buffer). Each
-    /// replica still owns its backend copy (including any backend RNG
+    /// A cloned tensor shares its buffer, so every replica's weights are
+    /// the *same* buffers: one resident copy however many workers serve
+    /// from them (weights from [`with_artifact`](Self::with_artifact)
+    /// are windows into its one payload buffer). Each replica still owns its backend copy (including any backend RNG
     /// state — replicas with a noisy readout draw independent,
     /// identically-seeded noise streams) and a fresh private session,
     /// so the inference hot path stays lock-free and each replica can
@@ -443,11 +435,10 @@ impl<S: Sense> PipelineBuilder<S> {
     /// # Errors
     ///
     /// Same validation as [`build`](Self::build).
-    pub fn build_replicas(mut self, replicas: usize) -> Result<Vec<Pipeline<S>>, Error>
+    pub fn build_replicas(self, replicas: usize) -> Result<Vec<Pipeline<S>>, Error>
     where
         S: Clone,
     {
-        self.model.store_mut().make_shared();
         let mut out = Vec::with_capacity(replicas);
         for _ in 1..replicas {
             out.push(self.clone().build()?);
@@ -465,10 +456,8 @@ impl<S: Sense> PipelineBuilder<S> {
 /// hardware simulation), the coded images drive the co-designed ViT in
 /// *one* forward pass per batch — split into clip shards across the
 /// pipeline's threads when the batch's work pays for them — and the
-/// sessions behind that pass are reused
-/// across calls via persistent [`SessionPool`]s, the structure a node
-/// serving heavy traffic needs, instead of the per-clip
-/// allocate-and-drop of the retired `SnapPixSystem`.
+/// sessions behind that pass are reused across calls via persistent
+/// [`SessionPool`]s.
 ///
 /// Single-clip callers on many threads reach batched throughput through
 /// `snappix-serve`, whose dynamic batcher coalesces their clips into
@@ -595,10 +584,8 @@ where
     /// pays for more than one worker, the forward pass is sharded by
     /// clip, about two shards per worker, on the calling thread plus
     /// scoped helpers; smaller batches are one pass on the calling
-    /// thread. The per-worker floor, the spawn cost it was measured
-    /// against and the batch sizes it keeps serial are documented at
-    /// `FORWARD_MACS_PER_WORKER` in this module's source. Sensing stays
-    /// on the calling thread. Logits are bit-for-bit the same at every
+    /// thread; `FORWARD_MACS_PER_WORKER` in this module's source
+    /// documents the floor. Sensing stays on the calling thread. Logits are bit-for-bit the same at every
     /// thread count. The `offline_batch` workload of the `perfbench`
     /// benchmark measures this path.
     ///
@@ -607,6 +594,16 @@ where
     /// the backend — batching front-ends (e.g. the `snappix-serve`
     /// dynamic batcher) can race to a flush with zero clips and must not
     /// blow up.
+    ///
+    /// # Non-finite clips
+    ///
+    /// A clip with NaN or ±inf pixels is not refused, and the batch's
+    /// other clips are unaffected by it. Its logits and label are
+    /// whatever the backend yields: the algorithmic encoder turns any
+    /// non-finite pixel into an all-NaN row, which
+    /// [`Tensor::argmax_axis`] reads as class 0; the hardware ADC clamps
+    /// ±inf and lets only a NaN in an open exposure slot through. Only
+    /// serve, stream and fleet refuse such clips.
     ///
     /// # Errors
     ///
@@ -631,7 +628,7 @@ where
     ///
     /// Prefer [`infer`](Self::infer) when more than one clip is
     /// available — the batched path is substantially faster than a loop
-    /// over this method.
+    /// over this method. Non-finite clips are not refused (see `infer`).
     ///
     /// # Errors
     ///
@@ -1047,8 +1044,8 @@ mod tests {
             let store = replica.model().store();
             for (id_a, id_b) in first.ids().into_iter().zip(store.ids()) {
                 assert!(Arc::ptr_eq(
-                    first.value(id_a).shared_buffer().unwrap(),
-                    store.value(id_b).shared_buffer().unwrap()
+                    first.value(id_a).shared_buffer(),
+                    store.value(id_b).shared_buffer()
                 ));
             }
         }

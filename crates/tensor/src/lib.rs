@@ -42,7 +42,7 @@ mod tensor;
 pub use error::TensorError;
 pub use ops::argmax_coords;
 pub use shape::{broadcast_shapes, strides_for};
-pub use storage::{DType, SharedBuffer, Storage};
+pub use storage::{DType, SharedBuffer};
 pub use tensor::Tensor;
 
 /// Convenient result alias used across this crate.

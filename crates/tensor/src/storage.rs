@@ -1,23 +1,20 @@
-//! Where a tensor's elements live: an owned buffer or a shared
-//! read-only view, plus the element-type tag.
+//! Where a tensor's elements live, plus the element-type tag.
 //!
-//! Every [`Tensor`](crate::Tensor) used to own a private `Vec<f32>`;
-//! that is still the default, and every mutable path (training,
-//! optimizers, in-place kernels) behaves exactly as before. The
-//! [`Storage`] enum adds a second home: a read-only window into an
-//! [`Arc`]-backed buffer that any number of tensors — across any number
-//! of threads — reference without copying. One model artifact loaded
-//! into memory once can back every worker replica of a serving fleet;
-//! cloning such a tensor bumps a reference count instead of copying
-//! megabytes of weights.
-//!
-//! Mutation of a shared tensor is *copy-on-write*: the first
-//! `as_mut_slice` detaches a private owned copy, so read-only sharing
-//! can never be observed through aliased writes.
+//! Every [`Tensor`](crate::Tensor) is a window over an [`Arc`]-backed
+//! buffer, a [`SharedBuffer`]. Clones and shape-only ops (`reshape`,
+//! `flatten`, `unsqueeze`, `squeeze`) share that buffer: they bump a
+//! reference count instead of copying elements, on any thread. The
+//! first write to a buffer held elsewhere copies the window into a
+//! fresh buffer of its own (copy-on-write), so no tensor ever sees
+//! another's writes. A freshly built tensor is the sole holder of its
+//! whole buffer, so kernels and optimizers write it in place and
+//! `into_vec` moves its `Vec` out, both without a copy. A model
+//! artifact loaded once backs every serving replica the same way:
+//! each weight is a window into the artifact's one payload buffer.
 
 use std::sync::Arc;
 
-/// The reference-counted buffer behind [`Storage::Shared`] tensors.
+/// The reference-counted buffer behind every tensor.
 ///
 /// A plain `Arc<Vec<f32>>`: constructing one from an existing `Vec` is
 /// a move, not a copy, and clones are reference-count bumps. Two
@@ -73,105 +70,64 @@ impl std::fmt::Display for DType {
     }
 }
 
-/// The elements behind one [`Tensor`](crate::Tensor).
+/// The elements behind one [`Tensor`](crate::Tensor): the window
+/// `offset..offset + len` of a [`SharedBuffer`].
 #[derive(Debug, Clone)]
-pub enum Storage {
-    /// A private, mutable buffer — the default, and the only variant
-    /// training and optimizer paths ever see.
-    Owned(Vec<f32>),
-    /// A read-only window (`offset..offset + len`) into a buffer shared
-    /// with other tensors. Cloning is a reference-count bump; mutation
-    /// detaches a private copy first (copy-on-write).
-    Shared {
-        /// The shared backing buffer.
-        buf: SharedBuffer,
-        /// First element of this tensor's window.
-        offset: usize,
-        /// Number of elements in this tensor's window.
-        len: usize,
-    },
+pub(crate) struct Storage {
+    buf: SharedBuffer,
+    offset: usize,
+    len: usize,
 }
 
 impl Storage {
+    /// A fresh buffer holding `v`, windowed whole — a move, not a copy.
+    pub(crate) fn new(v: Vec<f32>) -> Self {
+        let len = v.len();
+        Storage::window(Arc::new(v), 0, len)
+    }
+
+    /// A window over `buf`; the caller has checked that it fits.
+    pub(crate) fn window(buf: SharedBuffer, offset: usize, len: usize) -> Self {
+        Storage { buf, offset, len }
+    }
+
     /// Number of elements.
-    pub fn len(&self) -> usize {
-        match self {
-            Storage::Owned(v) => v.len(),
-            Storage::Shared { len, .. } => *len,
-        }
-    }
-
-    /// Returns `true` when there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Element type of this storage. All in-memory storage is `f32`
-    /// today; quantized variants will carry their own tag.
-    pub fn dtype(&self) -> DType {
-        DType::F32
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// The elements as a read-only slice.
-    pub fn as_slice(&self) -> &[f32] {
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Shared { buf, offset, len } => &buf[*offset..*offset + *len],
-        }
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        &self.buf[self.offset..self.offset + self.len]
     }
 
-    /// Returns `true` when this storage is a shared read-only view.
-    pub fn is_shared(&self) -> bool {
-        matches!(self, Storage::Shared { .. })
+    /// The buffer this window lies in.
+    pub(crate) fn buffer(&self) -> &SharedBuffer {
+        &self.buf
     }
 
-    /// The shared backing buffer, when there is one. Use
-    /// [`Arc::ptr_eq`] on two buffers to test whether two tensors share
-    /// storage.
-    pub fn shared_buffer(&self) -> Option<&SharedBuffer> {
-        match self {
-            Storage::Shared { buf, .. } => Some(buf),
-            Storage::Owned(_) => None,
-        }
+    /// `true` when the window spans its whole buffer.
+    fn is_whole(&self) -> bool {
+        self.offset == 0 && self.len == self.buf.len()
     }
 
-    /// Mutable access, detaching a private owned copy first when the
-    /// storage is shared (copy-on-write). After this call the storage
-    /// is always [`Storage::Owned`].
-    pub fn make_mut(&mut self) -> &mut [f32] {
-        if let Storage::Shared { buf, offset, len } = self {
-            let owned = buf[*offset..*offset + *len].to_vec();
-            *self = Storage::Owned(owned);
+    /// Mutable access. A whole buffer held nowhere else is written in
+    /// place; otherwise the window is first copied into a fresh buffer
+    /// of its own (copy-on-write).
+    pub(crate) fn make_mut(&mut self) -> &mut [f32] {
+        if !self.is_whole() {
+            *self = Storage::new(self.as_slice().to_vec());
         }
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Shared { .. } => unreachable!("detached above"),
-        }
+        Arc::make_mut(&mut self.buf).as_mut_slice()
     }
 
-    /// Consumes the storage and returns an owned element vector
-    /// (copying out of a shared buffer).
-    pub fn into_vec(self) -> Vec<f32> {
-        match self {
-            Storage::Owned(v) => v,
-            Storage::Shared { buf, offset, len } => buf[offset..offset + len].to_vec(),
-        }
-    }
-
-    /// Converts owned storage into a shared view over a fresh
-    /// single-owner buffer — a move, not a copy. Shared storage is
-    /// returned unchanged, keeping its existing buffer.
-    pub fn into_shared(self) -> Storage {
-        match self {
-            Storage::Owned(v) => {
-                let len = v.len();
-                Storage::Shared {
-                    buf: Arc::new(v),
-                    offset: 0,
-                    len,
-                }
-            }
-            shared @ Storage::Shared { .. } => shared,
+    /// The elements as a vector: moved out of a whole buffer held
+    /// nowhere else, copied otherwise.
+    pub(crate) fn into_vec(self) -> Vec<f32> {
+        if self.is_whole() {
+            Arc::unwrap_or_clone(self.buf)
+        } else {
+            self.as_slice().to_vec()
         }
     }
 }
@@ -190,59 +146,51 @@ mod tests {
 
     #[test]
     fn owned_and_shared_views_agree() {
-        let owned = Storage::Owned(vec![1.0, 2.0, 3.0, 4.0]);
+        let owned = Storage::new(vec![1.0, 2.0, 3.0, 4.0]);
         let buf: SharedBuffer = Arc::new(vec![0.0, 1.0, 2.0, 3.0, 4.0, 9.0]);
-        let shared = Storage::Shared {
-            buf: Arc::clone(&buf),
-            offset: 1,
-            len: 4,
-        };
+        let shared = Storage::window(Arc::clone(&buf), 1, 4);
         assert_eq!(owned.as_slice(), shared.as_slice());
         assert_eq!(shared.len(), 4);
-        assert!(!shared.is_empty());
-        assert!(shared.is_shared());
-        assert!(!owned.is_shared());
-        assert!(Arc::ptr_eq(shared.shared_buffer().unwrap(), &buf));
-        assert!(owned.shared_buffer().is_none());
-        assert_eq!(owned.dtype(), DType::F32);
+        assert!(Arc::ptr_eq(shared.buffer(), &buf));
+        assert!(!Arc::ptr_eq(owned.buffer(), &buf));
     }
 
     #[test]
     fn make_mut_detaches_shared_storage() {
         let buf: SharedBuffer = Arc::new(vec![1.0, 2.0, 3.0]);
-        let mut a = Storage::Shared {
-            buf: Arc::clone(&buf),
-            offset: 0,
-            len: 3,
-        };
+        let mut a = Storage::window(Arc::clone(&buf), 0, 3);
         let b = a.clone();
         a.make_mut()[0] = 99.0;
         // The write went to a private copy; the shared buffer and every
         // other view are untouched.
-        assert!(!a.is_shared());
+        assert!(!Arc::ptr_eq(a.buffer(), &buf));
         assert_eq!(a.as_slice(), &[99.0, 2.0, 3.0]);
         assert_eq!(b.as_slice(), &[1.0, 2.0, 3.0]);
         assert_eq!(buf.as_slice(), &[1.0, 2.0, 3.0]);
-        // make_mut on owned storage is free and idempotent.
+        // Once a holds its buffer alone, make_mut writes in place.
+        let detached = Arc::as_ptr(a.buffer());
         a.make_mut()[1] = 50.0;
+        assert_eq!(Arc::as_ptr(a.buffer()), detached);
         assert_eq!(a.as_slice(), &[99.0, 50.0, 3.0]);
+        // A window short of its buffer copies just the window, even when
+        // nothing else holds the buffer.
+        let mut part = Storage::window(Arc::new(vec![7.0, 8.0, 9.0]), 1, 2);
+        part.make_mut()[0] = 0.0;
+        assert_eq!(part.buffer().as_slice(), &[0.0, 9.0]);
+        assert_eq!(part.into_vec(), vec![0.0, 9.0]);
     }
 
     #[test]
-    fn into_shared_moves_without_copying_and_clones_share() {
-        let s = Storage::Owned(vec![5.0; 8]).into_shared();
-        assert!(s.is_shared());
+    fn fresh_storage_moves_without_copying_and_clones_share() {
+        let v = vec![5.0; 8];
+        let data = v.as_ptr();
+        let s = Storage::new(v);
+        assert_eq!(s.as_slice().as_ptr(), data);
         let t = s.clone();
-        assert!(Arc::ptr_eq(
-            s.shared_buffer().unwrap(),
-            t.shared_buffer().unwrap()
-        ));
-        // into_shared on already-shared storage keeps the same buffer.
-        let u = t.clone().into_shared();
-        assert!(Arc::ptr_eq(
-            s.shared_buffer().unwrap(),
-            u.shared_buffer().unwrap()
-        ));
-        assert_eq!(u.into_vec(), vec![5.0; 8]);
+        assert!(Arc::ptr_eq(s.buffer(), t.buffer()));
+        // A held clone forces into_vec to copy; the last holder moves.
+        assert_eq!(t.into_vec(), vec![5.0; 8]);
+        let u = s.into_vec();
+        assert_eq!(u.as_ptr(), data);
     }
 }

@@ -4,15 +4,21 @@ use crate::{broadcast_shapes, Result, TensorError};
 
 /// A dense, row-major, contiguous `f32` tensor.
 ///
-/// `Tensor` is the numeric workhorse of the SnapPix reproduction. It stores
-/// its elements contiguously in C order behind a [`Storage`] — a private
-/// `Vec<f32>` by default, or a read-only window into a shared
-/// [`SharedBuffer`] for weights loaded from a model artifact and fanned
-/// out across serving replicas. All operations allocate fresh (owned)
-/// output tensors; in-place variants are provided where the training
-/// loops need them (e.g. [`Tensor::add_assign`]), and mutating a shared
-/// tensor transparently detaches a private copy first (copy-on-write),
-/// so shared storage is never observable through aliased writes.
+/// `Tensor` is the numeric workhorse of the SnapPix reproduction. Its
+/// elements are a contiguous C-order window over a reference-counted
+/// [`SharedBuffer`]. [`Clone`] and the shape-only ops ([`reshape`],
+/// [`flatten`], [`unsqueeze`], [`squeeze`]) share that buffer in O(1)
+/// instead of copying it. Every other operation writes a fresh output
+/// tensor, and in-place variants exist where the training loops need
+/// them (e.g. [`Tensor::add_assign`]). The first write to a buffer held
+/// elsewhere copies the window into a buffer of its own (copy-on-write),
+/// so no tensor ever sees another's writes; a tensor that holds its
+/// whole buffer alone is written in place.
+///
+/// [`reshape`]: Tensor::reshape
+/// [`flatten`]: Tensor::flatten
+/// [`unsqueeze`]: Tensor::unsqueeze
+/// [`squeeze`]: Tensor::squeeze
 ///
 /// # Examples
 ///
@@ -34,8 +40,8 @@ pub struct Tensor {
 }
 
 /// Value equality: same shape, same elements (positionally, with IEEE
-/// `f32` semantics — `NaN != NaN`). Where the elements *live* (owned
-/// vs. shared storage) never affects equality.
+/// `f32` semantics — `NaN != NaN`). Where the elements *live* (which
+/// buffer, at which offset) never affects equality.
 impl PartialEq for Tensor {
     fn eq(&self, other: &Self) -> bool {
         self.shape == other.shape && self.as_slice() == other.as_slice()
@@ -50,7 +56,7 @@ impl Tensor {
     /// Creates a tensor filled with zeros.
     pub fn zeros(shape: &[usize]) -> Self {
         Tensor {
-            data: Storage::Owned(vec![0.0; shape.iter().product()]),
+            data: Storage::new(vec![0.0; shape.iter().product()]),
             shape: shape.to_vec(),
         }
     }
@@ -63,7 +69,7 @@ impl Tensor {
     /// Creates a tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         Tensor {
-            data: Storage::Owned(vec![value; shape.iter().product()]),
+            data: Storage::new(vec![value; shape.iter().product()]),
             shape: shape.to_vec(),
         }
     }
@@ -71,7 +77,7 @@ impl Tensor {
     /// Creates a rank-0 tensor holding a single value.
     pub fn scalar(value: f32) -> Self {
         Tensor {
-            data: Storage::Owned(vec![value]),
+            data: Storage::new(vec![value]),
             shape: vec![],
         }
     }
@@ -91,20 +97,19 @@ impl Tensor {
             });
         }
         Ok(Tensor {
-            data: Storage::Owned(data),
+            data: Storage::new(data),
             shape: shape.to_vec(),
         })
     }
 
-    /// Creates a tensor whose elements are a read-only window of `count
-    /// = shape.iter().product()` elements at `offset` into a shared
-    /// buffer — zero-copy: the tensor references `buf` instead of
-    /// copying it, and so does every [`Clone`] of the tensor.
+    /// Creates a tensor over the window of `count =
+    /// shape.iter().product()` elements at `offset` into `buf`, without
+    /// copying: the tensor and every clone of it share `buf`.
     ///
-    /// This is the constructor model-artifact readers use to hand every
-    /// serving replica a view of one buffer. Mutating accessors
-    /// (e.g. [`Tensor::as_mut_slice`]) detach a private copy first, so
-    /// the shared buffer itself stays immutable for its lifetime.
+    /// Model-artifact readers use this to hand every serving replica a
+    /// window into one payload buffer. The first write through the
+    /// tensor (e.g. [`Tensor::as_mut_slice`]) copies the window into a
+    /// buffer of its own, so `buf` itself is never written.
     ///
     /// # Errors
     ///
@@ -122,11 +127,7 @@ impl Tensor {
             });
         }
         Ok(Tensor {
-            data: Storage::Shared {
-                buf,
-                offset,
-                len: count,
-            },
+            data: Storage::window(buf, offset, count),
             shape: shape.to_vec(),
         })
     }
@@ -134,7 +135,7 @@ impl Tensor {
     /// Creates a 1-D tensor with values `0, 1, ..., n-1`.
     pub fn arange(n: usize) -> Self {
         Tensor {
-            data: Storage::Owned((0..n).map(|i| i as f32).collect()),
+            data: Storage::new((0..n).map(|i| i as f32).collect()),
             shape: vec![n],
         }
     }
@@ -152,7 +153,7 @@ impl Tensor {
         }
         let step = (stop - start) / (n - 1) as f32;
         Tensor {
-            data: Storage::Owned((0..n).map(|i| start + step * i as f32).collect()),
+            data: Storage::new((0..n).map(|i| start + step * i as f32).collect()),
             shape: vec![n],
         }
     }
@@ -188,7 +189,7 @@ impl Tensor {
 
     /// Returns `true` if the tensor holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data.len() == 0
     }
 
     /// Elements as a flat row-major slice.
@@ -198,55 +199,30 @@ impl Tensor {
 
     /// Elements as a mutable flat row-major slice.
     ///
-    /// On a tensor over shared storage this detaches a private owned
-    /// copy first (copy-on-write); owned tensors — everything the
-    /// training paths touch — pay nothing.
+    /// A tensor that holds its whole buffer alone (any freshly built
+    /// one) is written in place; otherwise its window is first copied
+    /// into a buffer of its own (copy-on-write).
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         self.data.make_mut()
     }
 
-    /// Consumes the tensor and returns its flat element vector (copying
-    /// out of shared storage).
+    /// Consumes the tensor and returns its flat element vector: moved
+    /// out of a whole buffer held nowhere else, copied otherwise.
     pub fn into_vec(self) -> Vec<f32> {
         self.data.into_vec()
-    }
-
-    /// The storage behind this tensor's elements.
-    pub fn storage(&self) -> &Storage {
-        &self.data
     }
 
     /// Element type of this tensor. Always [`DType::F32`] in memory
     /// today; the tag is the seam where quantized weight paths land.
     pub fn dtype(&self) -> DType {
-        self.data.dtype()
+        DType::F32
     }
 
-    /// Returns `true` when this tensor is a read-only view of a shared
-    /// buffer (see [`Tensor::from_shared`] / [`Tensor::into_shared`]).
-    pub fn is_shared(&self) -> bool {
-        self.data.is_shared()
-    }
-
-    /// The shared buffer backing this tensor, when there is one. Two
-    /// tensors share storage exactly when both return `Some` and the
-    /// buffers are [`std::sync::Arc::ptr_eq`].
-    pub fn shared_buffer(&self) -> Option<&SharedBuffer> {
-        self.data.shared_buffer()
-    }
-
-    /// Converts this tensor's storage into a shared buffer other
-    /// tensors (and threads) can reference: owned storage is *moved*
-    /// into a fresh buffer (no copy); already-shared storage keeps its
-    /// buffer. Shape and values are unchanged. Subsequent [`Clone`]s
-    /// are reference-count bumps instead of deep copies — the
-    /// replicate-without-copying primitive serving layers build on.
-    #[must_use]
-    pub fn into_shared(self) -> Self {
-        Tensor {
-            data: self.data.into_shared(),
-            shape: self.shape,
-        }
+    /// The buffer this tensor's elements are a window of. Two tensors
+    /// share storage exactly when their buffers are
+    /// [`std::sync::Arc::ptr_eq`].
+    pub fn shared_buffer(&self) -> &SharedBuffer {
+        self.data.buffer()
     }
 
     /// Row-major strides of the tensor.
@@ -542,7 +518,7 @@ impl Tensor {
             data.extend_from_slice(&src[base + start * inner..base + end * inner]);
         }
         Ok(Tensor {
-            data: Storage::Owned(data),
+            data: Storage::new(data),
             shape: out_shape,
         })
     }
@@ -554,7 +530,7 @@ impl Tensor {
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Tensor {
-            data: Storage::Owned(self.as_slice().iter().map(|&x| f(x)).collect()),
+            data: Storage::new(self.as_slice().iter().map(|&x| f(x)).collect()),
             shape: self.shape.clone(),
         }
     }
@@ -582,7 +558,7 @@ impl Tensor {
                 .map(|(&a, &b)| f(a, b))
                 .collect();
             return Ok(Tensor {
-                data: Storage::Owned(data),
+                data: Storage::new(data),
                 shape: self.shape.clone(),
             });
         }
@@ -771,15 +747,23 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// A tensor over a window at `offset` into a buffer padded with
+    /// junk on both sides, holding `t`'s values.
+    fn windowed(t: &Tensor, offset: usize) -> Tensor {
+        let mut buf = vec![-7.0; offset];
+        buf.extend_from_slice(t.as_slice());
+        buf.push(-7.0);
+        Tensor::from_shared(Arc::new(buf), offset, t.shape()).unwrap()
+    }
+
     #[test]
     fn from_shared_views_window_and_checks_bounds() {
         let buf: SharedBuffer = Arc::new((0..10).map(|i| i as f32).collect());
         let t = Tensor::from_shared(Arc::clone(&buf), 2, &[2, 3]).unwrap();
         assert_eq!(t.shape(), &[2, 3]);
         assert_eq!(t.as_slice(), &[2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-        assert!(t.is_shared());
         assert_eq!(t.dtype(), DType::F32);
-        assert!(Arc::ptr_eq(t.shared_buffer().unwrap(), &buf));
+        assert!(Arc::ptr_eq(t.shared_buffer(), &buf));
         // One-past-the-end window is rejected, as is offset overflow.
         assert!(matches!(
             Tensor::from_shared(Arc::clone(&buf), 5, &[2, 3]),
@@ -795,23 +779,44 @@ mod tests {
 
     #[test]
     fn shared_tensor_clones_share_storage() {
-        let t = Tensor::arange(8).into_shared();
+        let t = Tensor::arange(8);
         let u = t.clone();
-        assert!(Arc::ptr_eq(
-            t.shared_buffer().unwrap(),
-            u.shared_buffer().unwrap()
-        ));
-        // Owned tensors report no shared buffer.
-        assert!(Tensor::arange(8).shared_buffer().is_none());
-        assert!(!Tensor::arange(8).is_shared());
+        assert!(Arc::ptr_eq(t.shared_buffer(), u.shared_buffer()));
+    }
+
+    #[test]
+    fn shape_only_ops_share_until_written() {
+        let mut t = Tensor::zeros(&[2, 3]);
+        // The hot path: a tensor holding its whole buffer alone is written
+        // in place and moved out, never copied.
+        let data = t.as_slice().as_ptr();
+        t.as_mut_slice()[0] = 1.0;
+        assert_eq!(t.as_slice().as_ptr(), data);
+        let views = [
+            t.clone(),
+            t.reshape(&[3, 2]).unwrap(),
+            t.flatten(),
+            t.unsqueeze(0).unwrap(),
+            t.unsqueeze(0).unwrap().squeeze(0).unwrap(),
+        ];
+        for mut view in views {
+            assert!(Arc::ptr_eq(view.shared_buffer(), t.shared_buffer()));
+            // A write detaches only the writer; t keeps its values.
+            view.as_mut_slice()[1] = 9.0;
+            assert!(!Arc::ptr_eq(view.shared_buffer(), t.shared_buffer()));
+            assert_eq!(view.as_slice(), &[1.0, 9.0, 0.0, 0.0, 0.0, 0.0]);
+            assert_eq!(t.as_slice(), &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        }
+        let moved = t.into_vec();
+        assert_eq!(moved.as_ptr(), data);
     }
 
     #[test]
     fn mutating_a_shared_tensor_copies_on_write() {
-        let t = Tensor::arange(4).into_shared();
+        let t = Tensor::arange(4);
         let mut u = t.clone();
         u.set(&[1], 99.0).unwrap();
-        assert!(!u.is_shared());
+        assert!(!Arc::ptr_eq(u.shared_buffer(), t.shared_buffer()));
         assert_eq!(u.as_slice(), &[0.0, 99.0, 2.0, 3.0]);
         assert_eq!(t.as_slice(), &[0.0, 1.0, 2.0, 3.0]);
         let mut v = t.clone();
@@ -826,7 +831,7 @@ mod tests {
     #[test]
     fn equality_ignores_storage_kind() {
         let owned = Tensor::arange(6).reshape(&[2, 3]).unwrap();
-        let shared = owned.clone().into_shared();
+        let shared = windowed(&owned, 3);
         assert_eq!(owned, shared);
         assert_ne!(owned, Tensor::zeros(&[2, 3]));
         assert_ne!(owned, Tensor::arange(6)); // same data, different shape
@@ -836,8 +841,9 @@ mod tests {
     fn ops_on_shared_tensors_match_owned() {
         let a = Tensor::arange(6).reshape(&[2, 3]).unwrap();
         let b = Tensor::from_vec(vec![10.0, 20.0, 30.0], &[3]).unwrap();
-        let sa = a.clone().into_shared();
-        let sb = b.clone().into_shared();
+        let sa = windowed(&a, 1);
+        let sb = windowed(&b, 2);
+        assert_eq!(a.add(&sb).unwrap(), sa.add(&sb).unwrap());
         assert_eq!(a.add(&b).unwrap(), sa.add(&sb).unwrap());
         assert_eq!(a.permute(&[1, 0]).unwrap(), sa.permute(&[1, 0]).unwrap());
         assert_eq!(
@@ -851,7 +857,7 @@ mod tests {
         assert_eq!(a.map(|x| x * 2.0), sa.map(|x| x * 2.0));
         assert_eq!(format!("{a}"), format!("{sa}"));
         let c = Tensor::full(&[2, 3], 0.5);
-        let sc = c.clone().into_shared();
+        let sc = windowed(&c, 4);
         let mut a2 = a.clone();
         let mut sa2 = sa.clone();
         a2.add_assign(&c).unwrap();

@@ -227,6 +227,17 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_the_frame_buffer() {
+        // Replaying one clip to many consumers must not copy its frames.
+        let v = Video::new(Tensor::zeros(&[4, 8, 8])).unwrap();
+        let replay = v.clone();
+        assert!(std::sync::Arc::ptr_eq(
+            v.frames().shared_buffer(),
+            replay.frames().shared_buffer()
+        ));
+    }
+
+    #[test]
     fn temporal_mean_averages_frames() {
         let f0 = Tensor::zeros(&[2, 2]);
         let f1 = Tensor::full(&[2, 2], 2.0);

@@ -4,7 +4,8 @@
 //! Property tests (vendored proptest): the algorithmic encoder and the
 //! noiseless hardware sensor agree *through the trait*, batched
 //! inference is bit-for-bit identical to per-clip inference, and a
-//! poisoned clip cannot move its batch-mates' logits.
+//! poisoned clip cannot move its batch-mates' logits (its own outcome
+//! is pinned per backend).
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -53,6 +54,29 @@ where
             bits(&single.logits) != bits(&row)
         })
         .collect()
+}
+
+/// What one batched `infer` yields for the poisoned clip `victim`
+/// itself, which `Pipeline` does not refuse: `Some(true)` for an
+/// all-NaN logit row read as class 0, `Some(false)` for an all-finite
+/// row, `None` for anything else.
+fn victim_row_is_nan<S: Sense>(
+    pipeline: &mut Pipeline<S>,
+    batch: &Tensor,
+    victim: usize,
+) -> Option<bool>
+where
+    Error: From<S::Error>,
+{
+    let out = pipeline.infer(batch).expect("batched inference");
+    let row = out.logits.index_axis(0, victim).expect("row");
+    if row.as_slice().iter().all(|v| v.is_nan()) && out.labels[victim] == 0 {
+        Some(true)
+    } else if row.as_slice().iter().all(|v| v.is_finite()) {
+        Some(false)
+    } else {
+        None
+    }
 }
 
 proptest! {
@@ -150,6 +174,25 @@ proptest! {
             prop_assert!(moved.is_empty(), "algorithmic, {threads} threads: clips {moved:?} moved");
             let moved = batch_mates_that_moved(&mut hardware, &clean, &poisoned, victim);
             prop_assert!(moved.is_empty(), "hardware, {threads} threads: clips {moved:?} moved");
+            // The victim's own outcome, pinned per backend. The encoder
+            // multiplies closed slots by 0 and 0 × ±inf is NaN, so any
+            // non-finite pixel turns its row to NaN, and 3e38 pixels do
+            // whenever their sums overflow. The hardware ADC clamps ±inf
+            // and 3e38 to full scale, and a NaN pixel reaches the coded
+            // image only through an open slot.
+            let victim_clip = poisoned.index_axis(0, victim).expect("clip");
+            let coded = coded_via(&mut hardware.backend().clone(), &victim_clip);
+            let nan_coded = coded.as_slice().iter().any(|v| v.is_nan());
+            let row = victim_row_is_nan(&mut algorithmic, &poisoned, victim);
+            prop_assert!(
+                row == Some(true) || (poison.is_finite() && row == Some(false)),
+                "algorithmic, {poison} poison: NaN row {row:?}"
+            );
+            let row = victim_row_is_nan(&mut hardware, &poisoned, victim);
+            prop_assert!(
+                row == Some(poison.is_nan() && nan_coded),
+                "hardware, {poison} poison, NaN in coded image {nan_coded}: NaN row {row:?}"
+            );
         }
     }
 }

@@ -179,6 +179,34 @@ fn expired_deadlines_shed_queued_work() {
     assert_eq!(stats.completed, 1);
 }
 
+/// A client holding its answer finds its request in `stats()`: the
+/// worker counts each request before answering it, so a stats read
+/// right after a served or expired request never lags one behind.
+#[test]
+fn answered_requests_are_already_counted() {
+    let server = Server::builder(Pipeline::builder(model()))
+        .with_workers(1)
+        .with_batch_policy(BatchPolicy::greedy(1))
+        .build()
+        .expect("server assembly");
+    let clip = &clips(1)[0];
+    for n in 1..=32 {
+        server.classify(clip).expect("served");
+        assert_eq!(server.stats().completed, n, "served request {n}");
+        let doomed = server
+            .try_submit_within(clip, Some(Duration::ZERO))
+            .expect("admission is still granted");
+        assert!(matches!(
+            doomed.wait(),
+            Err(ServeError::DeadlineExpired { .. })
+        ));
+        let stats = server.stats();
+        assert_eq!(stats.expired, n, "expired request {n}");
+        assert_eq!(stats.check_conserved(), Ok(0), "nothing in flight");
+    }
+    server.shutdown();
+}
+
 /// A client-side `wait_timeout` that expires while the request is
 /// *mid-compute* (claimed off the queue, riding in a running batch) must
 /// return `Ok(None)` and leave the ticket redeemable — a client timing
