@@ -1,3 +1,4 @@
+use crate::free_list::FreeList;
 use crate::{AutogradError, Result};
 use snappix_tensor::Tensor;
 
@@ -14,7 +15,9 @@ pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &[&Tensor]) -> Vec<Tensor> + Se
 
 pub(crate) struct Node {
     pub(crate) value: Tensor,
+    /// Empty unless a gradient flows through the node.
     pub(crate) parents: Vec<Var>,
+    /// `None` unless a gradient flows through the node.
     pub(crate) backward: Option<BackwardFn>,
     /// Whether gradients should flow into (or through) this node.
     pub(crate) needs_grad: bool,
@@ -29,6 +32,14 @@ pub(crate) struct Node {
 /// A `Graph` is built per training step: leaf in the parameters and inputs,
 /// compose the loss, call [`Graph::backward`], then read gradients with
 /// [`Graph::grad`].
+///
+/// Ops write their outputs into buffers from the graph's free list:
+/// [`Graph::reset`] recycles every node value that no clone outlives, so
+/// a graph reused for another step of the same (or smaller) size takes
+/// nothing from the heap for them ([`Graph::buffers_requested`] counts
+/// what it does take). A node records its parents and backward closure
+/// only when a gradient flows through it, so an inference tape stores
+/// values alone.
 ///
 /// # Examples
 ///
@@ -52,6 +63,7 @@ pub(crate) struct Node {
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
     grads: Vec<Option<Tensor>>,
+    pub(crate) free: FreeList,
 }
 
 impl std::fmt::Debug for Graph {
@@ -65,10 +77,7 @@ impl std::fmt::Debug for Graph {
 impl Graph {
     /// Creates an empty graph.
     pub fn new() -> Self {
-        Graph {
-            nodes: Vec::new(),
-            grads: Vec::new(),
-        }
+        Graph::default()
     }
 
     /// Number of nodes recorded so far.
@@ -86,16 +95,62 @@ impl Graph {
             .sum()
     }
 
-    /// Clears the tape so the allocation can be reused for another step.
+    /// Buffers the graph's ops took from the heap since the last
+    /// [`Graph::reset`] (or since creation): the requests its free list
+    /// could not serve. A step no larger than the one before the reset
+    /// requests only buffers for values that outlived the reset, such
+    /// as logits cloned out of the tape.
+    pub fn buffers_requested(&self) -> usize {
+        self.free.requested()
+    }
+
+    /// Clears the tape so its allocations can be reused for another step.
     ///
-    /// All [`Var`] handles issued before the reset are invalidated; the
-    /// node and gradient buffers keep their capacity, which is what lets
-    /// callers (e.g. `snappix_nn::SessionPool`) amortize graph allocation
-    /// across repeated forward passes instead of building a fresh `Graph`
-    /// per call.
+    /// All [`Var`] handles issued before the reset are invalidated. The
+    /// node and gradient tables keep their capacity, and every node value
+    /// and gradient whose buffer nothing else holds goes back to the free
+    /// list the next step's ops draw from (buffers still held by a clone
+    /// stay with it). This is what lets callers (e.g.
+    /// `snappix_nn::SessionPool`) run repeated forward passes without
+    /// the heap.
     pub fn reset(&mut self) {
-        self.nodes.clear();
-        self.grads.clear();
+        let values = self.nodes.drain(..).map(|node| node.value);
+        let grads = self.grads.drain(..).flatten();
+        self.free
+            .reset(values.chain(grads).filter_map(Tensor::into_unique_buffer));
+    }
+
+    /// The value of `v` and the free list, borrowed together so an op
+    /// can read its input while its output buffer is drawn.
+    pub(crate) fn value_and_free(&mut self, v: Var) -> (&Tensor, &mut FreeList) {
+        (&self.nodes[v.0].value, &mut self.free)
+    }
+
+    /// The values of `a` and `b` and the free list, borrowed together.
+    pub(crate) fn values_and_free(&mut self, a: Var, b: Var) -> (&Tensor, &Tensor, &mut FreeList) {
+        (
+            &self.nodes[a.0].value,
+            &self.nodes[b.0].value,
+            &mut self.free,
+        )
+    }
+
+    /// `f` of every element of `a`'s value, into a free-list buffer.
+    pub(crate) fn map_value(&mut self, a: Var, f: impl Fn(f32) -> f32) -> Tensor {
+        let (x, free) = self.value_and_free(a);
+        x.map_in(f, free)
+    }
+
+    /// `f` of the broadcast values of `a` and `b`, into a free-list
+    /// buffer.
+    pub(crate) fn zip_values(
+        &mut self,
+        a: Var,
+        b: Var,
+        f: impl Fn(f32, f32) -> f32,
+    ) -> Result<Tensor> {
+        let (x, y, free) = self.values_and_free(a, b);
+        Ok(x.zip_with_in(y, f, free)?)
     }
 
     /// Returns `true` if no nodes have been recorded.
@@ -122,18 +177,23 @@ impl Graph {
         Var(self.nodes.len() - 1)
     }
 
-    /// Records an op node. `needs_grad` is inferred from the parents.
-    pub(crate) fn push_op(
-        &mut self,
-        value: Tensor,
-        parents: Vec<Var>,
-        backward: BackwardFn,
-    ) -> Var {
+    /// Records an op node. `needs_grad` is inferred from the parents;
+    /// without it the node keeps neither the parents nor the backward
+    /// closure, so recording it allocates nothing.
+    pub(crate) fn push_op<F>(&mut self, value: Tensor, parents: &[Var], backward: F) -> Var
+    where
+        F: Fn(&Tensor, &[&Tensor]) -> Vec<Tensor> + Send + 'static,
+    {
         let needs_grad = parents.iter().any(|p| self.nodes[p.0].needs_grad);
+        let (parents, backward) = if needs_grad {
+            (parents.to_vec(), Some(Box::new(backward) as BackwardFn))
+        } else {
+            (Vec::new(), None)
+        };
         self.push(Node {
             value,
             parents,
-            backward: if needs_grad { Some(backward) } else { None },
+            backward,
             needs_grad,
         })
     }
@@ -149,14 +209,10 @@ impl Graph {
         backward: fn(&Tensor, &Tensor) -> Tensor,
     ) -> Var {
         let output = self.nodes[parent.0].needs_grad.then(|| value.clone());
-        self.push_op(
-            value,
-            vec![parent],
-            Box::new(move |g, _| {
-                let output = output.as_ref().expect("kept when a gradient is needed");
-                vec![backward(g, output)]
-            }),
-        )
+        self.push_op(value, &[parent], move |g, _| {
+            let output = output.as_ref().expect("kept when a gradient is needed");
+            vec![backward(g, output)]
+        })
     }
 
     /// Records a custom differentiable operation.
@@ -172,14 +228,14 @@ impl Graph {
     ///
     /// Returns [`AutogradError::InvalidVar`] if any parent handle is
     /// foreign.
-    pub fn custom_op<F>(&mut self, value: Tensor, parents: Vec<Var>, backward: F) -> Result<Var>
+    pub fn custom_op<F>(&mut self, value: Tensor, parents: &[Var], backward: F) -> Result<Var>
     where
         F: Fn(&Tensor, &[&Tensor]) -> Vec<Tensor> + Send + 'static,
     {
-        for &p in &parents {
+        for &p in parents {
             self.check(p)?;
         }
-        Ok(self.push_op(value, parents, Box::new(backward)))
+        Ok(self.push_op(value, parents, backward))
     }
 
     pub(crate) fn check(&self, v: Var) -> Result<()> {

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod free_list;
 mod gradcheck;
 mod graph;
 mod ops_linalg;

@@ -2,7 +2,8 @@
 
 use crate::graph::reduce_to_shape;
 use crate::{AutogradError, Graph, Result, Var};
-use snappix_tensor::{math, parallel, Tensor};
+use snappix_tensor::{math, parallel, BufferSource, Tensor};
+use std::sync::Arc;
 
 impl Graph {
     /// Matrix multiplication (rank-2, batched rank-3, or rank-3 by shared
@@ -15,13 +16,12 @@ impl Graph {
     pub fn matmul(&mut self, a: Var, b: Var) -> Result<Var> {
         self.check(a)?;
         self.check(b)?;
-        let value = self.value(a).matmul(self.value(b))?;
-        let ranks = (self.value(a).rank(), self.value(b).rank());
-        Ok(self.push_op(
-            value,
-            vec![a, b],
-            Box::new(move |g, parents| matmul_grads(ranks, g, parents[0], parents[1]).into()),
-        ))
+        let (av, bv, free) = self.values_and_free(a, b);
+        let ranks = (av.rank(), bv.rank());
+        let value = av.matmul_in(bv, free)?;
+        Ok(self.push_op(value, &[a, b], move |g, parents| {
+            matmul_grads(ranks, g, parents[0], parents[1]).into()
+        }))
     }
 
     /// Transposes the last two axes.
@@ -32,11 +32,7 @@ impl Graph {
     pub fn transpose(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
         let value = self.value(a).transpose()?;
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(|g, _| vec![g.transpose().expect("rank >= 2")]),
-        ))
+        Ok(self.push_op(value, &[a], |g, _| vec![g.transpose().expect("rank >= 2")]))
     }
 
     /// Permutes axes; backward applies the inverse permutation.
@@ -51,11 +47,9 @@ impl Graph {
         for (i, &p) in perm.iter().enumerate() {
             inverse[p] = i;
         }
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, _| vec![g.permute(&inverse).expect("inverse permutation")]),
-        ))
+        Ok(self.push_op(value, &[a], move |g, _| {
+            vec![g.permute(&inverse).expect("inverse permutation")]
+        }))
     }
 
     /// Reshapes without changing data.
@@ -66,11 +60,9 @@ impl Graph {
     pub fn reshape(&mut self, a: Var, shape: &[usize]) -> Result<Var> {
         self.check(a)?;
         let value = self.value(a).reshape(shape)?;
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(|g, parents| vec![g.reshape(parents[0].shape()).expect("same length")]),
-        ))
+        Ok(self.push_op(value, &[a], |g, parents| {
+            vec![g.reshape(parents[0].shape()).expect("same length")]
+        }))
     }
 
     /// Sum of all elements, producing a scalar.
@@ -81,14 +73,10 @@ impl Graph {
     pub fn sum(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
         let value = Tensor::scalar(self.value(a).sum());
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(|g, parents| {
-                let s = g.as_slice()[0];
-                vec![Tensor::full(parents[0].shape(), s)]
-            }),
-        ))
+        Ok(self.push_op(value, &[a], |g, parents| {
+            let s = g.as_slice()[0];
+            vec![Tensor::full(parents[0].shape(), s)]
+        }))
     }
 
     /// Mean of all elements, producing a scalar.
@@ -100,14 +88,10 @@ impl Graph {
         self.check(a)?;
         let n = self.value(a).len().max(1) as f32;
         let value = Tensor::scalar(self.value(a).mean());
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, parents| {
-                let s = g.as_slice()[0] / n;
-                vec![Tensor::full(parents[0].shape(), s)]
-            }),
-        ))
+        Ok(self.push_op(value, &[a], move |g, parents| {
+            let s = g.as_slice()[0] / n;
+            vec![Tensor::full(parents[0].shape(), s)]
+        }))
     }
 
     /// Sums along `axis`, keeping it with extent 1 when `keepdims`.
@@ -117,20 +101,17 @@ impl Graph {
     /// Fails when `axis >= rank`.
     pub fn sum_axis(&mut self, a: Var, axis: usize, keepdims: bool) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).sum_axis(axis, keepdims)?;
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, parents| {
-                let target = parents[0].shape();
-                let g_keep = if keepdims {
-                    g.clone()
-                } else {
-                    g.unsqueeze(axis).expect("axis valid in forward")
-                };
-                vec![g_keep.broadcast_to(target).expect("unit axis expands")]
-            }),
-        ))
+        let (av, free) = self.value_and_free(a);
+        let value = av.sum_axis_in(axis, keepdims, free)?;
+        Ok(self.push_op(value, &[a], move |g, parents| {
+            let target = parents[0].shape();
+            let g_keep = if keepdims {
+                g.clone()
+            } else {
+                g.unsqueeze(axis).expect("axis valid in forward")
+            };
+            vec![g_keep.broadcast_to(target).expect("unit axis expands")]
+        }))
     }
 
     /// Means along `axis`, keeping it with extent 1 when `keepdims`.
@@ -236,15 +217,28 @@ impl Graph {
             }
         };
         let keep = [q, k, v].iter().any(|p| self.nodes[p.0].needs_grad);
-        let (value, probs) = attention_forward(qv, kv, vv, layout, keep);
-        Ok(self.push_op(
-            value,
-            vec![q, k, v],
-            Box::new(move |g, parents| {
-                let probs = probs.as_ref().expect("kept when a gradient is needed");
-                attention_backward(g, parents, probs, layout)
-            }),
-        ))
+        let mut scratch = self.free.take(layout.batch * layout.clip_scratch());
+        let scratch_mut = Arc::get_mut(&mut scratch).expect("scratch is held alone");
+        let (nodes, free) = (&self.nodes, &mut self.free);
+        let mut value = Tensor::from_source(free, nodes[q.0].value.dims());
+        let mut probs = keep.then(|| {
+            let Heads {
+                batch, heads, seq, ..
+            } = layout;
+            Tensor::zeros(&[batch * heads, seq, seq])
+        });
+        attention_forward(
+            [&nodes[q.0].value, &nodes[k.0].value, &nodes[v.0].value],
+            layout,
+            value.as_mut_slice(),
+            probs.as_mut().map_or(&mut [], Tensor::as_mut_slice),
+            scratch_mut,
+        );
+        self.free.give_back(scratch);
+        Ok(self.push_op(value, &[q, k, v], move |g, parents| {
+            let probs = probs.as_ref().expect("kept when a gradient is needed");
+            attention_backward(g, parents, probs, layout)
+        }))
     }
 
     /// Layer normalization over the last axis with learnable `gamma`/`beta`
@@ -281,19 +275,31 @@ impl Graph {
                 },
             ));
         }
-        let mut value = xv.clone();
-        let (gs, bs) = (gv.as_slice(), bv.as_slice());
-        let stats = row_stats(xv.as_slice(), d, eps);
-        for (row, (mean, inv_std)) in value.as_mut_slice().chunks_exact_mut(d.max(1)).zip(stats) {
-            for ((y, &g), &b) in row.iter_mut().zip(gs).zip(bs) {
-                *y = (*y - mean) * inv_std * g + b;
+        let rows = xv.len().checked_div(d).unwrap_or(0);
+        let mut stats = self.free.take(2 * rows);
+        let stats_mut = Arc::get_mut(&mut stats).expect("scratch is held alone");
+        let (nodes, free) = (&self.nodes, &mut self.free);
+        let (xv, gs, bs) = (
+            &nodes[x.0].value,
+            nodes[gamma.0].value.as_slice(),
+            nodes[beta.0].value.as_slice(),
+        );
+        row_stats(xv.as_slice(), d, eps, stats_mut);
+        let mut value = Tensor::from_source(free, xv.dims());
+        let rows = value
+            .as_mut_slice()
+            .chunks_exact_mut(d.max(1))
+            .zip(xv.as_slice().chunks_exact(d.max(1)));
+        for ((out, xs), stat) in rows.zip(stats_mut.chunks_exact(2)) {
+            let (mean, inv_std) = (stat[0], stat[1]);
+            for ((y, &x), (&g, &b)) in out.iter_mut().zip(xs).zip(gs.iter().zip(bs)) {
+                *y = (x - mean) * inv_std * g + b;
             }
         }
-        Ok(self.push_op(
-            value,
-            vec![x, gamma, beta],
-            Box::new(move |g, parents| layer_norm_backward(g, parents[0], parents[1], eps)),
-        ))
+        self.free.give_back(stats);
+        Ok(self.push_op(value, &[x, gamma, beta], move |g, parents| {
+            layer_norm_backward(g, parents[0], parents[1], eps)
+        }))
     }
 
     /// Affine map `x W + b` as one tape node: [`Graph::matmul`] with the
@@ -307,7 +313,8 @@ impl Graph {
         self.check(x)?;
         self.check(w)?;
         self.check(b)?;
-        let mut value = self.value(x).matmul(self.value(w))?;
+        let (xv, wv, free) = self.values_and_free(x, w);
+        let mut value = xv.matmul_in(wv, free)?;
         let bias = self.value(b).as_slice();
         let n = *value.shape().last().expect("matmul output has rank >= 2");
         if self.value(b).shape() != [n] {
@@ -327,14 +334,10 @@ impl Graph {
             }
         }
         let ranks = (self.value(x).rank(), self.value(w).rank());
-        Ok(self.push_op(
-            value,
-            vec![x, w, b],
-            Box::new(move |g, parents| {
-                let [dx, dw] = matmul_grads(ranks, g, parents[0], parents[1]);
-                vec![dx, dw, reduce_to_shape(g, parents[2].shape())]
-            }),
-        ))
+        Ok(self.push_op(value, &[x, w, b], move |g, parents| {
+            let [dx, dw] = matmul_grads(ranks, g, parents[0], parents[1]);
+            vec![dx, dw, reduce_to_shape(g, parents[2].shape())]
+        }))
     }
 
     /// Fused softmax-cross-entropy between `logits` (`[batch, classes]`) and
@@ -376,21 +379,17 @@ impl Graph {
         loss /= batch as f32;
         let probs_cached = probs;
         let targets_owned = targets.to_vec();
-        Ok(self.push_op(
-            Tensor::scalar(loss),
-            vec![logits],
-            Box::new(move |g, _| {
-                let s = g.as_slice()[0] / batch as f32;
-                let mut d = probs_cached.clone();
-                {
-                    let dd = d.as_mut_slice();
-                    for (b, &t) in targets_owned.iter().enumerate() {
-                        dd[b * classes + t] -= 1.0;
-                    }
+        Ok(self.push_op(Tensor::scalar(loss), &[logits], move |g, _| {
+            let s = g.as_slice()[0] / batch as f32;
+            let mut d = probs_cached.clone();
+            {
+                let dd = d.as_mut_slice();
+                for (b, &t) in targets_owned.iter().enumerate() {
+                    dd[b * classes + t] -= 1.0;
                 }
-                vec![d.scale(s)]
-            }),
-        ))
+            }
+            vec![d.scale(s)]
+        }))
     }
 
     /// Mean-squared-error between `pred` and a constant `target`, returning
@@ -479,16 +478,26 @@ struct Heads {
     dh: usize,
 }
 
-/// The value of [`Graph::attention`], and its `[batch·heads, seq, seq]`
-/// probabilities when `keep`. Clips are independent, so they split
-/// across threads without changing a bit.
+impl Heads {
+    /// Scratch elements one clip's [`attend_clip`] works in: `kᵀ` of a
+    /// head, then one score row.
+    fn clip_scratch(&self) -> usize {
+        self.dh * self.seq + self.seq
+    }
+}
+
+/// Writes the value of [`Graph::attention`] over `[q, k, v]` into `out`,
+/// and its `[batch·heads, seq, seq]` probabilities into `probs` unless
+/// that is empty. `scratch` holds [`Heads::clip_scratch`] elements per
+/// clip. Every element of `out` is written, whatever it held. Clips are
+/// independent, so they split across threads without changing a bit.
 fn attention_forward(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
+    [q, k, v]: [&Tensor; 3],
     layout: Heads,
-    keep: bool,
-) -> (Tensor, Option<Tensor>) {
+    out: &mut [f32],
+    probs: &mut [f32],
+    scratch: &mut [f32],
+) {
     let Heads {
         batch,
         seq,
@@ -496,49 +505,60 @@ fn attention_forward(
         heads,
         dh,
     } = layout;
-    let mut out = Tensor::zeros(&[batch, seq, dim]);
-    let mut probs = keep.then(|| Tensor::zeros(&[batch * heads, seq, seq]));
     if out.is_empty() {
-        return (out, probs);
+        return;
     }
-    let clip_probs = if keep { heads * seq * seq } else { 0 };
-    let mut rest: &mut [f32] = match probs.as_mut() {
-        Some(p) => p.as_mut_slice(),
-        None => &mut [],
+    let clip_probs = if probs.is_empty() {
+        0
+    } else {
+        heads * seq * seq
     };
-    let mut clips: Vec<(&mut [f32], &mut [f32])> = out
-        .as_mut_slice()
+    let mut rest = probs;
+    let clips = out
         .chunks_exact_mut(seq * dim)
-        .map(|clip_out| {
+        .zip(scratch.chunks_exact_mut(layout.clip_scratch()))
+        .map(|(clip_out, clip_scratch)| {
             let (clip_p, tail) = std::mem::take(&mut rest).split_at_mut(clip_probs);
             rest = tail;
-            (clip_out, clip_p)
-        })
-        .collect();
-    let threads = parallel::workers_for(batch * heads * seq * seq * dh, ATTENTION_MACS_PER_WORKER);
+            (clip_out, clip_p, clip_scratch)
+        });
     let span = seq * dim;
     let (q, k, v) = (q.as_slice(), k.as_slice(), v.as_slice());
-    parallel::with_threads(threads, || {
-        parallel::par_chunks_mut(&mut clips, 1, |b, clip| {
+    let attend =
+        |b: usize, (clip_out, clip_p, clip_scratch): &mut (&mut [f32], &mut [f32], &mut [f32])| {
             let rows = b * span..(b + 1) * span;
-            let (clip_out, clip_p) = &mut clip[0];
             attend_clip(
-                &q[rows.clone()],
-                &k[rows.clone()],
-                &v[rows],
+                [&q[rows.clone()], &k[rows.clone()], &v[rows]],
                 clip_out,
                 clip_p,
+                clip_scratch,
                 layout,
             );
-        });
+        };
+    let threads = parallel::workers_for(batch * heads * seq * seq * dh, ATTENTION_MACS_PER_WORKER);
+    if threads <= 1 {
+        for (b, mut clip) in clips.enumerate() {
+            attend(b, &mut clip);
+        }
+        return;
+    }
+    let mut clips: Vec<_> = clips.collect();
+    parallel::with_threads(threads, || {
+        parallel::par_chunks_mut(&mut clips, 1, |b, clip| attend(b, &mut clip[0]));
     });
-    (out, probs)
 }
 
 /// One clip of [`attention_forward`]: `q`, `k`, `v` and `out` are its
-/// `[seq, dim]` rows, `out` zeroed; `probs` takes its
-/// `[heads, seq, seq]` probabilities, or is empty when none are kept.
-fn attend_clip(q: &[f32], k: &[f32], v: &[f32], out: &mut [f32], probs: &mut [f32], l: Heads) {
+/// `[seq, dim]` rows; `probs` takes its `[heads, seq, seq]`
+/// probabilities, or is empty when none are kept; `scratch` holds
+/// [`Heads::clip_scratch`] elements. Every element of `out` is written.
+fn attend_clip(
+    [q, k, v]: [&[f32]; 3],
+    out: &mut [f32],
+    probs: &mut [f32],
+    scratch: &mut [f32],
+    l: Heads,
+) {
     let Heads {
         seq,
         dim,
@@ -547,8 +567,7 @@ fn attend_clip(q: &[f32], k: &[f32], v: &[f32], out: &mut [f32], probs: &mut [f3
         ..
     } = l;
     let scale = 1.0 / (dh as f32).sqrt();
-    let mut kt = vec![0.0f32; dh * seq];
-    let mut row = vec![0.0f32; seq];
+    let (kt, row) = scratch.split_at_mut(dh * seq);
     for h in 0..heads {
         let cols = h * dh..(h + 1) * dh;
         for (j, key) in k.chunks_exact(dim).enumerate() {
@@ -567,11 +586,12 @@ fn attend_clip(q: &[f32], k: &[f32], v: &[f32], out: &mut [f32], probs: &mut [f3
             for s in row.iter_mut() {
                 *s *= scale;
             }
-            math::softmax_in_place(&mut row);
+            math::softmax_in_place(row);
             if !probs.is_empty() {
-                probs[(h * seq + i) * seq..][..seq].copy_from_slice(&row);
+                probs[(h * seq + i) * seq..][..seq].copy_from_slice(row);
             }
             let ctx = &mut out_row[cols.clone()];
+            ctx.fill(0.0);
             for (&a, value) in row.iter().zip(v.chunks_exact(dim)) {
                 for (c, &x) in ctx.iter_mut().zip(&value[cols.clone()]) {
                     *c += a * x;
@@ -617,20 +637,28 @@ fn attention_backward(g: &Tensor, parents: &[&Tensor], probs: &Tensor, l: Heads)
 /// Rows whose reductions run interleaved, so their add chains overlap.
 const STAT_ROWS: usize = 8;
 
-/// Mean and `1 / sqrt(var + eps)` of each length-`d` row of `x`, with
-/// the f32 operations of the primitive layer-norm composite: ascending
-/// sums from `0.0`, each times `1/d`.
-fn row_stats(x: &[f32], d: usize, eps: f32) -> Vec<(f32, f32)> {
+/// Mean and `1 / sqrt(var + eps)` of each length-`d` row of `x`, as the
+/// pair `stats[2 * row..2 * row + 2]`, with the f32 operations of the
+/// primitive layer-norm composite: ascending sums from `0.0`, each times
+/// `1/d`.
+fn row_stats(x: &[f32], d: usize, eps: f32, stats: &mut [f32]) {
     let rows = x.len().checked_div(d).unwrap_or(0);
-    let mut stats = Vec::with_capacity(rows);
     let full = rows / STAT_ROWS * STAT_ROWS;
+    let mut put = |row: usize, (mean, inv_std): (f32, f32)| {
+        stats[2 * row] = mean;
+        stats[2 * row + 1] = inv_std;
+    };
     for start in (0..full).step_by(STAT_ROWS) {
-        stats.extend(block_stats::<STAT_ROWS>(x, start, d, eps));
+        for (r, stat) in block_stats::<STAT_ROWS>(x, start, d, eps)
+            .into_iter()
+            .enumerate()
+        {
+            put(start + r, stat);
+        }
     }
     for row in full..rows {
-        stats.extend(block_stats::<1>(x, row, d, eps));
+        put(row, block_stats::<1>(x, row, d, eps)[0]);
     }
-    stats
 }
 
 /// [`row_stats`] of the `R` rows from `start`.
@@ -665,18 +693,20 @@ fn layer_norm_backward(g: &Tensor, x: &Tensor, gamma: &Tensor, eps: f32) -> Vec<
     let mut dx = Tensor::zeros(x.shape());
     let mut dgamma = vec![0.0f32; d];
     let mut dbeta = vec![0.0f32; d];
-    let stats = row_stats(x.as_slice(), d, eps);
+    let mut stats = vec![0.0f32; 2 * x.len().checked_div(d).unwrap_or(0)];
+    row_stats(x.as_slice(), d, eps, &mut stats);
     let rows = x
         .as_slice()
         .chunks_exact(d.max(1))
         .zip(g.as_slice().chunks_exact(d.max(1)));
     let mut xhat = vec![0.0f32; d];
-    for ((out, (xs, gs)), (mean, inv_std)) in dx
+    for ((out, (xs, gs)), stat) in dx
         .as_mut_slice()
         .chunks_exact_mut(d.max(1))
         .zip(rows)
-        .zip(stats)
+        .zip(stats.chunks_exact(2))
     {
+        let (mean, inv_std) = (stat[0], stat[1]);
         let (mut sum_dxhat, mut sum_dxhat_xhat) = (0.0f32, 0.0f32);
         for i in 0..d {
             xhat[i] = (xs[i] - mean) * inv_std;

@@ -14,17 +14,13 @@ impl Graph {
     pub fn add(&mut self, a: Var, b: Var) -> Result<Var> {
         self.check(a)?;
         self.check(b)?;
-        let value = self.value(a).add(self.value(b))?;
-        Ok(self.push_op(
-            value,
-            vec![a, b],
-            Box::new(|g, parents| {
-                vec![
-                    reduce_to_shape(g, parents[0].shape()),
-                    reduce_to_shape(g, parents[1].shape()),
-                ]
-            }),
-        ))
+        let value = self.zip_values(a, b, |x, y| x + y)?;
+        Ok(self.push_op(value, &[a, b], |g, parents| {
+            vec![
+                reduce_to_shape(g, parents[0].shape()),
+                reduce_to_shape(g, parents[1].shape()),
+            ]
+        }))
     }
 
     /// Elementwise difference with broadcasting.
@@ -35,17 +31,13 @@ impl Graph {
     pub fn sub(&mut self, a: Var, b: Var) -> Result<Var> {
         self.check(a)?;
         self.check(b)?;
-        let value = self.value(a).sub(self.value(b))?;
-        Ok(self.push_op(
-            value,
-            vec![a, b],
-            Box::new(|g, parents| {
-                vec![
-                    reduce_to_shape(g, parents[0].shape()),
-                    reduce_to_shape(&g.neg(), parents[1].shape()),
-                ]
-            }),
-        ))
+        let value = self.zip_values(a, b, |x, y| x - y)?;
+        Ok(self.push_op(value, &[a, b], |g, parents| {
+            vec![
+                reduce_to_shape(g, parents[0].shape()),
+                reduce_to_shape(&g.neg(), parents[1].shape()),
+            ]
+        }))
     }
 
     /// Elementwise product with broadcasting.
@@ -56,19 +48,15 @@ impl Graph {
     pub fn mul(&mut self, a: Var, b: Var) -> Result<Var> {
         self.check(a)?;
         self.check(b)?;
-        let value = self.value(a).mul(self.value(b))?;
-        Ok(self.push_op(
-            value,
-            vec![a, b],
-            Box::new(|g, parents| {
-                let da = g.mul(parents[1]).expect("same broadcast as forward");
-                let db = g.mul(parents[0]).expect("same broadcast as forward");
-                vec![
-                    reduce_to_shape(&da, parents[0].shape()),
-                    reduce_to_shape(&db, parents[1].shape()),
-                ]
-            }),
-        ))
+        let value = self.zip_values(a, b, |x, y| x * y)?;
+        Ok(self.push_op(value, &[a, b], |g, parents| {
+            let da = g.mul(parents[1]).expect("same broadcast as forward");
+            let db = g.mul(parents[0]).expect("same broadcast as forward");
+            vec![
+                reduce_to_shape(&da, parents[0].shape()),
+                reduce_to_shape(&db, parents[1].shape()),
+            ]
+        }))
     }
 
     /// Elementwise quotient with broadcasting.
@@ -79,26 +67,22 @@ impl Graph {
     pub fn div(&mut self, a: Var, b: Var) -> Result<Var> {
         self.check(a)?;
         self.check(b)?;
-        let value = self.value(a).div(self.value(b))?;
-        Ok(self.push_op(
-            value,
-            vec![a, b],
-            Box::new(|g, parents| {
-                let da = g.div(parents[1]).expect("same broadcast as forward");
-                // db = -g * a / b^2
-                let b2 = parents[1].mul(parents[1]).expect("same shape");
-                let db = g
-                    .mul(parents[0])
-                    .expect("same broadcast as forward")
-                    .div(&b2)
-                    .expect("same broadcast as forward")
-                    .neg();
-                vec![
-                    reduce_to_shape(&da, parents[0].shape()),
-                    reduce_to_shape(&db, parents[1].shape()),
-                ]
-            }),
-        ))
+        let value = self.zip_values(a, b, |x, y| x / y)?;
+        Ok(self.push_op(value, &[a, b], |g, parents| {
+            let da = g.div(parents[1]).expect("same broadcast as forward");
+            // db = -g * a / b^2
+            let b2 = parents[1].mul(parents[1]).expect("same shape");
+            let db = g
+                .mul(parents[0])
+                .expect("same broadcast as forward")
+                .div(&b2)
+                .expect("same broadcast as forward")
+                .neg();
+            vec![
+                reduce_to_shape(&da, parents[0].shape()),
+                reduce_to_shape(&db, parents[1].shape()),
+            ]
+        }))
     }
 
     /// Elementwise negation.
@@ -108,8 +92,8 @@ impl Graph {
     /// Fails for a foreign handle.
     pub fn neg(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).neg();
-        Ok(self.push_op(value, vec![a], Box::new(|g, _| vec![g.neg()])))
+        let value = self.map_value(a, |x| -x);
+        Ok(self.push_op(value, &[a], |g, _| vec![g.neg()]))
     }
 
     /// Multiplies every element by the constant `s`.
@@ -119,8 +103,8 @@ impl Graph {
     /// Fails for a foreign handle.
     pub fn scale(&mut self, a: Var, s: f32) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).scale(s);
-        Ok(self.push_op(value, vec![a], Box::new(move |g, _| vec![g.scale(s)])))
+        let value = self.map_value(a, |x| x * s);
+        Ok(self.push_op(value, &[a], move |g, _| vec![g.scale(s)]))
     }
 
     /// Adds the constant `s` to every element.
@@ -130,8 +114,8 @@ impl Graph {
     /// Fails for a foreign handle.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).add_scalar(s);
-        Ok(self.push_op(value, vec![a], Box::new(|g, _| vec![g.clone()])))
+        let value = self.map_value(a, |x| x + s);
+        Ok(self.push_op(value, &[a], |g, _| vec![g.clone()]))
     }
 
     /// Elementwise power with a constant (float) exponent.
@@ -141,15 +125,11 @@ impl Graph {
     /// Fails for a foreign handle.
     pub fn powf(&mut self, a: Var, p: f32) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).map(|x| x.powf(p));
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, parents| {
-                let d = parents[0].map(|x| p * x.powf(p - 1.0));
-                vec![g.mul(&d).expect("same shape")]
-            }),
-        ))
+        let value = self.map_value(a, |x| x.powf(p));
+        Ok(self.push_op(value, &[a], move |g, parents| {
+            let d = parents[0].map(|x| p * x.powf(p - 1.0));
+            vec![g.mul(&d).expect("same shape")]
+        }))
     }
 
     /// Elementwise exponential ([`math::exp`]).
@@ -159,7 +139,7 @@ impl Graph {
     /// Fails for a foreign handle.
     pub fn exp(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).exp();
+        let value = self.map_value(a, math::exp);
         Ok(self.push_op_keeping_output(value, a, |g, out| g.mul(out).expect("same shape")))
     }
 
@@ -170,15 +150,11 @@ impl Graph {
     /// Fails for a foreign handle.
     pub fn ln(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).ln();
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(|g, parents| {
-                let d = parents[0].map(|x| 1.0 / x);
-                vec![g.mul(&d).expect("same shape")]
-            }),
-        ))
+        let value = self.map_value(a, f32::ln);
+        Ok(self.push_op(value, &[a], |g, parents| {
+            let d = parents[0].map(|x| 1.0 / x);
+            vec![g.mul(&d).expect("same shape")]
+        }))
     }
 
     /// Rectified linear unit.
@@ -188,15 +164,11 @@ impl Graph {
     /// Fails for a foreign handle.
     pub fn relu(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).map(|x| x.max(0.0));
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(|g, parents| {
-                let d = parents[0].map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-                vec![g.mul(&d).expect("same shape")]
-            }),
-        ))
+        let value = self.map_value(a, |x| x.max(0.0));
+        Ok(self.push_op(value, &[a], |g, parents| {
+            let d = parents[0].map(|x| if x > 0.0 { 1.0 } else { 0.0 });
+            vec![g.mul(&d).expect("same shape")]
+        }))
     }
 
     /// Gaussian error linear unit (tanh approximation), with
@@ -209,23 +181,19 @@ impl Graph {
         self.check(a)?;
         const C: f32 = 0.797_884_6; // sqrt(2/pi)
         const A: f32 = 0.044_715;
-        let value = self.value(a).map(|x| {
+        let value = self.map_value(a, |x| {
             let inner = C * (x + A * x * x * x);
             0.5 * x * (1.0 + math::tanh(inner))
         });
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(|g, parents| {
-                let d = parents[0].map(|x| {
-                    let inner = C * (x + A * x * x * x);
-                    let t = math::tanh(inner);
-                    let sech2 = 1.0 - t * t;
-                    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * A * x * x)
-                });
-                vec![g.mul(&d).expect("same shape")]
-            }),
-        ))
+        Ok(self.push_op(value, &[a], |g, parents| {
+            let d = parents[0].map(|x| {
+                let inner = C * (x + A * x * x * x);
+                let t = math::tanh(inner);
+                let sech2 = 1.0 - t * t;
+                0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * A * x * x)
+            });
+            vec![g.mul(&d).expect("same shape")]
+        }))
     }
 
     /// Hyperbolic tangent ([`math::tanh`]).
@@ -235,7 +203,7 @@ impl Graph {
     /// Fails for a foreign handle.
     pub fn tanh(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).map(math::tanh);
+        let value = self.map_value(a, math::tanh);
         Ok(self.push_op_keeping_output(value, a, |g, out| {
             g.mul(&out.map(|t| 1.0 - t * t)).expect("same shape")
         }))
@@ -253,8 +221,8 @@ impl Graph {
     /// Fails for a foreign handle.
     pub fn binarize_ste(&mut self, a: Var, threshold: f32) -> Result<Var> {
         self.check(a)?;
-        let value = self.value(a).map(|x| if x > threshold { 1.0 } else { 0.0 });
-        Ok(self.push_op(value, vec![a], Box::new(|g, _| vec![g.clone()])))
+        let value = self.map_value(a, |x| if x > threshold { 1.0 } else { 0.0 });
+        Ok(self.push_op(value, &[a], |g, _| vec![g.clone()]))
     }
 }
 

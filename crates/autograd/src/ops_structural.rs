@@ -21,22 +21,18 @@ impl Graph {
         let tensors: Vec<&Tensor> = vars.iter().map(|&v| self.value(v)).collect();
         let value = Tensor::concat(&tensors, axis)?;
         let extents: Vec<usize> = tensors.iter().map(|t| t.shape()[axis]).collect();
-        Ok(self.push_op(
-            value,
-            vars.to_vec(),
-            Box::new(move |g, _| {
-                let mut grads = Vec::with_capacity(extents.len());
-                let mut start = 0usize;
-                for &e in &extents {
-                    grads.push(
-                        g.slice_axis(axis, start, start + e)
-                            .expect("extents partition the axis"),
-                    );
-                    start += e;
-                }
-                grads
-            }),
-        ))
+        Ok(self.push_op(value, vars, move |g, _| {
+            let mut grads = Vec::with_capacity(extents.len());
+            let mut start = 0usize;
+            for &e in &extents {
+                grads.push(
+                    g.slice_axis(axis, start, start + e)
+                        .expect("extents partition the axis"),
+                );
+                start += e;
+            }
+            grads
+        }))
     }
 
     /// Slices `[start, end)` along `axis`.
@@ -47,30 +43,25 @@ impl Graph {
     pub fn slice_axis(&mut self, a: Var, axis: usize, start: usize, end: usize) -> Result<Var> {
         self.check(a)?;
         let value = self.value(a).slice_axis(axis, start, end)?;
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, parents| {
-                // Scatter the slice gradient back into a zero tensor.
-                let src_shape = parents[0].shape();
-                let mut out = Tensor::zeros(src_shape);
-                let outer: usize = src_shape[..axis].iter().product();
-                let mid = src_shape[axis];
-                let inner: usize = src_shape[axis + 1..].iter().product();
-                let gs = g.as_slice();
-                let os = out.as_mut_slice();
-                let width = end - start;
-                for o in 0..outer {
-                    for m in 0..width {
-                        let src_base = (o * width + m) * inner;
-                        let dst_base = (o * mid + start + m) * inner;
-                        os[dst_base..dst_base + inner]
-                            .copy_from_slice(&gs[src_base..src_base + inner]);
-                    }
+        Ok(self.push_op(value, &[a], move |g, parents| {
+            // Scatter the slice gradient back into a zero tensor.
+            let src_shape = parents[0].shape();
+            let mut out = Tensor::zeros(src_shape);
+            let outer: usize = src_shape[..axis].iter().product();
+            let mid = src_shape[axis];
+            let inner: usize = src_shape[axis + 1..].iter().product();
+            let gs = g.as_slice();
+            let os = out.as_mut_slice();
+            let width = end - start;
+            for o in 0..outer {
+                for m in 0..width {
+                    let src_base = (o * width + m) * inner;
+                    let dst_base = (o * mid + start + m) * inner;
+                    os[dst_base..dst_base + inner].copy_from_slice(&gs[src_base..src_base + inner]);
                 }
-                vec![out]
-            }),
-        ))
+            }
+            vec![out]
+        }))
     }
 
     /// Gathers rows of a rank-2 variable; backward scatter-adds (so
@@ -83,22 +74,18 @@ impl Graph {
         self.check(a)?;
         let value = self.value(a).gather_rows(indices)?;
         let idx = indices.to_vec();
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, parents| {
-                let (rows, cols) = (parents[0].shape()[0], parents[0].shape()[1]);
-                let mut out = Tensor::zeros(&[rows, cols]);
-                let gs = g.as_slice();
-                let os = out.as_mut_slice();
-                for (r, &i) in idx.iter().enumerate() {
-                    for c in 0..cols {
-                        os[i * cols + c] += gs[r * cols + c];
-                    }
+        Ok(self.push_op(value, &[a], move |g, parents| {
+            let (rows, cols) = (parents[0].shape()[0], parents[0].shape()[1]);
+            let mut out = Tensor::zeros(&[rows, cols]);
+            let gs = g.as_slice();
+            let os = out.as_mut_slice();
+            for (r, &i) in idx.iter().enumerate() {
+                for c in 0..cols {
+                    os[i * cols + c] += gs[r * cols + c];
                 }
-                vec![out]
-            }),
-        ))
+            }
+            vec![out]
+        }))
     }
 
     /// Extracts non-overlapping `ph x pw` patches.
@@ -113,18 +100,14 @@ impl Graph {
     /// frame.
     pub fn extract_patches(&mut self, a: Var, ph: usize, pw: usize) -> Result<Var> {
         self.check(a)?;
-        let av = self.value(a);
-        let value = av.extract_patches(ph, pw)?;
+        let (av, free) = self.value_and_free(a);
+        let value = av.extract_patches_in(ph, pw, free)?;
         let (h, w) = (av.shape()[av.rank() - 2], av.shape()[av.rank() - 1]);
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, _| {
-                vec![g
-                    .assemble_patches(ph, pw, h, w)
-                    .expect("inverse of forward")]
-            }),
-        ))
+        Ok(self.push_op(value, &[a], move |g, _| {
+            vec![g
+                .assemble_patches(ph, pw, h, w)
+                .expect("inverse of forward")]
+        }))
     }
 
     /// Reassembles patches into frames: inverse of
@@ -145,11 +128,9 @@ impl Graph {
     ) -> Result<Var> {
         self.check(a)?;
         let value = self.value(a).assemble_patches(ph, pw, h, w)?;
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, _| vec![g.extract_patches(ph, pw).expect("inverse of forward")]),
-        ))
+        Ok(self.push_op(value, &[a], move |g, _| {
+            vec![g.extract_patches(ph, pw).expect("inverse of forward")]
+        }))
     }
 
     /// Tiles a `[t, th, tw]` pattern spatially into `[t, th*gh, tw*gw]`
@@ -192,23 +173,19 @@ impl Graph {
                 }
             }
         }
-        Ok(self.push_op(
-            value,
-            vec![a],
-            Box::new(move |g, _| {
-                let mut out = Tensor::zeros(&[t, th, tw]);
-                let gs = g.as_slice();
-                let os = out.as_mut_slice();
-                for f in 0..t {
-                    for y in 0..h {
-                        for x in 0..w {
-                            os[f * th * tw + (y % th) * tw + (x % tw)] += gs[f * h * w + y * w + x];
-                        }
+        Ok(self.push_op(value, &[a], move |g, _| {
+            let mut out = Tensor::zeros(&[t, th, tw]);
+            let gs = g.as_slice();
+            let os = out.as_mut_slice();
+            for f in 0..t {
+                for y in 0..h {
+                    for x in 0..w {
+                        os[f * th * tw + (y % th) * tw + (x % tw)] += gs[f * h * w + y * w + x];
                     }
                 }
-                vec![out]
-            }),
-        ))
+            }
+            vec![out]
+        }))
     }
 }
 

@@ -21,6 +21,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.model, r.input, r.accuracy[0], r.accuracy[1], r.accuracy[2], r.inferences_per_sec
         );
     }
+    let rate = |model: &str| {
+        rows.iter()
+            .find(|r| r.model == model)
+            .map(|r| r.inferences_per_sec)
+    };
+    if let (Some(snappix), Some(c3d)) = (rate("SnapPix-S"), rate("C3D")) {
+        println!(
+            "\nSnapPix-S / C3D inf/sec: {:.1}x (paper: 4.2x)",
+            snappix / c3d
+        );
+    }
     println!(
         "\npaper (112x112, T=16, real datasets):\n\
          SnapPix-S  CE    74.65% 42.38% 47.58%  2282/s\n\

@@ -148,12 +148,16 @@ fn integrate(clips: &Tensor, rank: usize, mask: &ExposureMask) -> Result<Tensor>
     Ok(out)
 }
 
-/// Repeats each `tw`-wide tile row of `rows` across a frame `w` wide.
+/// Repeats each `tw`-wide tile row of `rows` across a frame `w` wide,
+/// into one allocation of the final size.
 fn widen_rows(rows: &[f32], tw: usize, w: usize) -> Vec<f32> {
-    rows.chunks_exact(tw)
-        .flat_map(|row| row.iter().cycle().take(w))
-        .copied()
-        .collect()
+    let mut wide = Vec::with_capacity(rows.len() / tw * w);
+    wide.extend(
+        rows.chunks_exact(tw)
+            .flat_map(|row| row.iter().cycle().take(w))
+            .copied(),
+    );
+    wide
 }
 
 #[cfg(test)]

@@ -122,13 +122,6 @@ impl NodeConfig {
         self
     }
 
-    /// Sets a per-window deadline (measured from submission).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Sets the node's energy budget.
     #[must_use]
     pub fn with_budget(mut self, budget: EnergyBudget) -> Self {

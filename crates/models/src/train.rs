@@ -190,20 +190,28 @@ pub fn evaluate_accuracy(model: &dyn ActionModel, dataset: &Dataset) -> Result<f
     Ok(100.0 * correct as f32 / dataset.len() as f32)
 }
 
+/// Forwards [`measure_inference_rate`] times at the least, however short
+/// its budget.
+const MIN_TIMED_CALLS: usize = 3;
+
 /// Measures inference throughput (clips/second) of `model` on a fixed
 /// clip batch, mirroring the paper's "inference/sec" column of Table I.
 ///
+/// After one warm-up call, forwards run back to back for about `budget`
+/// (at least three), each timed alone; the rate of the median call is
+/// returned, so one scheduling hiccup cannot move it.
+///
 /// # Errors
 ///
-/// Fails when the batch does not match the model.
+/// Fails for a zero budget or when the batch does not match the model.
 pub fn measure_inference_rate(
     model: &dyn ActionModel,
     videos: &Tensor,
-    iterations: usize,
+    budget: std::time::Duration,
 ) -> Result<f64> {
-    if iterations == 0 {
+    if budget.is_zero() {
         return Err(ModelError::Input {
-            context: "need at least one iteration".to_string(),
+            context: "need a nonzero timing budget".to_string(),
         });
     }
     let batch = videos.shape()[0];
@@ -217,13 +225,16 @@ pub fn measure_inference_rate(
         pool.reclaim(sess);
     }
     let start = std::time::Instant::now();
-    for _ in 0..iterations {
+    let mut rates = Vec::new();
+    while rates.len() < MIN_TIMED_CALLS || start.elapsed() < budget {
+        let call = std::time::Instant::now();
         let mut sess = pool.inference(model.store());
         model.build_logits(&mut sess, videos)?;
         pool.reclaim(sess);
+        rates.push(batch as f64 / call.elapsed().as_secs_f64().max(1e-9));
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    Ok(batch as f64 * iterations as f64 / elapsed.max(1e-9))
+    rates.sort_by(f64::total_cmp);
+    Ok(rates[rates.len() / 2])
 }
 
 #[cfg(test)]
@@ -232,6 +243,7 @@ mod tests {
     use crate::{SnapPixAr, VitConfig};
     use snappix_ce::patterns;
     use snappix_video::{ssv2_like, ucf101_like};
+    use std::time::Duration;
 
     fn small_model(classes: usize) -> SnapPixAr {
         let mask = patterns::sparse_random(8, (8, 8), &mut StdRng::seed_from_u64(1)).unwrap();
@@ -312,9 +324,10 @@ mod tests {
         let model = small_model(8);
         let data = Dataset::new(ssv2_like(8, 16, 16), 4);
         let batch = data.batch(0, 4);
-        let rate = measure_inference_rate(&model, &batch.videos, 2).unwrap();
+        let rate =
+            measure_inference_rate(&model, &batch.videos, Duration::from_millis(20)).unwrap();
         assert!(rate > 0.0);
-        assert!(measure_inference_rate(&model, &batch.videos, 0).is_err());
+        assert!(measure_inference_rate(&model, &batch.videos, Duration::ZERO).is_err());
     }
 
     #[test]
@@ -335,8 +348,9 @@ mod tests {
         let video = VideoVit::new(8, 16, 16, 8).unwrap();
         let data = Dataset::new(ssv2_like(8, 16, 16), 4);
         let batch = data.batch(0, 4);
-        let r_snap = measure_inference_rate(&snappix, &batch.videos, 3).unwrap();
-        let r_video = measure_inference_rate(&video, &batch.videos, 3).unwrap();
+        let budget = Duration::from_millis(50);
+        let r_snap = measure_inference_rate(&snappix, &batch.videos, budget).unwrap();
+        let r_video = measure_inference_rate(&video, &batch.videos, budget).unwrap();
         assert!(
             r_snap > r_video,
             "SnapPix {r_snap:.1}/s should beat VideoViT {r_video:.1}/s"

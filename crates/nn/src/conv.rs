@@ -289,7 +289,7 @@ fn conv_op(
     );
     Ok(sess
         .graph
-        .custom_op(value, vec![x, wv, bv], move |g, parents| {
+        .custom_op(value, &[x, wv, bv], move |g, parents| {
             conv_backward(&geo, g, parents[0], parents[1])
         })?)
 }
@@ -548,11 +548,9 @@ mod tests {
         check_gradients(&[x, w, b], |g, vars| {
             let geo = Geometry::planar(g.value(vars[0]).shape(), 2, 3, 1, 1);
             let value = conv_forward(&geo, g.value(vars[0]), g.value(vars[1]), g.value(vars[2]));
-            let y = g.custom_op(
-                value,
-                vec![vars[0], vars[1], vars[2]],
-                move |up, parents| conv_backward(&geo, up, parents[0], parents[1]),
-            )?;
+            let y = g.custom_op(value, &[vars[0], vars[1], vars[2]], move |up, parents| {
+                conv_backward(&geo, up, parents[0], parents[1])
+            })?;
             let q = g.mul(y, y)?;
             g.sum(q)
         })
@@ -590,11 +588,9 @@ mod tests {
             let geo =
                 Geometry::volume(g.value(vars[0]).shape(), 2, [2, 2, 2], [1, 1, 1], [0, 0, 0]);
             let value = conv_forward(&geo, g.value(vars[0]), g.value(vars[1]), g.value(vars[2]));
-            let y = g.custom_op(
-                value,
-                vec![vars[0], vars[1], vars[2]],
-                move |up, parents| conv_backward(&geo, up, parents[0], parents[1]),
-            )?;
+            let y = g.custom_op(value, &[vars[0], vars[1], vars[2]], move |up, parents| {
+                conv_backward(&geo, up, parents[0], parents[1])
+            })?;
             let q = g.mul(y, y)?;
             g.sum(q)
         })

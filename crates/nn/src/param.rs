@@ -239,13 +239,28 @@ impl<'s> Session<'s> {
 
 /// Recycles the allocations behind [`Session`]s so long-lived callers
 /// (inference engines, training loops, throughput harnesses) do not pay
-/// for a fresh graph and binding table on every step.
+/// the heap for a fresh graph, binding table and activation buffers on
+/// every step.
 ///
 /// A pool-opened session behaves exactly like one from [`Session::new`] /
-/// [`Session::inference`]; the only difference is where its buffers come
-/// from. Hand the session back with [`SessionPool::reclaim`] when the
-/// step's values have been read out, and the next open reuses the
-/// capacity:
+/// [`Session::inference`], bit for bit; the only difference is where its
+/// buffers come from. Hand the session back with
+/// [`SessionPool::reclaim`] when the step's values have been read out:
+/// every node value that no clone outlives goes to the graph's free list,
+/// and the next step's ops write their outputs and scratch into those
+/// buffers. A forward no larger than one the pool has run takes nothing
+/// from the heap except buffers for values the caller kept (logits
+/// cloned out of the session, say), which stay the caller's: a buffer
+/// returns to the pool only when nothing else holds it.
+///
+/// # What a pool retains
+///
+/// Between steps a pool holds the buffers of the largest forward it has
+/// run: one per node value and scratch area of the last step, each as
+/// large as the largest request it has served. Buffers no request of a
+/// step took are dropped at its reclaim, so a run of smaller steps does
+/// not grow the pool, and varying batch sizes keep one set of buffers,
+/// sized for the largest. Dropping the pool frees them.
 ///
 /// ```
 /// use snappix_nn::{ParamStore, SessionPool};
@@ -285,8 +300,8 @@ impl SessionPool {
     }
 
     fn open<'s>(&mut self, store: &'s ParamStore, train: bool) -> Session<'s> {
-        let mut graph = std::mem::take(&mut self.graph);
-        graph.reset();
+        // `reclaim` reset the graph; a fresh pool's graph is empty.
+        let graph = std::mem::take(&mut self.graph);
         let mut bindings = std::mem::take(&mut self.bindings);
         bindings.clear();
         bindings.resize(store.len(), None);
@@ -300,10 +315,11 @@ impl SessionPool {
 
     /// Returns a session's buffers to the pool.
     ///
-    /// The graph is reset (and bindings cleared) immediately, so the
-    /// step's activation tensors and backward closures are dropped now
-    /// rather than pinned until the next open — only the buffer
-    /// *capacity*, the thing the pool exists to reuse, is kept.
+    /// The graph is reset (and bindings cleared) immediately: backward
+    /// closures are dropped now rather than pinned until the next open,
+    /// and each activation buffer that no clone outlives goes to the free
+    /// list the next session's ops draw from (see the type docs for what
+    /// the pool retains).
     ///
     /// Dropping a pool-opened session instead of reclaiming it is safe —
     /// the pool simply allocates fresh buffers on the next open.

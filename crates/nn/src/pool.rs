@@ -48,7 +48,7 @@ pub fn max_pool3d(sess: &mut Session<'_>, x: Var, window: (usize, usize, usize))
         });
     }
     let value = pool_forward(sess.graph.value(x), window);
-    Ok(sess.graph.custom_op(value, vec![x], move |g, parents| {
+    Ok(sess.graph.custom_op(value, &[x], move |g, parents| {
         vec![pool_backward(g, parents[0], window)]
     })?)
 }
@@ -185,7 +185,7 @@ mod tests {
         let x = Tensor::rand_uniform(&mut rng, &[1, 1, 2, 4, 4], -1.0, 1.0);
         check_gradients(&[x], |g, vars| {
             let value = pool_forward(g.value(vars[0]), (2, 2, 2));
-            let y = g.custom_op(value, vec![vars[0]], |up, parents| {
+            let y = g.custom_op(value, &[vars[0]], |up, parents| {
                 vec![pool_backward(up, parents[0], (2, 2, 2))]
             })?;
             let q = g.mul(y, y)?;

@@ -105,7 +105,7 @@ impl ShiftVariantConv2d {
         );
         Ok(sess
             .graph
-            .custom_op(value, vec![x, wv, bv], move |g, parents| {
+            .custom_op(value, &[x, wv, bv], move |g, parents| {
                 svc_backward(g, parents[0], parents[1], tile, kernel)
             })?)
     }
@@ -270,7 +270,7 @@ mod tests {
                 2,
                 3,
             );
-            let y = g.custom_op(value, vec![vars[0], vars[1], vars[2]], |up, parents| {
+            let y = g.custom_op(value, &[vars[0], vars[1], vars[2]], |up, parents| {
                 svc_backward(up, parents[0], parents[1], (2, 2), 3)
             })?;
             let q = g.mul(y, y)?;

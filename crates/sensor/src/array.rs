@@ -3,7 +3,6 @@
 
 use crate::{CePixel, Result, SensorError};
 use snappix_ce::ExposureMask;
-use snappix_tensor::Tensor;
 
 /// Cycle and pulse accounting for one capture, used by the energy model to
 /// price the CE control overhead (the paper reports 9 pJ/pixel at a
@@ -29,9 +28,10 @@ const SLOT_DT: f32 = 1.0;
 /// A behavioral coded-exposure sensor: an `h x w` pixel array whose
 /// bottom-die DFFs form one shift register per exposure tile.
 ///
-/// [`CeSensor::capture`] runs the full slot protocol of Sec. V and returns
-/// the analog FD image, which equals the algorithmic Eqn. 1 encoding
-/// exactly (property-tested in the workspace integration tests).
+/// A capture ([`crate::HardwareSensor`]'s `sense` without readout or
+/// normalization) runs the full slot protocol of Sec. V and returns the
+/// analog FD image, which equals the algorithmic Eqn. 1 encoding exactly
+/// (property-tested in the workspace integration tests).
 ///
 /// The array keeps each [`CePixel`]'s state packed, not as `CePixel`s:
 /// PD and FD charge in two row-major `f32` arrays, and the DFF bits and
@@ -60,6 +60,14 @@ pub struct CeSensor {
     /// Per slot, the bits entering every chain edge by edge (see
     /// [`pack_edge_bits`]), one register's worth of words each.
     edge_bits: Vec<u64>,
+    /// [`chain_mask`] of the tile's chain.
+    full: Vec<u64>,
+    /// A capture's working state, kept so captures allocate nothing:
+    /// the carries between a register's words, and a band's DFF bits,
+    /// one byte per pixel, with the register words they were read from.
+    carries: Vec<u64>,
+    set: Vec<u8>,
+    read: Vec<u64>,
     stats: CaptureStats,
 }
 
@@ -102,6 +110,10 @@ impl CeSensor {
             dff: vec![0; registers],
             gated: vec![0; registers],
             edge_bits,
+            full: chain_mask(chain_len),
+            carries: vec![0; words],
+            set: vec![0; th * width],
+            read: vec![0; (width / tw) * words],
             stats: CaptureStats::default(),
         })
     }
@@ -151,36 +163,6 @@ impl CeSensor {
         ))
     }
 
-    /// Captures a `[t, h, w]` irradiance video through the slot protocol
-    /// and returns the analog `[h, w]` FD image, which
-    /// [`crate::Readout::digitize`] turns into ADC codes.
-    ///
-    /// Protocol per slot (paper Sec. V): stream bits, pulse `M6`
-    /// (conditional PD reset), integrate the slot, stream the same bits
-    /// again, pulse `M7` (conditional transfer), power-gate the DFFs.
-    ///
-    /// The simulation runs the protocol per *band* of `th` pixel rows:
-    /// shift chains never leave their tile, and per-pixel reset, exposure
-    /// and transfer are purely local, so bands are fully independent.
-    /// Each stream clocks a tile's register words in place, up to 64
-    /// edges per word op; the band's bits are then spread to one byte per
-    /// pixel, eight at a time, and reset, exposure and transfer are
-    /// branch-free selects over the band, so a capture costs a few steps
-    /// per pixel and slot. The bands run one after another on the calling
-    /// thread, so the result does not depend on `SNAPPIX_THREADS`; serve
-    /// replicas each own a sensor and capture concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SensorError::Stimulus`] when the video does not match the
-    /// sensor resolution or the mask's slot count.
-    pub fn capture(&mut self, video: &Tensor) -> Result<Tensor> {
-        self.check_video(video.shape())?;
-        let mut out = Tensor::zeros(&[self.height, self.width]);
-        self.capture_into(video.as_slice(), out.as_mut_slice());
-        Ok(out)
-    }
-
     /// Checks that a video of `shape` is one `[t, h, w]` clip this sensor
     /// captures.
     ///
@@ -206,16 +188,31 @@ impl CeSensor {
         Ok(())
     }
 
-    /// [`capture`](Self::capture) of one row-major `[t, h, w]` clip that
-    /// [`check_video`](Self::check_video) accepted, read out into the
-    /// `[h, w]` slice `image`.
+    /// Captures one row-major `[t, h, w]` irradiance clip that
+    /// [`check_video`](Self::check_video) accepted through the slot
+    /// protocol, and reads the analog `[h, w]` FD image out into `image`
+    /// ([`crate::Readout::digitize`] turns it into ADC codes). This is
+    /// the one capture path: [`crate::HardwareSensor`] runs it per clip.
+    ///
+    /// Protocol per slot (paper Sec. V): stream bits, pulse `M6`
+    /// (conditional PD reset), integrate the slot, stream the same bits
+    /// again, pulse `M7` (conditional transfer), power-gate the DFFs.
+    ///
+    /// The simulation runs the protocol per *band* of `th` pixel rows:
+    /// shift chains never leave their tile, and per-pixel reset, exposure
+    /// and transfer are purely local, so bands are fully independent.
+    /// Each stream clocks a tile's register words in place, up to 64
+    /// edges per word op; the band's bits are then spread to one byte per
+    /// pixel, eight at a time, and reset, exposure and transfer are
+    /// branch-free selects over the band, so a capture costs a few steps
+    /// per pixel and slot. The bands run one after another on the calling
+    /// thread, so the result does not depend on `SNAPPIX_THREADS`; serve
+    /// replicas each own a sensor and capture concurrently.
     pub(crate) fn capture_into(&mut self, clip: &[f32], image: &mut [f32]) {
         let (th, tw) = self.mask.tile();
         let (h, w, t) = (self.height, self.width, self.mask.num_slots());
         let chain_len = th * tw;
         let words = chain_len.div_ceil(64);
-        let full = chain_mask(chain_len);
-        let mut carries = vec![0u64; words];
         // A fresh capture: `M2` resets every FD, the PDs are empty and
         // the DFFs cleared and ungated.
         self.pd.fill(0.0);
@@ -223,10 +220,8 @@ impl CeSensor {
         self.dff.fill(0);
         self.gated.fill(0);
         let (band_len, band_words) = (th * w, (w / tw) * words);
-        // The band's DFF bits, one byte per pixel, and the register words
-        // they were read from.
-        let mut set = vec![0u8; band_len];
-        let mut read = vec![0u64; band_words];
+        let (full, carries) = (&self.full, &mut self.carries);
+        let (set, read) = (&mut self.set, &mut self.read);
         let charges = self
             .pd
             .chunks_exact_mut(band_len)
@@ -240,21 +235,21 @@ impl CeSensor {
                 // Phase 1: program the slot's bits; `M6` resets the PDs
                 // whose bit is set. Phase 2: every PD integrates the slot
                 // (gating is done purely through reset and transfer).
-                stream_band(dff, gated, edges, chain_len, &full, &mut carries);
+                stream_band(dff, gated, edges, chain_len, full, carries);
                 let frame = &clip[(slot * h + band * th) * w..][..band_len];
-                read_bits(dff, words, th, tw, &mut set);
+                read_bits(dff, words, th, tw, set);
                 read.copy_from_slice(dff);
-                for ((p, &f), &s) in pd.iter_mut().zip(frame).zip(&set) {
+                for ((p, &f), &s) in pd.iter_mut().zip(frame).zip(set.iter()) {
                     *p = f32::from_bits(p.to_bits() & keep(s)) + f * SLOT_DT;
                 }
                 // Phase 3: re-stream the same bits; `M7` moves the PD
                 // charge of the pixels whose bit is set into their FD.
                 // The bits are re-read only if the stream changed them.
-                stream_band(dff, gated, edges, chain_len, &full, &mut carries);
+                stream_band(dff, gated, edges, chain_len, full, carries);
                 if dff != read.as_slice() {
-                    read_bits(dff, words, th, tw, &mut set);
+                    read_bits(dff, words, th, tw, set);
                 }
-                for ((p, q), &s) in pd.iter_mut().zip(fd.iter_mut()).zip(&set) {
+                for ((p, q), &s) in pd.iter_mut().zip(fd.iter_mut()).zip(set.iter()) {
                     let keep = keep(s);
                     *q = f32::from_bits(((*q + *p).to_bits() & !keep) | (q.to_bits() & keep));
                     *p = f32::from_bits(p.to_bits() & keep);
@@ -463,9 +458,11 @@ fn stream_band_clocked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HardwareSensor;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use snappix_ce::{encode, patterns};
+    use snappix_ce::{encode, patterns, Sense};
+    use snappix_tensor::Tensor;
 
     /// Tile shapes for the packed-chain property: a 1-DFF chain,
     /// non-square tiles, chains one short of, exactly and one past a
@@ -507,7 +504,7 @@ mod tests {
         (dff, gated)
     }
 
-    /// The slot protocol of [`CeSensor::capture`] run on one `CePixel`
+    /// The slot protocol of [`CeSensor::capture_into`] run on one `CePixel`
     /// per pixel, with the clocked chain for every stream: the reference
     /// state a capture of `video` must leave in the array.
     fn capture_clocked(mask: &ExposureMask, video: &Tensor) -> Vec<CePixel> {
@@ -598,16 +595,18 @@ mod tests {
             let t = rng.random_range(1..5usize);
             let height = tiles_y * th;
             let mask = patterns::random(t, (th, tw), 0.5, &mut rng).unwrap();
-            let mut sensor = CeSensor::new(height, width, mask.clone()).unwrap();
+            let mut sensor = HardwareSensor::new(height, width, mask.clone())
+                .unwrap()
+                .with_normalization(false);
             let dirty = Tensor::rand_uniform(&mut rng, &[t, height, width], 0.0, 1.0);
             let video = Tensor::rand_uniform(&mut rng, &[t, height, width], 0.0, 1.0);
-            sensor.capture(&dirty).unwrap();
-            let image = sensor.capture(&video).unwrap();
+            sensor.sense(&dirty).unwrap();
+            let image = sensor.sense(&video).unwrap();
             let reference = capture_clocked(&mask, &video);
             for y in 0..height {
                 for x in 0..width {
                     let expected = reference[y * width + x];
-                    prop_assert!(sensor.pixel(y, x).unwrap() == expected, "pixel ({y}, {x})");
+                    prop_assert!(sensor.sensor().pixel(y, x).unwrap() == expected, "pixel ({y}, {x})");
                     prop_assert_eq!(image.get(&[y, x]).unwrap().to_bits(), expected.read().to_bits());
                 }
             }
@@ -625,10 +624,12 @@ mod tests {
     #[test]
     fn stimulus_validation() {
         let mask = patterns::long_exposure(2, (4, 4)).unwrap();
-        let mut sensor = CeSensor::new(8, 8, mask).unwrap();
-        assert!(sensor.capture(&Tensor::zeros(&[3, 8, 8])).is_err());
-        assert!(sensor.capture(&Tensor::zeros(&[2, 4, 8])).is_err());
-        assert!(sensor.capture(&Tensor::zeros(&[8, 8])).is_err());
+        let mut sensor = HardwareSensor::new(8, 8, mask)
+            .unwrap()
+            .with_normalization(false);
+        assert!(sensor.sense(&Tensor::zeros(&[3, 8, 8])).is_err());
+        assert!(sensor.sense(&Tensor::zeros(&[2, 4, 8])).is_err());
+        assert!(sensor.sense(&Tensor::zeros(&[8, 8])).is_err());
     }
 
     #[test]
@@ -638,8 +639,10 @@ mod tests {
             let mut mask_rng = StdRng::seed_from_u64(seed);
             let mask = patterns::random(4, (4, 4), 0.5, &mut mask_rng).unwrap();
             let video = Tensor::rand_uniform(&mut rng, &[4, 8, 8], 0.0, 1.0);
-            let mut sensor = CeSensor::new(8, 8, mask.clone()).unwrap();
-            let hw = sensor.capture(&video).unwrap();
+            let mut sensor = HardwareSensor::new(8, 8, mask.clone())
+                .unwrap()
+                .with_normalization(false);
+            let hw = sensor.sense(&video).unwrap();
             let sw = encode(&video, &mask).unwrap();
             assert_eq!(
                 bits(&hw),
@@ -654,8 +657,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mask = patterns::sparse_random(8, (2, 2), &mut rng).unwrap();
         let video = Tensor::rand_uniform(&mut rng, &[8, 6, 6], 0.0, 1.0);
-        let mut sensor = CeSensor::new(6, 6, mask.clone()).unwrap();
-        let hw = sensor.capture(&video).unwrap();
+        let mut sensor = HardwareSensor::new(6, 6, mask.clone())
+            .unwrap()
+            .with_normalization(false);
+        let hw = sensor.sense(&video).unwrap();
         let sw = encode(&video, &mask).unwrap();
         assert_eq!(bits(&hw), bits(&sw));
     }
@@ -672,14 +677,18 @@ mod tests {
         let mask = patterns::random(16, (8, 8), 0.5, &mut rng).unwrap();
         let video = Tensor::rand_uniform(&mut rng, &[16, 48, 48], 0.0, 1.0);
         let (reference, ref_stats) = with_threads(1, || {
-            let mut sensor = CeSensor::new(48, 48, mask.clone()).unwrap();
-            let img = sensor.capture(&video).unwrap();
+            let mut sensor = HardwareSensor::new(48, 48, mask.clone())
+                .unwrap()
+                .with_normalization(false);
+            let img = sensor.sense(&video).unwrap();
             (img, sensor.stats())
         });
         for threads in [2usize, 5, 40] {
             let (img, stats) = with_threads(threads, || {
-                let mut sensor = CeSensor::new(48, 48, mask.clone()).unwrap();
-                let img = sensor.capture(&video).unwrap();
+                let mut sensor = HardwareSensor::new(48, 48, mask.clone())
+                    .unwrap()
+                    .with_normalization(false);
+                let img = sensor.sense(&video).unwrap();
                 (img, sensor.stats())
             });
             assert_eq!(img.as_slice(), reference.as_slice(), "{threads} threads");
@@ -690,8 +699,10 @@ mod tests {
     #[test]
     fn stats_account_for_protocol() {
         let mask = patterns::long_exposure(4, (2, 2)).unwrap();
-        let mut sensor = CeSensor::new(4, 4, mask).unwrap();
-        sensor.capture(&Tensor::zeros(&[4, 4, 4])).unwrap();
+        let mut sensor = HardwareSensor::new(4, 4, mask)
+            .unwrap()
+            .with_normalization(false);
+        sensor.sense(&Tensor::zeros(&[4, 4, 4])).unwrap();
         let stats = sensor.stats();
         // 2 streams per slot x 4 slots x 4 cycles per stream.
         assert_eq!(stats.pattern_clock_cycles, 2 * 4 * 4);
@@ -704,9 +715,11 @@ mod tests {
     #[test]
     fn second_capture_is_independent() {
         let mask = patterns::long_exposure(2, (2, 2)).unwrap();
-        let mut sensor = CeSensor::new(4, 4, mask).unwrap();
-        let bright = sensor.capture(&Tensor::full(&[2, 4, 4], 1.0)).unwrap();
-        let dark = sensor.capture(&Tensor::zeros(&[2, 4, 4])).unwrap();
+        let mut sensor = HardwareSensor::new(4, 4, mask)
+            .unwrap()
+            .with_normalization(false);
+        let bright = sensor.sense(&Tensor::full(&[2, 4, 4], 1.0)).unwrap();
+        let dark = sensor.sense(&Tensor::zeros(&[2, 4, 4])).unwrap();
         assert_eq!(bright.as_slice()[0], 2.0);
         assert_eq!(dark.sum(), 0.0, "FD must be reset between captures");
     }
@@ -726,8 +739,10 @@ mod tests {
         let mut p = Tensor::zeros(&[1, 2, 2]);
         p.set(&[0, 0, 1], 1.0).unwrap();
         let mask = ExposureMask::new(p).unwrap();
-        let mut sensor = CeSensor::new(4, 4, mask).unwrap();
-        let img = sensor.capture(&Tensor::ones(&[1, 4, 4])).unwrap();
+        let mut sensor = HardwareSensor::new(4, 4, mask)
+            .unwrap()
+            .with_normalization(false);
+        let img = sensor.sense(&Tensor::ones(&[1, 4, 4])).unwrap();
         for y in 0..4 {
             for x in 0..4 {
                 let expected = if y % 2 == 0 && x % 2 == 1 { 1.0 } else { 0.0 };

@@ -32,15 +32,15 @@
 //! # Examples
 //!
 //! ```
-//! use snappix_sensor::CeSensor;
-//! use snappix_ce::patterns;
+//! use snappix_sensor::HardwareSensor;
+//! use snappix_ce::{patterns, Sense};
 //! use snappix_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mask = patterns::long_exposure(4, (4, 4))?;
-//! let mut sensor = CeSensor::new(8, 8, mask)?;
+//! let mut sensor = HardwareSensor::new(8, 8, mask)?.with_normalization(false);
 //! let video = Tensor::full(&[4, 8, 8], 0.1);
-//! let analog = sensor.capture(&video)?;
+//! let analog = sensor.sense(&video)?;
 //! assert_eq!(analog.shape(), &[8, 8]);
 //! # Ok(())
 //! # }

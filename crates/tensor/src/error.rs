@@ -49,6 +49,14 @@ pub enum TensorError {
         /// Rank of the tensor supplied.
         got: usize,
     },
+    /// A shape has more axes than a tensor can hold
+    /// ([`MAX_RANK`](crate::MAX_RANK)).
+    RankTooLarge {
+        /// Rank of the shape asked for.
+        rank: usize,
+        /// The largest rank a tensor can hold.
+        max: usize,
+    },
     /// Tensors passed to a multi-tensor operation (e.g. concat/stack) have
     /// incompatible shapes.
     IncompatibleShapes {
@@ -85,6 +93,9 @@ impl fmt::Display for TensorError {
             }
             TensorError::RankMismatch { expected, got } => {
                 write!(f, "expected tensor of rank {expected} but got rank {got}")
+            }
+            TensorError::RankTooLarge { rank, max } => {
+                write!(f, "rank {rank} exceeds the largest tensor rank, {max}")
             }
             TensorError::IncompatibleShapes { context } => {
                 write!(f, "incompatible shapes: {context}")

@@ -41,8 +41,9 @@ mod tensor;
 
 pub use error::TensorError;
 pub use ops::argmax_coords;
-pub use shape::{broadcast_shapes, strides_for};
-pub use storage::{DType, SharedBuffer};
+pub use shape::{broadcast_shapes, strides_for, Shape, MAX_RANK};
+pub(crate) use storage::Heap;
+pub use storage::{BufferSource, DType, SharedBuffer};
 pub use tensor::Tensor;
 
 /// Convenient result alias used across this crate.

@@ -1,7 +1,7 @@
 //! Linear algebra, reductions and multi-tensor operations.
 
-use crate::shape::unravel;
-use crate::{math, Result, Tensor, TensorError};
+use crate::shape::{unravel, Shape};
+use crate::{math, BufferSource, Heap, Result, Tensor, TensorError};
 
 impl Tensor {
     // ------------------------------------------------------------------
@@ -32,41 +32,46 @@ impl Tensor {
     /// # }
     /// ```
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        match (self.rank(), other.rank()) {
-            (2, 2) => self.matmul2(other),
-            (3, 2) => {
-                let b = self.shape()[0];
-                let (m, k) = (self.shape()[1], self.shape()[2]);
-                if other.shape()[0] != k {
-                    return Err(TensorError::MatmulMismatch {
-                        lhs: self.shape().to_vec(),
-                        rhs: other.shape().to_vec(),
-                    });
+        self.matmul_in(other, &mut Heap)
+    }
+
+    /// [`Tensor::matmul`] into a buffer from `out`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Tensor::matmul`].
+    pub fn matmul_in(&self, other: &Tensor, out: &mut dyn BufferSource) -> Result<Tensor> {
+        let mismatch = || TensorError::MatmulMismatch {
+            lhs: self.shape().to_vec(),
+            rhs: other.shape().to_vec(),
+        };
+        match (self.shape(), other.shape()) {
+            // Row-major `[b, m, k]` is already the flat `[b*m, k]`
+            // left-hand side: one product over the whole batch.
+            (&[.., k1], &[k2, n]) if matches!(self.rank(), 2 | 3) => {
+                if k1 != k2 {
+                    return Err(mismatch());
                 }
-                // Row-major `[b, m, k]` is already the flat `[b*m, k]`
-                // left-hand side: one product over the whole batch.
-                let n = other.shape()[1];
-                let mut out = Tensor::zeros(&[b, m, n]);
+                let mut shape = self.shape;
+                let lead = shape.len() - 1;
+                shape.as_mut_slice()[lead] = n;
+                let rows = self.shape()[..lead].iter().product();
+                let mut dst = Tensor::from_source(out, shape);
                 matmul_kernel(
                     self.as_slice(),
                     other.as_slice(),
-                    out.as_mut_slice(),
-                    b * m,
-                    k,
+                    dst.as_mut_slice(),
+                    rows,
+                    k1,
                     n,
                 );
-                Ok(out)
+                Ok(dst)
             }
-            (3, 3) => {
-                let (b1, m, k1) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-                let (b2, k2, n) = (other.shape()[0], other.shape()[1], other.shape()[2]);
+            (&[b1, m, k1], &[b2, k2, n]) => {
                 if b1 != b2 || k1 != k2 {
-                    return Err(TensorError::MatmulMismatch {
-                        lhs: self.shape().to_vec(),
-                        rhs: other.shape().to_vec(),
-                    });
+                    return Err(mismatch());
                 }
-                let mut out = Tensor::zeros(&[b1, m, n]);
+                let mut out = Tensor::from_source(out, Shape::of(&[b1, m, n]));
                 let lhs = self.as_slice();
                 let rhs = other.as_slice();
                 let dst = out.as_mut_slice();
@@ -105,32 +110,11 @@ impl Tensor {
                 }
                 Ok(out)
             }
-            (r1, r2) => Err(TensorError::RankMismatch {
+            _ => Err(TensorError::RankMismatch {
                 expected: 2,
-                got: r1.min(r2),
+                got: self.rank().min(other.rank()),
             }),
         }
-    }
-
-    fn matmul2(&self, other: &Tensor) -> Result<Tensor> {
-        let (m, k1) = (self.shape()[0], self.shape()[1]);
-        let (k2, n) = (other.shape()[0], other.shape()[1]);
-        if k1 != k2 {
-            return Err(TensorError::MatmulMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: other.shape().to_vec(),
-            });
-        }
-        let mut out = Tensor::zeros(&[m, n]);
-        matmul_kernel(
-            self.as_slice(),
-            other.as_slice(),
-            out.as_mut_slice(),
-            m,
-            k1,
-            n,
-        );
-        Ok(out)
     }
 
     /// Inner product of two 1-D tensors.
@@ -206,6 +190,20 @@ impl Tensor {
     ///
     /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank`.
     pub fn sum_axis(&self, axis: usize, keepdims: bool) -> Result<Tensor> {
+        self.sum_axis_in(axis, keepdims, &mut Heap)
+    }
+
+    /// [`Tensor::sum_axis`] into a buffer from `out`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Tensor::sum_axis`].
+    pub fn sum_axis_in(
+        &self,
+        axis: usize,
+        keepdims: bool,
+        out: &mut dyn BufferSource,
+    ) -> Result<Tensor> {
         let rank = self.rank();
         if axis >= rank {
             return Err(TensorError::AxisOutOfRange { axis, rank });
@@ -213,13 +211,14 @@ impl Tensor {
         let outer: usize = self.shape()[..axis].iter().product();
         let mid = self.shape()[axis];
         let inner: usize = self.shape()[axis + 1..].iter().product();
-        let mut out_shape = self.shape().to_vec();
+        let mut out_shape = self.shape;
         if keepdims {
-            out_shape[axis] = 1;
+            out_shape.as_mut_slice()[axis] = 1;
         } else {
             out_shape.remove(axis);
         }
-        let mut data = vec![0.0f32; outer * inner];
+        let mut sums = Tensor::from_source(out, out_shape);
+        let data = sums.as_mut_slice();
         let src = self.as_slice();
         if inner == 1 {
             // Last-axis sums: one add chain per row, so keep `ROWS` rows
@@ -241,12 +240,15 @@ impl Tensor {
                 dst.copy_from_slice(&acc);
             }
             for row in blocks * ROWS..outer {
+                let mut acc = 0.0f32;
                 for &x in &src[row * mid..(row + 1) * mid] {
-                    data[row] += x;
+                    acc += x;
                 }
+                data[row] = acc;
             }
-            return Tensor::from_vec(data, &out_shape);
+            return Ok(sums);
         }
+        data.fill(0.0);
         for o in 0..outer {
             for m in 0..mid {
                 let base = (o * mid + m) * inner;
@@ -255,7 +257,7 @@ impl Tensor {
                 }
             }
         }
-        Tensor::from_vec(data, &out_shape)
+        Ok(sums)
     }
 
     /// Means along `axis`; `keepdims` retains the axis with extent 1.
@@ -441,6 +443,20 @@ impl Tensor {
     /// or 3, or [`TensorError::InvalidArgument`] when `h`/`w` are not
     /// multiples of the patch extents.
     pub fn extract_patches(&self, ph: usize, pw: usize) -> Result<Tensor> {
+        self.extract_patches_in(ph, pw, &mut Heap)
+    }
+
+    /// [`Tensor::extract_patches`] into a buffer from `out`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Tensor::extract_patches`].
+    pub fn extract_patches_in(
+        &self,
+        ph: usize,
+        pw: usize,
+        out: &mut dyn BufferSource,
+    ) -> Result<Tensor> {
         let (lead, h, w) = match *self.shape() {
             [h, w] => (None, h, w),
             [b, h, w] => (Some(b), h, w),
@@ -456,11 +472,12 @@ impl Tensor {
                 context: format!("patches {ph}x{pw} do not tile {h}x{w}"),
             });
         }
-        let out_shape: Vec<usize> = lead
-            .into_iter()
-            .chain([h * w / (ph * pw), ph * pw])
-            .collect();
-        let mut out = Tensor::zeros(&out_shape);
+        let patches = [h * w / (ph * pw), ph * pw];
+        let out_shape = match lead {
+            Some(b) => Shape::of(&[b, patches[0], patches[1]]),
+            None => Shape::of(&patches),
+        };
+        let mut out = Tensor::from_source(out, out_shape);
         if !out.is_empty() {
             let frames = self.as_slice().chunks_exact(h * w);
             for (frame, patches) in frames.zip(out.as_mut_slice().chunks_exact_mut(h * w)) {
@@ -578,8 +595,8 @@ const JC: usize = 128;
 /// several floors of work per worker up.
 const PAR_FLOPS_PER_WORKER: usize = 1 << 18;
 
-/// Cache-blocked, data-parallel `m x k * k x n` kernel accumulating into
-/// `dst`, which must be zero-initialized.
+/// Cache-blocked, data-parallel `m x k * k x n` kernel writing every
+/// element of `dst`, whatever it held before.
 ///
 /// Large products are split into row slabs across
 /// [`parallel::par_chunks_mut`] workers; each slab runs the blocked serial
@@ -628,12 +645,14 @@ fn matmul_kernel_serial(lhs: &[f32], rhs: &[f32], dst: &mut [f32], m: usize, k: 
 
 /// One row slab of the blocked kernel: `MR x NR` register micro-tiles with
 /// a `k`-inner loop, walking the right-hand side in `JC`-column panels.
+/// Every element of `dst` is written; its old contents are never read.
 ///
 /// Per output element the `k` products accumulate in ascending order from
-/// a `+0.0` accumulator, matching [`matmul_kernel_serial`] bit-for-bit
-/// (adding the finished accumulator to the zero-initialized `dst` cannot
-/// change its bits: the accumulator is never `-0.0` because it starts at
-/// `+0.0`).
+/// a `+0.0` accumulator, matching [`matmul_kernel_serial`] on a zeroed
+/// `dst` bit-for-bit (storing the finished accumulator equals adding it
+/// to `+0.0`: the accumulator is never `-0.0` because it starts at
+/// `+0.0`). The row remainder accumulates in `dst` itself, so it zeroes
+/// its rows of the panel first.
 fn matmul_block(lhs: &[f32], rhs: &[f32], dst: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 {
         return;
@@ -658,10 +677,7 @@ fn matmul_block(lhs: &[f32], rhs: &[f32], dst: &mut [f32], m: usize, k: usize, n
                     }
                 }
                 for r in 0..MR {
-                    let drow = &mut dst[(i + r) * n + j..(i + r) * n + j + NR];
-                    for c in 0..NR {
-                        drow[c] += acc[r][c];
-                    }
+                    dst[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(&acc[r]);
                 }
                 j += NR;
             }
@@ -673,7 +689,7 @@ fn matmul_block(lhs: &[f32], rhs: &[f32], dst: &mut [f32], m: usize, k: usize, n
                     for (p, &a) in row.iter().enumerate() {
                         acc += a * rhs[p * n + jj];
                     }
-                    dst[(i + r) * n + jj] += acc;
+                    dst[(i + r) * n + jj] = acc;
                 }
             }
             i += MR;
@@ -681,6 +697,7 @@ fn matmul_block(lhs: &[f32], rhs: &[f32], dst: &mut [f32], m: usize, k: usize, n
         // Row remainder (fewer than MR rows): i-k-j sweep over the panel.
         for ir in i..m {
             let row = &lhs[ir * k..(ir + 1) * k];
+            dst[ir * n + j0..ir * n + j1].fill(0.0);
             for (p, &a) in row.iter().enumerate() {
                 let rrow = &rhs[p * n + j0..p * n + j1];
                 let drow = &mut dst[ir * n + j0..ir * n + j1];
@@ -795,12 +812,16 @@ mod tests {
 
     /// The blocked/parallel kernel must agree bit-for-bit with the naive
     /// serial reference across odd shapes (micro-tile remainders in both
-    /// extents, panel boundaries) and thread counts 1, 2 and > rows.
+    /// extents, panel boundaries, an empty inner dimension) and thread
+    /// counts 1, 2 and > rows, writing every element of a destination
+    /// that starts dirty (a recycled buffer) as well as one that starts
+    /// zeroed.
     #[test]
     fn matmul_blocked_matches_serial_reference_bit_for_bit() {
         use crate::parallel::with_threads;
         let shapes: &[(usize, usize, usize)] = &[
             (1, 1, 1),
+            (3, 0, 5),
             (1, 7, 1),
             (3, 5, 7),
             (4, 8, 8),
@@ -825,8 +846,8 @@ mod tests {
             let rhs = fill(k * n, 2);
             let mut reference = vec![0.0f32; m * n];
             matmul_kernel_serial(&lhs, &rhs, &mut reference, m, k, n);
-            for threads in [1usize, 2, m + 3] {
-                let mut got = vec![0.0f32; m * n];
+            for (threads, dirt) in [1usize, 2, m + 3].into_iter().zip([0.0, f32::NAN, -7.0]) {
+                let mut got = vec![dirt; m * n];
                 with_threads(threads, || {
                     matmul_kernel(&lhs, &rhs, &mut got, m, k, n);
                 });

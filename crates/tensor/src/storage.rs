@@ -22,6 +22,34 @@ use std::sync::Arc;
 /// [`Arc::ptr_eq`].
 pub type SharedBuffer = Arc<Vec<f32>>;
 
+/// Where kernels' output buffers come from.
+///
+/// The `*_in` kernels ([`Tensor::matmul_in`](crate::Tensor::matmul_in),
+/// [`Tensor::map_in`](crate::Tensor::map_in) and their kin) ask their
+/// source for each output buffer. The buffer is exactly `len` elements
+/// long and held by nobody else, and its elements are unspecified: a
+/// recycled buffer keeps whatever it held last. The kernel overwrites
+/// every element, so the source never changes a bit of the result.
+/// The allocating kernels (`matmul`, `map`, ...) draw from the heap; an
+/// autograd tape's free list hands back the buffers its earlier steps
+/// released.
+pub trait BufferSource {
+    /// A uniquely held buffer of exactly `len` elements.
+    fn take(&mut self, len: usize) -> SharedBuffer;
+}
+
+/// The heap as a [`BufferSource`]: every request is a fresh, zeroed
+/// allocation. The allocating kernels (`matmul`, `map`, ...) are their
+/// `*_in` forms over this source.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Heap;
+
+impl BufferSource for Heap {
+    fn take(&mut self, len: usize) -> SharedBuffer {
+        Arc::new(vec![0.0; len])
+    }
+}
+
 /// Element type of a tensor's storage.
 ///
 /// All in-memory compute is `f32` today; the enum exists so the model
@@ -104,6 +132,11 @@ impl Storage {
     /// The buffer this window lies in.
     pub(crate) fn buffer(&self) -> &SharedBuffer {
         &self.buf
+    }
+
+    /// The buffer, when this window is its only holder.
+    pub(crate) fn into_unique_buffer(mut self) -> Option<SharedBuffer> {
+        Arc::get_mut(&mut self.buf).is_some().then_some(self.buf)
     }
 
     /// `true` when the window spans its whole buffer.

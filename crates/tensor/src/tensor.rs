@@ -1,5 +1,5 @@
-use crate::shape::{broadcast_strides, strides_for};
-use crate::storage::{DType, SharedBuffer, Storage};
+use crate::shape::{broadcast_strides, strides_for, Shape, MAX_RANK};
+use crate::storage::{BufferSource, DType, Heap, SharedBuffer, Storage};
 use crate::{broadcast_shapes, Result, TensorError};
 
 /// A dense, row-major, contiguous `f32` tensor.
@@ -13,7 +13,9 @@ use crate::{broadcast_shapes, Result, TensorError};
 /// them (e.g. [`Tensor::add_assign`]). The first write to a buffer held
 /// elsewhere copies the window into a buffer of its own (copy-on-write),
 /// so no tensor ever sees another's writes; a tensor that holds its
-/// whole buffer alone is written in place.
+/// whole buffer alone is written in place. The shape is an inline
+/// [`Shape`] of at most [`MAX_RANK`] axes, so only the elements live on
+/// the heap.
 ///
 /// [`reshape`]: Tensor::reshape
 /// [`flatten`]: Tensor::flatten
@@ -35,8 +37,8 @@ use crate::{broadcast_shapes, Result, TensorError};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tensor {
-    data: Storage,
-    shape: Vec<usize>,
+    pub(crate) data: Storage,
+    pub(crate) shape: Shape,
 }
 
 /// Value equality: same shape, same elements (positionally, with IEEE
@@ -54,11 +56,13 @@ impl Tensor {
     // ------------------------------------------------------------------
 
     /// Creates a tensor filled with zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shape` has more than [`MAX_RANK`] axes, as do the other
+    /// infallible constructors.
     pub fn zeros(shape: &[usize]) -> Self {
-        Tensor {
-            data: Storage::new(vec![0.0; shape.iter().product()]),
-            shape: shape.to_vec(),
-        }
+        Self::full(shape, 0.0)
     }
 
     /// Creates a tensor filled with ones.
@@ -68,9 +72,10 @@ impl Tensor {
 
     /// Creates a tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
+        let shape = Shape::of(shape);
         Tensor {
-            data: Storage::new(vec![value; shape.iter().product()]),
-            shape: shape.to_vec(),
+            data: Storage::new(vec![value; shape.numel()]),
+            shape,
         }
     }
 
@@ -78,7 +83,7 @@ impl Tensor {
     pub fn scalar(value: f32) -> Self {
         Tensor {
             data: Storage::new(vec![value]),
-            shape: vec![],
+            shape: Shape::default(),
         }
     }
 
@@ -87,10 +92,11 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `data.len()` differs from
-    /// the product of `shape`.
+    /// the product of `shape`, or [`TensorError::RankTooLarge`] for more
+    /// than [`MAX_RANK`] axes.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self> {
-        let expected: usize = shape.iter().product();
-        if data.len() != expected {
+        let shape = Shape::new(shape)?;
+        if data.len() != shape.numel() {
             return Err(TensorError::ShapeMismatch {
                 expected: shape.to_vec(),
                 got: data.len(),
@@ -98,8 +104,29 @@ impl Tensor {
         }
         Ok(Tensor {
             data: Storage::new(data),
-            shape: shape.to_vec(),
+            shape,
         })
+    }
+
+    /// A tensor of `shape` over a buffer from `source`, for a kernel
+    /// that writes every element: the elements are whatever the buffer
+    /// held (zeros from the heap, a recycled buffer's old values from a
+    /// free list).
+    pub fn from_source(source: &mut dyn BufferSource, shape: Shape) -> Tensor {
+        let len = shape.numel();
+        let buf = source.take(len);
+        debug_assert_eq!(buf.len(), len, "a source hands out exact lengths");
+        Tensor {
+            data: Storage::window(buf, 0, len),
+            shape,
+        }
+    }
+
+    /// The tensor's buffer, when the tensor is its only holder: no clone,
+    /// view or other tensor shares it, so nothing can read it after this
+    /// call. `None` otherwise. Free lists recycle buffers through this.
+    pub fn into_unique_buffer(self) -> Option<SharedBuffer> {
+        self.data.into_unique_buffer()
     }
 
     /// Creates a tensor over the window of `count =
@@ -114,9 +141,11 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] if the window
-    /// `offset..offset + count` does not lie inside `buf`.
+    /// `offset..offset + count` does not lie inside `buf`, or
+    /// [`TensorError::RankTooLarge`] for more than [`MAX_RANK`] axes.
     pub fn from_shared(buf: SharedBuffer, offset: usize, shape: &[usize]) -> Result<Self> {
-        let count: usize = shape.iter().product();
+        let shape = Shape::new(shape)?;
+        let count = shape.numel();
         let end = offset.checked_add(count);
         if end.is_none_or(|end| end > buf.len()) {
             return Err(TensorError::InvalidArgument {
@@ -128,7 +157,7 @@ impl Tensor {
         }
         Ok(Tensor {
             data: Storage::window(buf, offset, count),
-            shape: shape.to_vec(),
+            shape,
         })
     }
 
@@ -136,7 +165,7 @@ impl Tensor {
     pub fn arange(n: usize) -> Self {
         Tensor {
             data: Storage::new((0..n).map(|i| i as f32).collect()),
-            shape: vec![n],
+            shape: Shape::of(&[n]),
         }
     }
 
@@ -154,7 +183,7 @@ impl Tensor {
         let step = (stop - start) / (n - 1) as f32;
         Tensor {
             data: Storage::new((0..n).map(|i| start + step * i as f32).collect()),
-            shape: vec![n],
+            shape: Shape::of(&[n]),
         }
     }
 
@@ -175,6 +204,12 @@ impl Tensor {
     /// Shape of the tensor as a slice of axis extents.
     pub fn shape(&self) -> &[usize] {
         &self.shape
+    }
+
+    /// The shape as an inline [`Shape`], for building another tensor of
+    /// the same shape (e.g. with [`Tensor::from_source`]).
+    pub fn dims(&self) -> Shape {
+        self.shape
     }
 
     /// Number of axes.
@@ -226,8 +261,8 @@ impl Tensor {
     }
 
     /// Row-major strides of the tensor.
-    pub fn strides(&self) -> Vec<usize> {
-        strides_for(&self.shape)
+    pub fn strides(&self) -> Shape {
+        strides_for(&self.shape).expect("a tensor's own shape")
     }
 
     /// Reads the element at multi-axis `index`.
@@ -292,10 +327,12 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if the element counts differ.
+    /// Returns [`TensorError::ShapeMismatch`] if the element counts
+    /// differ, or [`TensorError::RankTooLarge`] for more than
+    /// [`MAX_RANK`] axes.
     pub fn reshape(&self, shape: &[usize]) -> Result<Self> {
-        let expected: usize = shape.iter().product();
-        if expected != self.data.len() {
+        let shape = Shape::new(shape)?;
+        if shape.numel() != self.data.len() {
             return Err(TensorError::ShapeMismatch {
                 expected: shape.to_vec(),
                 got: self.data.len(),
@@ -303,7 +340,7 @@ impl Tensor {
         }
         Ok(Tensor {
             data: self.data.clone(),
-            shape: shape.to_vec(),
+            shape,
         })
     }
 
@@ -311,7 +348,7 @@ impl Tensor {
     pub fn flatten(&self) -> Self {
         Tensor {
             data: self.data.clone(),
-            shape: vec![self.data.len()],
+            shape: Shape::of(&[self.data.len()]),
         }
     }
 
@@ -319,7 +356,9 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis > rank`.
+    /// Returns [`TensorError::AxisOutOfRange`] if `axis > rank`, or
+    /// [`TensorError::RankTooLarge`] if the tensor already has
+    /// [`MAX_RANK`] axes.
     pub fn unsqueeze(&self, axis: usize) -> Result<Self> {
         if axis > self.shape.len() {
             return Err(TensorError::AxisOutOfRange {
@@ -327,8 +366,8 @@ impl Tensor {
                 rank: self.shape.len(),
             });
         }
-        let mut shape = self.shape.clone();
-        shape.insert(axis, 1);
+        let mut shape = self.shape;
+        shape.insert(axis, 1)?;
         Ok(Tensor {
             data: self.data.clone(),
             shape,
@@ -353,7 +392,7 @@ impl Tensor {
                 context: format!("cannot squeeze axis {axis} of extent {}", self.shape[axis]),
             });
         }
-        let mut shape = self.shape.clone();
+        let mut shape = self.shape;
         shape.remove(axis);
         Ok(Tensor {
             data: self.data.clone(),
@@ -374,7 +413,7 @@ impl Tensor {
                 context: format!("permutation {perm:?} does not match rank {rank}"),
             });
         }
-        let mut seen = vec![false; rank];
+        let mut seen = [false; MAX_RANK];
         for &p in perm {
             if p >= rank || seen[p] {
                 return Err(TensorError::InvalidArgument {
@@ -383,7 +422,10 @@ impl Tensor {
             }
             seen[p] = true;
         }
-        let out_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
+        let mut out_shape = self.shape;
+        for (o, &p) in out_shape.as_mut_slice().iter_mut().zip(perm) {
+            *o = self.shape[p];
+        }
         let mut out = Tensor::zeros(&out_shape);
         if out.is_empty() {
             return Ok(out);
@@ -402,9 +444,10 @@ impl Tensor {
         // Source strides reordered into output-axis order; the odometer
         // walk below then visits the source without per-element
         // coordinate math.
-        let src_strides: Vec<usize> = perm[..outer].iter().map(|&p| in_strides[p]).collect();
+        let src_strides: [usize; MAX_RANK] =
+            std::array::from_fn(|axis| perm.get(axis).map_or(0, |&p| in_strides[p]));
         let src_data = self.as_slice();
-        let mut coords = vec![0usize; outer];
+        let mut coords = [0usize; MAX_RANK];
         let mut src = 0usize;
         for dst in out.data.make_mut().chunks_exact_mut(run) {
             if run == 1 {
@@ -438,9 +481,9 @@ impl Tensor {
                 got: rank,
             });
         }
-        let mut perm: Vec<usize> = (0..rank).collect();
+        let mut perm: [usize; MAX_RANK] = std::array::from_fn(|axis| axis);
         perm.swap(rank - 1, rank - 2);
-        self.permute(&perm)
+        self.permute(&perm[..rank])
     }
 
     /// Materializes a broadcast of this tensor to `shape`.
@@ -451,9 +494,9 @@ impl Tensor {
     /// broadcast-compatible or the broadcast would shrink the tensor.
     pub fn broadcast_to(&self, shape: &[usize]) -> Result<Self> {
         let merged = broadcast_shapes(&self.shape, shape)?;
-        if merged != shape {
+        if *merged != *shape {
             return Err(TensorError::BroadcastError {
-                lhs: self.shape.clone(),
+                lhs: self.shape.to_vec(),
                 rhs: shape.to_vec(),
             });
         }
@@ -461,7 +504,7 @@ impl Tensor {
         let strides = broadcast_strides(&self.shape, rank);
         let src_data = self.as_slice();
         let mut out = Tensor::zeros(shape);
-        let mut coords = vec![0usize; rank];
+        let mut coords = [0usize; MAX_RANK];
         let mut src = 0usize;
         for o in out.data.make_mut().iter_mut() {
             *o = src_data[src];
@@ -507,12 +550,12 @@ impl Tensor {
                 len: self.shape[axis],
             });
         }
-        let mut out_shape = self.shape.clone();
-        out_shape[axis] = end - start;
+        let mut out_shape = self.shape;
+        out_shape.as_mut_slice()[axis] = end - start;
         let outer: usize = self.shape[..axis].iter().product();
         let inner: usize = self.shape[axis + 1..].iter().product();
         let src = self.as_slice();
-        let mut data = Vec::with_capacity(out_shape.iter().product());
+        let mut data = Vec::with_capacity(out_shape.numel());
         for o in 0..outer {
             let base = o * self.shape[axis] * inner;
             data.extend_from_slice(&src[base + start * inner..base + end * inner]);
@@ -529,10 +572,16 @@ impl Tensor {
 
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Tensor {
-            data: Storage::new(self.as_slice().iter().map(|&x| f(x)).collect()),
-            shape: self.shape.clone(),
+        self.map_in(f, &mut Heap)
+    }
+
+    /// [`Tensor::map`] into a buffer from `out`.
+    pub fn map_in(&self, f: impl Fn(f32) -> f32, out: &mut dyn BufferSource) -> Self {
+        let mut y = Tensor::from_source(out, self.shape);
+        for (o, &x) in y.data.make_mut().iter_mut().zip(self.as_slice()) {
+            *o = f(x);
         }
+        y
     }
 
     /// Applies `f` to every element in place.
@@ -549,21 +598,31 @@ impl Tensor {
     /// Returns [`TensorError::BroadcastError`] if the shapes are not
     /// broadcast-compatible.
     pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Self> {
+        self.zip_with_in(other, f, &mut Heap)
+    }
+
+    /// [`Tensor::zip_with`] into a buffer from `out`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Tensor::zip_with`].
+    pub fn zip_with_in(
+        &self,
+        other: &Tensor,
+        f: impl Fn(f32, f32) -> f32,
+        out: &mut dyn BufferSource,
+    ) -> Result<Self> {
         if self.shape == other.shape {
             // Fast path: identical shapes.
-            let data = self
-                .as_slice()
-                .iter()
-                .zip(other.as_slice())
-                .map(|(&a, &b)| f(a, b))
-                .collect();
-            return Ok(Tensor {
-                data: Storage::new(data),
-                shape: self.shape.clone(),
-            });
+            let mut y = Tensor::from_source(out, self.shape);
+            let pairs = self.as_slice().iter().zip(other.as_slice());
+            for (o, (&a, &b)) in y.data.make_mut().iter_mut().zip(pairs) {
+                *o = f(a, b);
+            }
+            return Ok(y);
         }
         let out_shape = broadcast_shapes(&self.shape, &other.shape)?;
-        let mut out = Tensor::zeros(&out_shape);
+        let mut out = Tensor::from_source(out, out_shape);
         if out.is_empty() {
             return Ok(out);
         }
@@ -580,7 +639,7 @@ impl Tensor {
         let b_strides = broadcast_strides(&other.shape, outer + 1);
         let a_data = self.as_slice();
         let b_data = other.as_slice();
-        let mut coords = vec![0usize; outer];
+        let mut coords = [0usize; MAX_RANK];
         let (mut ai, mut bi) = (0usize, 0usize);
         for row in out.data.make_mut().chunks_exact_mut(n) {
             match (a_strides[outer], b_strides[outer]) {
@@ -864,6 +923,46 @@ mod tests {
         sa2.add_assign(&sc).unwrap();
         assert_eq!(a2, sa2);
         assert_eq!(sa.clone().into_vec(), a.clone().into_vec());
+    }
+
+    #[test]
+    fn shapes_above_max_rank_are_typed_errors() {
+        let too_deep = [1; MAX_RANK + 1];
+        let rank_error = Err(TensorError::RankTooLarge {
+            rank: MAX_RANK + 1,
+            max: MAX_RANK,
+        });
+        assert_eq!(Tensor::from_vec(vec![1.0], &too_deep), rank_error);
+        assert_eq!(Tensor::scalar(1.0).reshape(&too_deep), rank_error);
+        let deepest = Tensor::zeros(&[1; MAX_RANK]);
+        assert_eq!(deepest.unsqueeze(0), rank_error);
+        assert_eq!(deepest.squeeze(0).unwrap().rank(), MAX_RANK - 1);
+        let buf: SharedBuffer = Arc::new(vec![0.0]);
+        assert_eq!(Tensor::from_shared(buf, 0, &too_deep), rank_error);
+        assert!(std::panic::catch_unwind(|| Tensor::zeros(&too_deep)).is_err());
+    }
+
+    #[test]
+    fn kernels_into_a_dirty_source_match_the_heap() {
+        /// Hands out buffers full of NaN, as a recycled buffer might be.
+        struct Dirty;
+        impl BufferSource for Dirty {
+            fn take(&mut self, len: usize) -> SharedBuffer {
+                Arc::new(vec![f32::NAN; len])
+            }
+        }
+        let a = Tensor::arange(24).reshape(&[2, 3, 4]).unwrap();
+        let bias = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25], &[4]).unwrap();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let square = |x: f32| x * x;
+        assert_eq!(bits(&a.map_in(square, &mut Dirty)), bits(&a.map(square)));
+        let (sum, broadcast) = (
+            a.zip_with_in(&a, |x, y| x + y, &mut Dirty).unwrap(),
+            a.zip_with_in(&bias, |x, y| x + y, &mut Dirty).unwrap(),
+        );
+        assert_eq!(bits(&sum), bits(&a.add(&a).unwrap()));
+        assert_eq!(bits(&broadcast), bits(&a.add(&bias).unwrap()));
+        assert_eq!(a.into_unique_buffer().map(|b| b.len()), Some(24));
     }
 
     #[test]

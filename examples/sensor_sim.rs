@@ -26,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clip = data.sample(0).video;
 
     // Capture through the pixel-level protocol.
-    let mut sensor = CeSensor::new(HW, HW, mask.clone())?;
-    let analog = sensor.capture(clip.frames())?;
+    let mut sensor = HardwareSensor::new(HW, HW, mask.clone())?.with_normalization(false);
+    let analog = sensor.sense(clip.frames())?;
     let stats = sensor.stats();
     println!("\ncapture protocol accounting:");
     println!("  pattern-clock cycles : {}", stats.pattern_clock_cycles);

@@ -25,8 +25,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mask = patterns::random(t, (4, 4), open, &mut rng).expect("valid dims");
         let video = Tensor::rand_uniform(&mut rng, &[t, 8, 8], 0.0, 1.0);
-        let mut sensor = CeSensor::new(8, 8, mask.clone()).expect("geometry");
-        let hw = sensor.capture(&video).expect("capture");
+        let mut sensor = HardwareSensor::new(8, 8, mask.clone())
+            .expect("geometry")
+            .with_normalization(false);
+        let hw = sensor.sense(&video).expect("capture");
         let sw = encode(&video, &mask).expect("encode");
         prop_assert!(bits(&hw) == bits(&sw), "seed {seed}: hw != Eqn. 1");
     }
@@ -38,8 +40,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mask = patterns::sparse_random(8, (2, 2), &mut rng).expect("valid dims");
         let video = Tensor::rand_uniform(&mut rng, &[8, 6, 6], 0.0, 1.0);
-        let mut sensor = CeSensor::new(6, 6, mask.clone()).expect("geometry");
-        let hw = sensor.capture(&video).expect("capture");
+        let mut sensor = HardwareSensor::new(6, 6, mask.clone())
+            .expect("geometry")
+            .with_normalization(false);
+        let hw = sensor.sense(&video).expect("capture");
         let sw = encode(&video, &mask).expect("encode");
         prop_assert_eq!(bits(&hw), bits(&sw));
     }
@@ -52,8 +56,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mask = patterns::random(16, (8, 8), open, &mut rng).expect("valid dims");
         let video = Tensor::rand_uniform(&mut rng, &[16, 16, 16], 0.0, 1.0);
-        let mut sensor = CeSensor::new(16, 16, mask.clone()).expect("geometry");
-        let hw = sensor.capture(&video).expect("capture");
+        let mut sensor = HardwareSensor::new(16, 16, mask.clone())
+            .expect("geometry")
+            .with_normalization(false);
+        let hw = sensor.sense(&video).expect("capture");
         prop_assert!(bits(&hw) == bits(&encode(&video, &mask).expect("encode")),
             "seed {seed}: capture != Eqn. 1");
         let mut backend = HardwareSensor::new(16, 16, mask.clone()).expect("geometry");
@@ -79,10 +85,12 @@ proptest! {
         let (h, w) = (tiles_y * th, tiles_x * tw);
         let mut rng = StdRng::seed_from_u64(seed);
         let mask = patterns::random(t, (th, tw), 0.5, &mut rng).expect("valid dims");
-        let mut sensor = CeSensor::new(h, w, mask.clone()).expect("geometry");
+        let mut sensor = HardwareSensor::new(h, w, mask.clone())
+            .expect("geometry")
+            .with_normalization(false);
         for capture in 0..2 {
             let video = Tensor::rand_uniform(&mut rng, &[t, h, w], 0.0, 1.0);
-            let hw = sensor.capture(&video).expect("capture");
+            let hw = sensor.sense(&video).expect("capture");
             prop_assert!(bits(&hw) == bits(&encode(&video, &mask).expect("encode")),
                 "tile {th}x{tw}, t {t}, capture {capture}: hw != Eqn. 1");
         }
@@ -96,8 +104,10 @@ proptest! {
         let t = 4usize;
         let mask = patterns::random(t, (4, 4), 0.5, &mut rng).expect("valid dims");
         let video = Tensor::rand_uniform(&mut rng, &[t, 8, 8], 0.0, 1.0);
-        let mut sensor = CeSensor::new(8, 8, mask.clone()).expect("geometry");
-        let analog = sensor.capture(&video).expect("capture");
+        let mut sensor = HardwareSensor::new(8, 8, mask.clone())
+            .expect("geometry")
+            .with_normalization(false);
+        let analog = sensor.sense(&video).expect("capture");
         let mut readout = Readout::new(ReadoutConfig::noiseless(bits, t as f32));
         let digital = readout.digitize(&analog);
         let lsb = t as f32 / ((1u64 << bits) - 1) as f32;
@@ -114,9 +124,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mask = patterns::random(4, (4, 4), 0.5, &mut rng).expect("valid dims");
         let video = Tensor::rand_uniform(&mut rng, &[4, 8, 8], 0.0, 1.0);
-        let mut sensor = CeSensor::new(8, 8, mask).expect("geometry");
-        let first = sensor.capture(&video).expect("capture");
-        let second = sensor.capture(&video).expect("capture");
+        let mut sensor = HardwareSensor::new(8, 8, mask)
+            .expect("geometry")
+            .with_normalization(false);
+        let first = sensor.sense(&video).expect("capture");
+        let second = sensor.sense(&video).expect("capture");
         prop_assert!(first.approx_eq(&second, 0.0));
     }
 }
@@ -127,9 +139,11 @@ fn pattern_clock_budget_matches_tile_size() {
     // paper's 9 pJ/pixel CE overhead is priced at this activity.
     for (th, tw) in [(2usize, 2usize), (4, 4), (8, 8)] {
         let mask = patterns::long_exposure(4, (th, tw)).expect("valid dims");
-        let mut sensor = CeSensor::new(th * 2, tw * 2, mask).expect("geometry");
+        let mut sensor = HardwareSensor::new(th * 2, tw * 2, mask)
+            .expect("geometry")
+            .with_normalization(false);
         sensor
-            .capture(&Tensor::zeros(&[4, th * 2, tw * 2]))
+            .sense(&Tensor::zeros(&[4, th * 2, tw * 2]))
             .expect("capture");
         assert_eq!(
             sensor.stats().pattern_clock_cycles,
@@ -144,8 +158,10 @@ fn shot_noise_degrades_but_preserves_signal() {
     let mut rng = StdRng::seed_from_u64(5);
     let mask = patterns::long_exposure(8, (4, 4)).expect("valid dims");
     let video = Tensor::rand_uniform(&mut rng, &[8, 16, 16], 0.2, 0.8);
-    let mut sensor = CeSensor::new(16, 16, mask.clone()).expect("geometry");
-    let analog = sensor.capture(&video).expect("capture");
+    let mut sensor = HardwareSensor::new(16, 16, mask.clone())
+        .expect("geometry")
+        .with_normalization(false);
+    let analog = sensor.sense(&video).expect("capture");
     let mut noisy = Readout::new(ReadoutConfig {
         adc_bits: 8,
         full_scale: 8.0,
