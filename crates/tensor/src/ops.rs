@@ -52,7 +52,7 @@ impl Tensor {
                 if k1 != k2 {
                     return Err(mismatch());
                 }
-                let mut shape = self.shape;
+                let mut shape = self.dims();
                 let lead = shape.len() - 1;
                 shape.as_mut_slice()[lead] = n;
                 let rows = self.shape()[..lead].iter().product();
@@ -211,7 +211,7 @@ impl Tensor {
         let outer: usize = self.shape()[..axis].iter().product();
         let mid = self.shape()[axis];
         let inner: usize = self.shape()[axis + 1..].iter().product();
-        let mut out_shape = self.shape;
+        let mut out_shape = self.dims();
         if keepdims {
             out_shape.as_mut_slice()[axis] = 1;
         } else {

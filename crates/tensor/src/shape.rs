@@ -131,12 +131,6 @@ impl std::fmt::Debug for Shape {
     }
 }
 
-impl PartialEq<[usize]> for Shape {
-    fn eq(&self, other: &[usize]) -> bool {
-        self.as_slice() == other
-    }
-}
-
 impl<const N: usize> PartialEq<[usize; N]> for Shape {
     fn eq(&self, other: &[usize; N]) -> bool {
         self.as_slice() == other

@@ -37,8 +37,8 @@ use crate::{broadcast_shapes, Result, TensorError};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tensor {
-    pub(crate) data: Storage,
-    pub(crate) shape: Shape,
+    data: Storage,
+    shape: Shape,
 }
 
 /// Value equality: same shape, same elements (positionally, with IEEE
