@@ -536,6 +536,8 @@ fn attention_forward(
             );
         };
     let threads = parallel::workers_for(batch * heads * seq * seq * dh, ATTENTION_MACS_PER_WORKER);
+    // One worker walks the clips in place; only a parallel split pays
+    // for collecting them into a work queue.
     if threads <= 1 {
         for (b, mut clip) in clips.enumerate() {
             attend(b, &mut clip);
