@@ -15,9 +15,18 @@
 //! drift; this gate allows none. A kernel or storage rewrite that keeps
 //! every f32 operation passes unedited. The fixture is never
 //! regenerated: it is the reference the forward is held to.
+//!
+//! The sensing stage before the forward has its own fixture
+//! (`tests/fixtures/sensing_bits.txt`), one `fnv1a64` of each coded
+//! image's f32 bit patterns:
+//!
+//! - `encode`: the raw `encode_batch` of the seeded 32x32 batch;
+//! - `capture`: the seeded 16x16 batch through `HardwareSensor` with the
+//!   ideal readout and no normalization.
 
 use rand::{rngs::StdRng, SeedableRng};
 use snappix::prelude::*;
+use snappix_nn::fnv1a64;
 
 const T: usize = 16;
 const TILE: usize = 8;
@@ -28,6 +37,7 @@ const CALLS: usize = 3;
 const ADC_BITS: u32 = 8;
 
 const FIXTURE: &str = include_str!("fixtures/snappix_s_logit_bits.txt");
+const SENSING_FIXTURE: &str = include_str!("fixtures/sensing_bits.txt");
 
 /// SnapPix-S at `hw x hw` over `T` slots with a seeded random mask, and
 /// one seeded `[BATCH, T, hw, hw]` batch of clips.
@@ -52,11 +62,33 @@ fn lines(tag: &str, logits: &Tensor) -> Vec<String> {
         .collect()
 }
 
-fn fixture(tag: &str) -> Vec<&'static str> {
-    FIXTURE
+/// `<tag> image <hex fnv1a64 of its f32 bits>`, one line per image of a
+/// `[BATCH, h, w]` batch.
+fn image_lines(tag: &str, images: &Tensor) -> Vec<String> {
+    images
+        .as_slice()
+        .chunks(images.len() / BATCH)
+        .map(|image| {
+            let bytes: Vec<u8> = image
+                .iter()
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .collect();
+            format!("{tag} image {:016x}", fnv1a64(&bytes))
+        })
+        .collect()
+}
+
+fn fixture_lines(fixture: &'static str, tag: &str) -> Vec<&'static str> {
+    let lines: Vec<&str> = fixture
         .lines()
         .filter(|line| line.split_whitespace().next() == Some(tag))
-        .collect()
+        .collect();
+    assert!(!lines.is_empty(), "fixture has no {tag} lines");
+    lines
+}
+
+fn fixture(tag: &str) -> Vec<&'static str> {
+    fixture_lines(FIXTURE, tag)
 }
 
 /// Runs `CALLS` inferences through `pipeline` and checks each against
@@ -100,4 +132,29 @@ fn hardware_16x16_logits_match_the_fixture_bit_for_bit() {
             .expect("pipeline");
         assert_calls_match("hardware", &mut pipeline, &clips);
     }
+}
+
+#[test]
+fn encode_32x32_images_match_the_fixture_bit_for_bit() {
+    let (model, clips) = model_and_clips(32);
+    let coded = encode_batch(&clips, model.mask()).expect("encode");
+    assert_eq!(
+        image_lines("encode", &coded),
+        fixture_lines(SENSING_FIXTURE, "encode"),
+        "encode moved against the fixture"
+    );
+}
+
+#[test]
+fn capture_16x16_images_match_the_fixture_bit_for_bit() {
+    let (model, clips) = model_and_clips(16);
+    let mut sensor = HardwareSensor::new(16, 16, model.mask().clone())
+        .expect("sensor geometry")
+        .with_normalization(false);
+    let coded = sensor.sense_batch(&clips).expect("capture");
+    assert_eq!(
+        image_lines("capture", &coded),
+        fixture_lines(SENSING_FIXTURE, "capture"),
+        "capture moved against the fixture"
+    );
 }
