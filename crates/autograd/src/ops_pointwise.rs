@@ -196,19 +196,6 @@ impl Graph {
         }))
     }
 
-    /// Hyperbolic tangent ([`math::tanh`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails for a foreign handle.
-    pub fn tanh(&mut self, a: Var) -> Result<Var> {
-        self.check(a)?;
-        let value = self.map_value(a, math::tanh);
-        Ok(self.push_op_keeping_output(value, a, |g, out| {
-            g.mul(&out.map(|t| 1.0 - t * t)).expect("same shape")
-        }))
-    }
-
     /// Straight-through binarization (paper Sec. III).
     ///
     /// Forward: `1.0` where the input exceeds `threshold`, else `0.0`.
@@ -323,17 +310,16 @@ mod tests {
     #[test]
     fn activations_numeric() {
         // Avoid 0.0 for relu (kink). The sweep crosses every region of
-        // `math::tanh`: the rational core, the clamp and the saturated
-        // tails (GELU's inner argument passes 9 near x = 5).
+        // the `math::tanh` inside GELU: the rational core, the clamp and
+        // the saturated tails (GELU's inner argument passes 9 near x = 5).
         let x = Tensor::from_vec(vec![0.7, -1.3, 2.1, -0.4], &[4]).unwrap();
         let sweep = Tensor::linspace(-6.0, 6.0, 25).add_scalar(0.013);
         for x in [x, sweep] {
-            for f in ["relu", "gelu", "tanh"] {
+            for f in ["relu", "gelu"] {
                 check_gradients(std::slice::from_ref(&x), |g, vars| {
                     let y = match f {
                         "relu" => g.relu(vars[0])?,
-                        "gelu" => g.gelu(vars[0])?,
-                        _ => g.tanh(vars[0])?,
+                        _ => g.gelu(vars[0])?,
                     };
                     g.sum(y)
                 })

@@ -139,11 +139,6 @@ impl DecorrelationTrainer {
         })
     }
 
-    /// The trainer's configuration.
-    pub fn config(&self) -> &DecorrelationConfig {
-        &self.config
-    }
-
     /// The current binary mask implied by the logits.
     pub fn current_mask(&self) -> Result<ExposureMask> {
         let binary = self

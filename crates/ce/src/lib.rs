@@ -51,7 +51,6 @@
 
 mod encode;
 mod error;
-mod io;
 mod learner;
 mod mask;
 pub mod patterns;
@@ -60,16 +59,13 @@ mod stats;
 
 pub use encode::{encode, encode_batch, normalize_coded};
 pub use error::CeError;
-pub use io::{load_mask, mask_from_str, mask_to_string, save_mask};
 pub use learner::{
     measure_pattern_correlation, DecorrelationConfig, DecorrelationTrainer, TrainedMask,
 };
 pub use mask::ExposureMask;
 pub use patterns::PatternKind;
 pub use sense::{AlgorithmicEncoder, Sense};
-pub use stats::{
-    coded_tile_samples, mean_offdiag_abs, mean_offdiag_sq, pearson_matrix, zero_mean_contrast,
-};
+pub use stats::{coded_tile_samples, mean_offdiag_abs, pearson_matrix, zero_mean_contrast};
 
 /// Convenient result alias used across this crate.
 pub type Result<T> = std::result::Result<T, CeError>;

@@ -76,12 +76,6 @@ impl ExposureMask {
         (self.pattern.shape()[1], self.pattern.shape()[2])
     }
 
-    /// Number of pixels per tile.
-    pub fn pixels_per_tile(&self) -> usize {
-        let (th, tw) = self.tile();
-        th * tw
-    }
-
     /// Fraction of (slot, pixel) cells that are open.
     pub fn open_fraction(&self) -> f32 {
         self.pattern.mean()
@@ -91,12 +85,6 @@ impl ExposureMask {
     /// slots in which that pixel is exposed.
     pub fn exposure_counts(&self) -> &Tensor {
         &self.counts
-    }
-
-    /// The compression ratio achieved by this mask: `t` frames become one
-    /// coded image, so the ratio equals [`ExposureMask::num_slots`].
-    pub fn compression_ratio(&self) -> usize {
-        self.num_slots()
     }
 
     /// Returns `true` when at least one slot exposes each tile pixel —
@@ -124,8 +112,6 @@ mod tests {
         let m = ExposureMask::new(Tensor::ones(&[4, 2, 3])).unwrap();
         assert_eq!(m.num_slots(), 4);
         assert_eq!(m.tile(), (2, 3));
-        assert_eq!(m.pixels_per_tile(), 6);
-        assert_eq!(m.compression_ratio(), 4);
         assert_eq!(m.open_fraction(), 1.0);
         assert!(m.covers_all_pixels());
     }

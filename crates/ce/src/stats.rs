@@ -93,16 +93,6 @@ pub fn pearson_matrix(samples: &Tensor) -> Result<Tensor> {
     Ok(c)
 }
 
-/// Mean squared off-diagonal entry of a square matrix — the decorrelation
-/// loss `L_Cor` of Eqn. 2 evaluated on a correlation matrix.
-///
-/// # Errors
-///
-/// Fails for non-square input or a 1x1 matrix (no off-diagonal).
-pub fn mean_offdiag_sq(c: &Tensor) -> Result<f32> {
-    offdiag_reduce(c, |x| x * x)
-}
-
 /// Mean absolute off-diagonal entry — the "Pearson correlation
 /// coefficient" the paper reports per pattern in Fig. 6's legend.
 ///
@@ -110,10 +100,6 @@ pub fn mean_offdiag_sq(c: &Tensor) -> Result<f32> {
 ///
 /// Fails for non-square input or a 1x1 matrix.
 pub fn mean_offdiag_abs(c: &Tensor) -> Result<f32> {
-    offdiag_reduce(c, f32::abs)
-}
-
-fn offdiag_reduce(c: &Tensor, f: impl Fn(f32) -> f32) -> Result<f32> {
     if c.rank() != 2 || c.shape()[0] != c.shape()[1] {
         return Err(CeError::Tensor(
             snappix_tensor::TensorError::IncompatibleShapes {
@@ -132,7 +118,7 @@ fn offdiag_reduce(c: &Tensor, f: impl Fn(f32) -> f32) -> Result<f32> {
     for i in 0..p {
         for j in 0..p {
             if i != j {
-                acc += f(data[i * p + j]);
+                acc += data[i * p + j].abs();
             }
         }
     }
@@ -235,10 +221,9 @@ mod tests {
     #[test]
     fn offdiag_statistics() {
         let c = Tensor::from_vec(vec![1.0, 0.5, -0.5, 1.0], &[2, 2]).unwrap();
-        assert!((mean_offdiag_sq(&c).unwrap() - 0.25).abs() < 1e-6);
         assert!((mean_offdiag_abs(&c).unwrap() - 0.5).abs() < 1e-6);
-        assert!(mean_offdiag_sq(&Tensor::zeros(&[2, 3])).is_err());
-        assert!(mean_offdiag_sq(&Tensor::ones(&[1, 1])).is_err());
+        assert!(mean_offdiag_abs(&Tensor::zeros(&[2, 3])).is_err());
+        assert!(mean_offdiag_abs(&Tensor::ones(&[1, 1])).is_err());
     }
 
     #[test]

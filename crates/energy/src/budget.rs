@@ -76,20 +76,6 @@ impl EnergyBudget {
         EnergyBudget::new(f64::INFINITY)
     }
 
-    /// Sets the starting level (clamped to `[0, capacity]`). The ledger
-    /// restarts from this level.
-    #[must_use]
-    pub fn with_level(mut self, level_pj: f64) -> Self {
-        let level = if level_pj.is_nan() {
-            0.0
-        } else {
-            level_pj.clamp(0.0, self.capacity_pj)
-        };
-        self.level_pj = level;
-        self.initial_pj = level;
-        self
-    }
-
     /// Sets the harvest rate in pJ per second (clamped to ≥ 0;
     /// non-finite rates clamp to 0).
     #[must_use]
@@ -115,11 +101,6 @@ impl EnergyBudget {
     /// The level the ledger started from.
     pub fn initial_pj(&self) -> f64 {
         self.initial_pj
-    }
-
-    /// Configured harvest rate in pJ/s.
-    pub fn harvest_pj_per_s(&self) -> f64 {
-        self.harvest_pj_per_s
     }
 
     /// Total energy spent so far.
@@ -258,10 +239,9 @@ mod tests {
     fn constructors_sanitize_nonsense() {
         assert_eq!(EnergyBudget::new(-5.0).capacity_pj(), 0.0);
         assert_eq!(EnergyBudget::new(f64::NAN).capacity_pj(), 0.0);
-        assert_eq!(EnergyBudget::new(10.0).with_level(99.0).level_pj(), 10.0);
-        assert_eq!(EnergyBudget::new(10.0).with_level(-1.0).level_pj(), 0.0);
-        let b = EnergyBudget::new(10.0).with_harvest(f64::INFINITY);
-        assert_eq!(b.harvest_pj_per_s(), 0.0);
+        let mut b = EnergyBudget::new(10.0).with_harvest(f64::INFINITY);
+        assert!(b.try_spend(10.0));
+        assert_eq!(b.harvest_for(1.0), 0.0);
         let mut z = EnergyBudget::new(0.0);
         assert_eq!(z.fraction(), 1.0, "zero-capacity budgets report full");
         assert_eq!(z.harvest_for(1.0), 0.0);
@@ -270,7 +250,8 @@ mod tests {
 
     #[test]
     fn harvest_ignores_bad_durations() {
-        let mut b = EnergyBudget::new(10.0).with_level(0.0).with_harvest(5.0);
+        let mut b = EnergyBudget::new(10.0).with_harvest(5.0);
+        assert!(b.try_spend(10.0));
         assert_eq!(b.harvest_for(f64::NAN), 0.0);
         assert_eq!(b.harvest_for(-1.0), 0.0);
         assert_eq!(b.harvest_for(0.0), 0.0);

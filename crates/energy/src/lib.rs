@@ -40,15 +40,9 @@
 #![warn(missing_docs)]
 
 mod budget;
-mod digital;
 mod gpu;
 mod model;
 
 pub use budget::EnergyBudget;
-pub use digital::DigitalCompressor;
 pub use gpu::{EdgeGpuScenario, GpuModelClass, JetsonXavierModel};
 pub use model::{EnergyBreakdown, EnergyModel, Scenario, Wireless};
-
-/// Ratio of MIPI CSI-2 per-byte transfer energy to a one-byte MAC
-/// operation (paper Sec. II-A, citing CamJ).
-pub const MIPI_BYTE_TO_MAC_RATIO: f64 = 300.0;

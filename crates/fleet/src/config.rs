@@ -16,13 +16,12 @@ use std::time::Duration;
 /// # Examples
 ///
 /// ```
-/// use snappix_energy::{EnergyBudget, Wireless};
+/// use snappix_energy::EnergyBudget;
 /// use snappix_fleet::NodeConfig;
 ///
 /// let config = NodeConfig::new(8, 4)
 ///     .with_fps(15.0)
-///     .with_budget(EnergyBudget::new(5.0e9).with_harvest(2.0e8))
-///     .with_wireless(Wireless::LoraBackscatter);
+///     .with_budget(EnergyBudget::new(5.0e9).with_harvest(2.0e8));
 /// assert_eq!(config.window, 8);
 /// assert_eq!(config.fps, 15.0);
 /// ```
@@ -126,13 +125,6 @@ impl NodeConfig {
     #[must_use]
     pub fn with_budget(mut self, budget: EnergyBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Sets the node's wireless offload link.
-    #[must_use]
-    pub fn with_wireless(mut self, wireless: Wireless) -> Self {
-        self.wireless = wireless;
         self
     }
 

@@ -58,15 +58,14 @@
 //!     .with_workers(2)
 //!     .build()?;
 //!
-//! // A small fleet: finite budgets with solar-ish harvest, LoRa uplink.
+//! // A small fleet: finite budgets with solar-ish harvest.
 //! let mut sim = FleetSim::new(&server).with_drivers(4);
 //! for i in 0..16 {
 //!     sim.add_node(
 //!         SyntheticSource::new(ssv2_like(64, 16, 16), 2 + i % 3),
 //!         NodeConfig::new(8, 4)
 //!             .with_fps(15.0)
-//!             .with_budget(EnergyBudget::new(2.0e9).with_harvest(5.0e7))
-//!             .with_wireless(Wireless::PassiveWifi),
+//!             .with_budget(EnergyBudget::new(2.0e9).with_harvest(5.0e7)),
 //!     )?;
 //! }
 //! let report = sim.run()?;

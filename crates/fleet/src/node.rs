@@ -387,9 +387,4 @@ impl<'a> Node<'a> {
         };
         (stats, self.events, self.trace)
     }
-
-    /// The per-window inference cost the node was priced at, pJ.
-    pub(crate) fn infer_cost_pj(&self) -> f64 {
-        self.infer_cost_pj
-    }
 }

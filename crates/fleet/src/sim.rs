@@ -152,13 +152,6 @@ impl<'a> FleetSim<'a> {
         Ok(id)
     }
 
-    /// The per-window energy a node would pay for a full inference, pJ.
-    /// Handy for sizing budgets in tests and examples ("give the node
-    /// enough for exactly 20 windows").
-    pub fn infer_cost_pj(&self, node: usize) -> Option<f64> {
-        self.nodes.get(node).map(Node::infer_cost_pj)
-    }
-
     /// Runs every node's source to exhaustion and returns the report.
     ///
     /// # Errors

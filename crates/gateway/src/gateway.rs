@@ -140,7 +140,6 @@ impl GatewayBuilder {
             conns,
             acceptor: Some(acceptor),
             local_addr,
-            max_connections: self.max_connections,
         })
     }
 }
@@ -169,7 +168,6 @@ pub struct Gateway {
     conns: Arc<ConnRegistry>,
     acceptor: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
-    max_connections: usize,
 }
 
 impl Gateway {
@@ -193,11 +191,6 @@ impl Gateway {
     /// where the OS actually put the listener.
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The concurrent-connection cap.
-    pub fn max_connections(&self) -> usize {
-        self.max_connections
     }
 
     /// The [`Server`] being fronted (for stats or direct in-process
@@ -248,7 +241,9 @@ impl Drop for Gateway {
 }
 
 /// Live connections (so shutdown can unblock their reads) plus handler
-/// thread handles (so shutdown can join them).
+/// thread handles (so shutdown can join them). Handles of finished
+/// handlers are joined as new ones attach, so the list is bounded by
+/// live connections, not by every connection ever accepted.
 #[derive(Debug, Default)]
 struct ConnRegistry {
     inner: Mutex<RegistryInner>,
@@ -279,7 +274,12 @@ impl ConnRegistry {
     }
 
     fn attach(&self, handle: JoinHandle<()>) {
-        self.lock().handles.push(handle);
+        let mut inner = self.lock();
+        // A finished thread joins at once, so this never blocks.
+        for finished in inner.handles.extract_if(.., |h| h.is_finished()) {
+            let _ = finished.join();
+        }
+        inner.handles.push(handle);
     }
 
     fn deregister(&self, id: u64) {
@@ -434,5 +434,32 @@ fn run_connection(state: &AppState, stream: &TcpStream, peer: SocketAddr, read_t
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn attach_joins_finished_handlers() {
+        let conns = ConnRegistry::default();
+        let (release, wait) = mpsc::channel::<()>();
+        conns.attach(std::thread::spawn(move || {
+            let _ = wait.recv();
+        }));
+        for _ in 0..64 {
+            let done = std::thread::spawn(|| {});
+            while !done.is_finished() {
+                std::thread::yield_now();
+            }
+            conns.attach(done);
+            // One live handler, plus the one just attached.
+            assert!(conns.lock().handles.len() <= 2);
+        }
+        release.send(()).expect("live handler waiting");
+        conns.join_all();
+        assert!(conns.lock().handles.is_empty());
     }
 }

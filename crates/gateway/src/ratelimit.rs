@@ -55,20 +55,33 @@ struct Bucket {
     refilled: Instant,
 }
 
+#[derive(Debug, Default)]
+struct Buckets {
+    by_client: HashMap<IpAddr, Bucket>,
+    /// `by_client.len()` right after the last sweep.
+    swept_len: usize,
+}
+
 /// The shared limiter: one bucket per client IP, behind one lock (the
 /// critical section is a few float operations — negligible next to the
 /// forward pass each admitted request buys).
+///
+/// Memory is bounded by recently active clients: a bucket idle for
+/// `burst / rate` seconds has refilled to `burst`, which is exactly the
+/// state of a fresh bucket, so such buckets are swept whenever the map
+/// doubles past its size at the last sweep (amortized O(1) per new
+/// client) without changing any answer.
 #[derive(Debug)]
 pub(crate) struct Limiter {
     policy: RateLimit,
-    buckets: Mutex<HashMap<IpAddr, Bucket>>,
+    buckets: Mutex<Buckets>,
 }
 
 impl Limiter {
     pub fn new(policy: RateLimit) -> Self {
         Limiter {
             policy,
-            buckets: Mutex::new(HashMap::new()),
+            buckets: Mutex::new(Buckets::default()),
         }
     }
 
@@ -81,13 +94,26 @@ impl Limiter {
             .buckets
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let bucket = buckets.entry(client).or_insert(Bucket {
-            tokens: f64::from(self.policy.burst),
+        let Buckets {
+            by_client,
+            swept_len,
+        } = &mut *buckets;
+        let burst = f64::from(self.policy.burst);
+        if by_client.len() >= 2 * *swept_len && !by_client.contains_key(&client) {
+            // The refill below caps `tokens + elapsed * rate` at `burst`,
+            // and `tokens >= 0`, so once `elapsed * rate >= burst` the
+            // bucket is full whatever it held: the same as a fresh one.
+            by_client.retain(|_, b| {
+                now.saturating_duration_since(b.refilled).as_secs_f64() * self.policy.rate < burst
+            });
+            *swept_len = by_client.len();
+        }
+        let bucket = by_client.entry(client).or_insert(Bucket {
+            tokens: burst,
             refilled: now,
         });
         let elapsed = now.saturating_duration_since(bucket.refilled).as_secs_f64();
-        bucket.tokens =
-            (bucket.tokens + elapsed * self.policy.rate).min(f64::from(self.policy.burst));
+        bucket.tokens = (bucket.tokens + elapsed * self.policy.rate).min(burst);
         bucket.refilled = now;
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
@@ -157,5 +183,48 @@ mod tests {
         assert_eq!(limiter.admit(ip(1), later), Ok(()));
         assert_eq!(limiter.admit(ip(1), later), Ok(()));
         assert!(limiter.admit(ip(1), later).is_err(), "capped at burst 2");
+    }
+
+    #[test]
+    fn idle_clients_are_swept_without_changing_any_answer() {
+        let policy = RateLimit::new(10.0, 2).expect("valid");
+        let limiter = Limiter::new(policy);
+        // The same token bucket with no eviction: one entry per client
+        // ever seen.
+        let mut reference: HashMap<IpAddr, (f64, Instant)> = HashMap::new();
+        let mut reference_admit = |client: IpAddr, now: Instant| {
+            let burst = f64::from(policy.burst);
+            let (tokens, refilled) = reference.entry(client).or_insert((burst, now));
+            let elapsed = now.saturating_duration_since(*refilled).as_secs_f64();
+            *tokens = (*tokens + elapsed * policy.rate).min(burst);
+            *refilled = now;
+            if *tokens >= 1.0 {
+                *tokens -= 1.0;
+                Ok(())
+            } else {
+                Err(Duration::from_secs_f64((1.0 - *tokens) / policy.rate))
+            }
+        };
+        let client = |i: u32| IpAddr::from((0x0a00_0000 + i).to_be_bytes());
+        let t0 = Instant::now();
+        let len = || limiter.buckets.lock().expect("unpoisoned").by_client.len();
+        // A drained bucket is full again after 200 ms idle. Every 10 ms a
+        // new client drains its bucket, and the clients that arrived
+        // 150 ms and 250 ms ago try three more times: each finds 1.5
+        // tokens refilled since it last drained, so one is admitted and
+        // two are refused, where a fresh bucket would admit two.
+        for step in 0..2000u32 {
+            let now = t0 + Duration::from_millis(10 * u64::from(step));
+            for i in [step, step.saturating_sub(15), step.saturating_sub(25)] {
+                for _ in 0..3 {
+                    assert_eq!(
+                        limiter.admit(client(i), now),
+                        reference_admit(client(i), now),
+                        "client {i} at step {step}"
+                    );
+                }
+            }
+        }
+        assert!(len() < 100, "{} buckets kept for 2000 clients", len());
     }
 }

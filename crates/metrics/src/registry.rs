@@ -113,11 +113,6 @@ impl Registry {
         Registry { inner: None }
     }
 
-    /// Whether handles from this registry record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     fn register(
         &self,
         name: &str,
@@ -267,11 +262,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A detached no-op handle (what `Counter::default()` also gives).
-    pub fn noop() -> Self {
-        Counter { cell: None }
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -323,11 +313,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// A detached no-op handle.
-    pub fn noop() -> Self {
-        Gauge { cell: None }
-    }
-
     /// Sets the gauge.
     pub fn set(&self, value: f64) {
         if let Some(cell) = &self.cell {
@@ -370,11 +355,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A detached no-op handle.
-    pub fn noop() -> Self {
-        Histogram { core: None }
-    }
-
     /// A standalone histogram not attached to any registry — for local
     /// aggregation that is later folded into a registered one with
     /// [`merge_from`](Self::merge_from).
@@ -382,11 +362,6 @@ impl Histogram {
         Histogram {
             core: Some(Arc::new(HistCore::new(opts))),
         }
-    }
-
-    /// Whether this handle records anywhere.
-    pub fn is_enabled(&self) -> bool {
-        self.core.is_some()
     }
 
     /// Records one raw value (lock-free: three atomic adds and a max).
@@ -450,7 +425,6 @@ mod tests {
     #[test]
     fn disabled_registry_hands_out_noops() {
         let registry = Registry::disabled();
-        assert!(!registry.is_enabled());
         let c = registry.counter("c_total", "c");
         let g = registry.gauge("g", "g");
         let h = registry.histogram("h", "h", HistogramOpts::default());
@@ -460,7 +434,6 @@ mod tests {
         assert_eq!(c.get(), 0);
         assert_eq!(g.get(), 0.0);
         assert_eq!(h.snapshot().count, 0);
-        assert!(!h.is_enabled());
         assert_eq!(registry.render(), "");
         assert_eq!(registry.render_openmetrics(), "# EOF\n");
     }

@@ -152,16 +152,6 @@ impl MaePretrainer {
         })
     }
 
-    /// The pre-trainer's configuration.
-    pub fn config(&self) -> &MaeConfig {
-        &self.config
-    }
-
-    /// The parameter store (encoder weights live under `enc.*`).
-    pub fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
     /// One pre-training step on `[batch, t, h, w]` clips; returns the MSE
     /// reconstruction loss before the update.
     ///

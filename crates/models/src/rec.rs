@@ -89,17 +89,6 @@ impl SnapPixRec {
         })
     }
 
-    /// The parameter store (encoder weights under `enc.*`, so MAE
-    /// pre-training transfers directly).
-    pub fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    /// Mutable parameter store (for warm-starting from pre-training).
-    pub fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
     fn build_prediction(&self, sess: &mut Session<'_>, videos: &Tensor) -> Result<Var> {
         let coded = normalize_coded(encode_batch(videos, &self.mask)?, &self.mask)?;
         let patch = self.encoder.config().patch;

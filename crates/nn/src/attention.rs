@@ -76,11 +76,6 @@ impl MultiHeadAttention {
         })
     }
 
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// Applies scaled dot-product self-attention:
     /// `proj(attention(q(x), k(x), v(x)))`, with the heads fused into one
     /// tape node.
@@ -119,8 +114,7 @@ mod tests {
         let mut store = ParamStore::new();
         assert!(MultiHeadAttention::new(&mut store, "a", 16, 3, &mut rng).is_err());
         assert!(MultiHeadAttention::new(&mut store, "a", 16, 0, &mut rng).is_err());
-        let mha = MultiHeadAttention::new(&mut store, "a", 16, 4, &mut rng).unwrap();
-        assert_eq!(mha.heads(), 4);
+        assert!(MultiHeadAttention::new(&mut store, "a", 16, 4, &mut rng).is_ok());
     }
 
     #[test]

@@ -32,8 +32,6 @@ use snappix_tensor::Tensor;
 pub struct Linear {
     weight: ParamId,
     bias: ParamId,
-    in_features: usize,
-    out_features: usize,
 }
 
 impl Linear {
@@ -50,30 +48,15 @@ impl Linear {
             xavier_uniform(rng, &[in_features, out_features], in_features, out_features),
         );
         let bias = store.register(format!("{name}.bias"), Tensor::zeros(&[out_features]));
-        Linear {
-            weight,
-            bias,
-            in_features,
-            out_features,
-        }
-    }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
+        Linear { weight, bias }
     }
 
     /// Applies the layer inside `sess`.
     ///
     /// # Errors
     ///
-    /// Fails when the trailing input dimension differs from
-    /// [`Linear::in_features`].
+    /// Fails when the trailing input dimension differs from the layer's
+    /// input feature count.
     pub fn forward(&self, sess: &mut Session<'_>, x: Var) -> Result<Var> {
         let w = sess.param(self.weight);
         let b = sess.param(self.bias);
@@ -92,8 +75,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let fc = Linear::new(&mut store, "fc", 4, 2, &mut rng);
-        assert_eq!(fc.in_features(), 4);
-        assert_eq!(fc.out_features(), 2);
         let mut sess = Session::inference(&store);
         let x2 = sess.input(Tensor::zeros(&[3, 4]));
         let y2 = fc.forward(&mut sess, x2).unwrap();

@@ -29,7 +29,6 @@ use snappix_tensor::Tensor;
 pub struct LayerNorm {
     gamma: ParamId,
     beta: ParamId,
-    dim: usize,
     eps: f32,
 }
 
@@ -41,22 +40,16 @@ impl LayerNorm {
         LayerNorm {
             gamma,
             beta,
-            dim,
             eps: 1e-5,
         }
-    }
-
-    /// Feature width this layer normalizes over.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Applies layer normalization inside `sess`.
     ///
     /// # Errors
     ///
-    /// Fails when the trailing input dimension differs from
-    /// [`LayerNorm::dim`].
+    /// Fails when the trailing input dimension differs from the `dim`
+    /// the layer was built with.
     pub fn forward(&self, sess: &mut Session<'_>, x: Var) -> Result<Var> {
         let gamma = sess.param(self.gamma);
         let beta = sess.param(self.beta);
@@ -74,7 +67,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let ln = LayerNorm::new(&mut store, "ln", 16);
-        assert_eq!(ln.dim(), 16);
         let mut sess = Session::inference(&store);
         let x = sess.input(Tensor::rand_uniform(&mut rng, &[4, 16], -10.0, 10.0));
         let y = ln.forward(&mut sess, x).unwrap();

@@ -87,11 +87,6 @@ impl HardwareSensor {
         &self.sensor
     }
 
-    /// The readout chain, if one is configured.
-    pub fn readout(&self) -> Option<&Readout> {
-        self.readout.as_ref()
-    }
-
     /// Protocol accounting from the most recent capture (for energy
     /// models).
     pub fn stats(&self) -> CaptureStats {
@@ -166,7 +161,7 @@ mod tests {
         let b = sw.sense(&clip).unwrap();
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b));
-        assert!(hw.normalizes() && hw.readout().is_none());
+        assert!(hw.normalizes());
         assert_eq!(hw.stats().pixels_read, 64);
     }
 

@@ -97,11 +97,6 @@ impl Readout {
         Readout { config, rng }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ReadoutConfig {
-        &self.config
-    }
-
     /// Digitizes an analog charge image: adds shot noise (Poisson
     /// approximated as Gaussian with variance = signal electrons) and read
     /// noise, then quantizes to `adc_bits` and returns values *normalized

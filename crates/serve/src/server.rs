@@ -472,7 +472,7 @@ impl Server {
             self.queue.try_push(request)
         };
         match admitted {
-            Ok(()) => Ok(Ticket::new(receiver, trace_id)),
+            Ok(()) => Ok(Ticket::new(receiver)),
             Err(e) => {
                 self.recorder.record_unadmitted();
                 if matches!(e, ServeError::Overloaded { .. }) {

@@ -12,27 +12,14 @@ use std::time::Duration;
 /// Tickets are `Send`, so a client can submit from one thread and wait
 /// from another, and dropping a ticket simply abandons the result — the
 /// server notices nothing and the answer is discarded on arrival.
-///
-/// When the server was built with a [`Tracer`](snappix_trace::Tracer),
-/// the ticket also carries the request's [`trace id`](Self::trace_id),
-/// so callers can correlate this request with its spans in a trace
-/// snapshot (the gateway echoes it in the `X-Snappix-Trace` response
-/// header).
 #[derive(Debug)]
 pub struct Ticket {
     receiver: Receiver<Result<Prediction, ServeError>>,
-    trace_id: u64,
 }
 
 impl Ticket {
-    pub(crate) fn new(receiver: Receiver<Result<Prediction, ServeError>>, trace_id: u64) -> Self {
-        Ticket { receiver, trace_id }
-    }
-
-    /// The request-scoped trace id stamped at admission, or `0` when
-    /// the server traces nothing.
-    pub fn trace_id(&self) -> u64 {
-        self.trace_id
+    pub(crate) fn new(receiver: Receiver<Result<Prediction, ServeError>>) -> Self {
+        Ticket { receiver }
     }
 
     /// Blocks until the request is answered.
@@ -99,7 +86,7 @@ mod tests {
     #[test]
     fn wait_returns_the_answer() {
         let (tx, rx) = channel();
-        let ticket = Ticket::new(rx, 0);
+        let ticket = Ticket::new(rx);
         tx.send(Ok(prediction())).unwrap();
         assert_eq!(ticket.wait().unwrap().label, 3);
     }
@@ -107,7 +94,7 @@ mod tests {
     #[test]
     fn polling_distinguishes_pending_from_dead() {
         let (tx, rx) = channel();
-        let ticket = Ticket::new(rx, 0);
+        let ticket = Ticket::new(rx);
         assert_eq!(ticket.try_wait(), Ok(None), "still in flight");
         assert_eq!(
             ticket.wait_timeout(Duration::from_millis(1)),
@@ -124,7 +111,7 @@ mod tests {
     #[test]
     fn server_side_errors_surface_through_wait() {
         let (tx, rx) = channel();
-        let ticket = Ticket::new(rx, 0);
+        let ticket = Ticket::new(rx);
         tx.send(Err(ServeError::ShuttingDown)).unwrap();
         assert_eq!(ticket.wait(), Err(ServeError::ShuttingDown));
     }

@@ -533,11 +533,6 @@ where
         &self.backend
     }
 
-    /// Number of output classes.
-    pub fn num_classes(&self) -> usize {
-        self.model.num_classes()
-    }
-
     /// The pinned worker count, if [`PipelineBuilder::with_threads`] set
     /// one; `None` means the ambient `SNAPPIX_THREADS` / machine default
     /// applies.
@@ -919,7 +914,6 @@ mod tests {
         let mut p = Pipeline::builder(model()).build().unwrap();
         assert!(p.infer(&Tensor::zeros(&[4, 16, 16])).is_err());
         assert!(p.infer_clip(&Tensor::zeros(&[3, 16, 16])).is_err());
-        assert_eq!(p.num_classes(), 5);
         assert!(format!("{p:?}").contains("Pipeline"));
     }
 

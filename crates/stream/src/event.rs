@@ -69,11 +69,6 @@ impl EventDetector {
         }
     }
 
-    /// The currently active (last confirmed) label.
-    pub fn active(&self) -> Option<usize> {
-        self.active
-    }
-
     /// Feeds one smoothed label; returns the event if this window
     /// confirms a change.
     pub fn observe(
@@ -124,7 +119,6 @@ mod tests {
     #[test]
     fn first_label_needs_confirmation_too() {
         let mut d = EventDetector::new(2);
-        assert_eq!(d.active(), None);
         let events = labels(&mut d, &[4, 4]);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].from, None);
@@ -132,7 +126,6 @@ mod tests {
         assert_eq!(events[0].window, 1);
         assert_eq!(events[0].at_frame, 5);
         assert_eq!(events[0].stream, 7);
-        assert_eq!(d.active(), Some(4));
         assert!(events[0].to_string().contains("settled on 4"));
     }
 
@@ -170,6 +163,5 @@ mod tests {
         let mut d = EventDetector::new(2);
         let events = labels(&mut d, &[0, 0, 3, 4, 3, 4, 3]);
         assert_eq!(events.iter().map(|e| e.to).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(d.active(), Some(0));
     }
 }

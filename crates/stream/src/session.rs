@@ -365,11 +365,6 @@ impl<'a> StreamSession<'a> {
         })
     }
 
-    /// The stream id events are tagged with.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// A point-in-time stats snapshot (latency percentiles over the
     /// windows inferred so far).
     pub fn stats(&self) -> StreamStats {

@@ -62,18 +62,6 @@ impl ReplaySource {
             passes_left: passes,
         }
     }
-
-    /// The video being replayed.
-    pub fn video(&self) -> &Video {
-        &self.video
-    }
-
-    /// Frames this source has yet to yield over all remaining passes.
-    pub fn total_frames(&self) -> usize {
-        // `next` frames of the current pass are already consumed, and it
-        // resets to 0 whenever a pass completes, so this never underflows.
-        self.passes_left * self.video.num_frames() - self.next
-    }
 }
 
 impl FrameSource for ReplaySource {
@@ -131,16 +119,6 @@ impl SyntheticSource {
             current: None,
             shape,
         }
-    }
-
-    /// Frames per segment (every segment renders the same clip length).
-    pub fn segment_frames(&self) -> usize {
-        self.dataset.config().frames
-    }
-
-    /// Number of segments this source streams.
-    pub fn segments(&self) -> usize {
-        self.segments
     }
 
     /// Ground-truth action label of segment `i` — what a perfect
@@ -208,7 +186,6 @@ mod tests {
     fn replay_yields_frames_in_order_then_ends() {
         let mut source = ReplaySource::new(counting_video(3));
         assert_eq!(source.frame_shape(), [2, 2]);
-        assert_eq!(source.total_frames(), 3);
         assert_eq!(drain(&mut source), vec![0.0, 1.0, 2.0]);
         // Exhausted sources stay exhausted.
         assert!(source.next_frame().unwrap().is_none());
@@ -217,11 +194,9 @@ mod tests {
     #[test]
     fn looped_replay_repeats_the_clip() {
         let mut source = ReplaySource::looped(counting_video(2), 3);
-        assert_eq!(source.total_frames(), 6);
         assert_eq!(drain(&mut source), vec![0.0, 1.0, 0.0, 1.0, 0.0, 1.0]);
         let mut empty = ReplaySource::looped(counting_video(2), 0);
         assert!(empty.next_frame().unwrap().is_none());
-        assert_eq!(source.video().num_frames(), 2);
     }
 
     #[test]
@@ -230,8 +205,6 @@ mod tests {
         let mut a = SyntheticSource::new(config.clone(), 2);
         let mut b = SyntheticSource::new(config, 2);
         assert_eq!(a.frame_shape(), [8, 8]);
-        assert_eq!(a.segment_frames(), 4);
-        assert_eq!(a.segments(), 2);
         let mut frames = 0;
         while let Some(frame) = a.next_frame().unwrap() {
             let again = b.next_frame().unwrap().expect("same length");

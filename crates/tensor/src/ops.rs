@@ -163,14 +163,6 @@ impl Tensor {
             .fold(f32::NEG_INFINITY, f32::max)
     }
 
-    /// Minimum element (`f32::INFINITY` for an empty tensor).
-    pub fn min(&self) -> f32 {
-        self.as_slice()
-            .iter()
-            .copied()
-            .fold(f32::INFINITY, f32::min)
-    }
-
     /// Population variance of all elements.
     pub fn variance(&self) -> f32 {
         if self.is_empty() {
@@ -896,7 +888,6 @@ mod tests {
         assert_eq!(t.sum(), 10.0);
         assert_eq!(t.mean(), 2.5);
         assert_eq!(t.max(), 4.0);
-        assert_eq!(t.min(), 1.0);
         assert!((t.variance() - 1.25).abs() < 1e-6);
     }
 

@@ -746,16 +746,6 @@ impl Tensor {
         self.map(|x| -x)
     }
 
-    /// Elementwise exponential, via [`crate::math::exp`].
-    pub fn exp(&self) -> Self {
-        self.map(crate::math::exp)
-    }
-
-    /// Elementwise natural logarithm.
-    pub fn ln(&self) -> Self {
-        self.map(f32::ln)
-    }
-
     /// Elementwise square root.
     pub fn sqrt(&self) -> Self {
         self.map(f32::sqrt)
@@ -769,11 +759,6 @@ impl Tensor {
     /// Elementwise clamp into `[lo, hi]`.
     pub fn clamp(&self, lo: f32, hi: f32) -> Self {
         self.map(|x| x.clamp(lo, hi))
-    }
-
-    /// Elementwise integer power.
-    pub fn powi(&self, n: i32) -> Self {
-        self.map(|x| x.powi(n))
     }
 
     /// Returns `true` when every element differs from `other` by at most
@@ -1125,7 +1110,6 @@ mod tests {
         assert_eq!(t.scale(2.0).as_slice(), &[-2.0, 8.0]);
         assert_eq!(t.add_scalar(1.0).as_slice(), &[0.0, 5.0]);
         assert_eq!(t.clamp(0.0, 2.0).as_slice(), &[0.0, 2.0]);
-        assert_eq!(t.powi(2).as_slice(), &[1.0, 16.0]);
         assert!((t.abs().sqrt().as_slice()[1] - 2.0).abs() < 1e-6);
     }
 

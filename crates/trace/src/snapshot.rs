@@ -40,11 +40,6 @@ impl TraceSnapshot {
         self.records.is_empty()
     }
 
-    /// The records belonging to one trace, in snapshot order.
-    pub fn trace(&self, trace_id: u64) -> impl Iterator<Item = &SpanRecord> {
-        self.records.iter().filter(move |r| r.trace_id == trace_id)
-    }
-
     /// Every distinct non-background trace id, in first-seen order.
     pub fn trace_ids(&self) -> Vec<u64> {
         let mut ids = Vec::new();

@@ -569,13 +569,6 @@ impl DetachedSpan {
         self.state.as_ref().map(|s| s.ctx).unwrap_or_default()
     }
 
-    /// Attach a key/value argument (no-op when disabled).
-    pub fn arg(&mut self, key: &'static str, value: impl Into<ArgValue>) {
-        if let Some(state) = &mut self.state {
-            state.args.push((key, value.into()));
-        }
-    }
-
     /// Close the span now. Equivalent to dropping it; spelled out so
     /// call sites show *where* the interval ends.
     pub fn finish(self) {}

@@ -52,14 +52,6 @@ impl ActionClass {
         ALL_CLASSES[i % ALL_CLASSES.len()]
     }
 
-    /// The stable index of this class.
-    pub fn index(self) -> usize {
-        ALL_CLASSES
-            .iter()
-            .position(|&c| c == self)
-            .expect("every class is in ALL_CLASSES")
-    }
-
     /// Sprite state at normalized time `tau in [0, 1]`:
     /// `(dx, dy, size_scale, intensity_scale)` relative to the sprite's
     /// base position/size, with motion amplitude `amp` in pixels.
@@ -114,7 +106,6 @@ mod tests {
     #[test]
     fn index_round_trips() {
         for (i, &c) in ALL_CLASSES.iter().enumerate() {
-            assert_eq!(c.index(), i);
             assert_eq!(ActionClass::from_index(i), c);
         }
         assert_eq!(ActionClass::from_index(10), ALL_CLASSES[0]);
