@@ -59,43 +59,6 @@ impl Graph {
         }))
     }
 
-    /// Elementwise quotient with broadcasting.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::add`].
-    pub fn div(&mut self, a: Var, b: Var) -> Result<Var> {
-        self.check(a)?;
-        self.check(b)?;
-        let value = self.zip_values(a, b, |x, y| x / y)?;
-        Ok(self.push_op(value, &[a, b], |g, parents| {
-            let da = g.div(parents[1]).expect("same broadcast as forward");
-            // db = -g * a / b^2
-            let b2 = parents[1].mul(parents[1]).expect("same shape");
-            let db = g
-                .mul(parents[0])
-                .expect("same broadcast as forward")
-                .div(&b2)
-                .expect("same broadcast as forward")
-                .neg();
-            vec![
-                reduce_to_shape(&da, parents[0].shape()),
-                reduce_to_shape(&db, parents[1].shape()),
-            ]
-        }))
-    }
-
-    /// Elementwise negation.
-    ///
-    /// # Errors
-    ///
-    /// Fails for a foreign handle.
-    pub fn neg(&mut self, a: Var) -> Result<Var> {
-        self.check(a)?;
-        let value = self.map_value(a, |x| -x);
-        Ok(self.push_op(value, &[a], |g, _| vec![g.neg()]))
-    }
-
     /// Multiplies every element by the constant `s`.
     ///
     /// # Errors
@@ -128,31 +91,6 @@ impl Graph {
         let value = self.map_value(a, |x| x.powf(p));
         Ok(self.push_op(value, &[a], move |g, parents| {
             let d = parents[0].map(|x| p * x.powf(p - 1.0));
-            vec![g.mul(&d).expect("same shape")]
-        }))
-    }
-
-    /// Elementwise exponential ([`math::exp`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails for a foreign handle.
-    pub fn exp(&mut self, a: Var) -> Result<Var> {
-        self.check(a)?;
-        let value = self.map_value(a, math::exp);
-        Ok(self.push_op_keeping_output(value, a, |g, out| g.mul(out).expect("same shape")))
-    }
-
-    /// Elementwise natural logarithm.
-    ///
-    /// # Errors
-    ///
-    /// Fails for a foreign handle.
-    pub fn ln(&mut self, a: Var) -> Result<Var> {
-        self.check(a)?;
-        let value = self.map_value(a, f32::ln);
-        Ok(self.push_op(value, &[a], |g, parents| {
-            let d = parents[0].map(|x| 1.0 / x);
             vec![g.mul(&d).expect("same shape")]
         }))
     }
@@ -254,23 +192,12 @@ mod tests {
     }
 
     #[test]
-    fn div_matches_numeric_gradient() {
-        let x = Tensor::from_vec(vec![1.0, 2.0, -3.0, 0.5], &[2, 2]).unwrap();
-        let y = Tensor::from_vec(vec![2.0, 4.0, 1.5, -2.0], &[2, 2]).unwrap();
-        check_gradients(&[x, y], |g, vars| {
-            let d = g.div(vars[0], vars[1])?;
-            g.sum(d)
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn sub_and_neg_numeric() {
         let x = Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap();
         let y = Tensor::from_vec(vec![0.5, 3.0], &[2]).unwrap();
         check_gradients(&[x, y], |g, vars| {
             let d = g.sub(vars[0], vars[1])?;
-            let n = g.neg(d)?;
+            let n = g.scale(d, -1.0)?;
             g.sum(n)
         })
         .unwrap();
@@ -288,21 +215,6 @@ mod tests {
         check_gradients(&[x.map(f32::abs).add_scalar(0.5)], |g, vars| {
             let p = g.powf(vars[0], 1.7)?;
             g.sum(p)
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn exp_ln_numeric() {
-        let x = Tensor::from_vec(vec![0.5, 1.5, 2.5], &[3]).unwrap();
-        check_gradients(std::slice::from_ref(&x), |g, vars| {
-            let e = g.exp(vars[0])?;
-            g.sum(e)
-        })
-        .unwrap();
-        check_gradients(&[x], |g, vars| {
-            let l = g.ln(vars[0])?;
-            g.sum(l)
         })
         .unwrap();
     }

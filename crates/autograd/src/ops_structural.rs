@@ -1,5 +1,5 @@
-//! Structural operations: concatenation, slicing, gathering, patch
-//! extraction and tile repetition.
+//! Structural operations: concatenation, gathering, patch extraction
+//! and tile repetition.
 //!
 //! These give the coded-exposure codec and the ViT models their
 //! data-movement primitives while keeping gradients exact (every move is a
@@ -32,35 +32,6 @@ impl Graph {
                 start += e;
             }
             grads
-        }))
-    }
-
-    /// Slices `[start, end)` along `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a bad axis or range.
-    pub fn slice_axis(&mut self, a: Var, axis: usize, start: usize, end: usize) -> Result<Var> {
-        self.check(a)?;
-        let value = self.value(a).slice_axis(axis, start, end)?;
-        Ok(self.push_op(value, &[a], move |g, parents| {
-            // Scatter the slice gradient back into a zero tensor.
-            let src_shape = parents[0].shape();
-            let mut out = Tensor::zeros(src_shape);
-            let outer: usize = src_shape[..axis].iter().product();
-            let mid = src_shape[axis];
-            let inner: usize = src_shape[axis + 1..].iter().product();
-            let gs = g.as_slice();
-            let os = out.as_mut_slice();
-            let width = end - start;
-            for o in 0..outer {
-                for m in 0..width {
-                    let src_base = (o * width + m) * inner;
-                    let dst_base = (o * mid + start + m) * inner;
-                    os[dst_base..dst_base + inner].copy_from_slice(&gs[src_base..src_base + inner]);
-                }
-            }
-            vec![out]
         }))
     }
 
@@ -204,18 +175,6 @@ mod tests {
             let c = g.concat(&[vars[0], vars[1]], 1)?;
             let s = g.mul(c, c)?;
             g.sum(s)
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn slice_numeric() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let a = Tensor::rand_uniform(&mut rng, &[3, 5], -1.0, 1.0);
-        check_gradients(&[a], |g, vars| {
-            let s = g.slice_axis(vars[0], 1, 1, 4)?;
-            let q = g.mul(s, s)?;
-            g.sum(q)
         })
         .unwrap();
     }

@@ -16,8 +16,8 @@
 /// The ledger invariant, checked by [`check_conserved`](Self::check_conserved):
 ///
 /// ```text
-/// level == initial + harvested - spent        (harvested excludes waste)
-/// spent <= initial + harvested
+/// level == capacity + harvested - spent       (harvested excludes waste)
+/// spent <= capacity + harvested
 /// ```
 ///
 /// Harvest beyond `capacity` is *wasted* (a full battery cannot absorb
@@ -40,7 +40,6 @@
 pub struct EnergyBudget {
     capacity_pj: f64,
     level_pj: f64,
-    initial_pj: f64,
     harvest_pj_per_s: f64,
     spent_pj: f64,
     harvested_pj: f64,
@@ -59,7 +58,6 @@ impl EnergyBudget {
         EnergyBudget {
             capacity_pj: capacity,
             level_pj: capacity,
-            initial_pj: capacity,
             harvest_pj_per_s: 0.0,
             spent_pj: 0.0,
             harvested_pj: 0.0,
@@ -96,11 +94,6 @@ impl EnergyBudget {
     /// Current level in pJ.
     pub fn level_pj(&self) -> f64 {
         self.level_pj
-    }
-
-    /// The level the ledger started from.
-    pub fn initial_pj(&self) -> f64 {
-        self.initial_pj
     }
 
     /// Total energy spent so far.
@@ -159,23 +152,22 @@ impl EnergyBudget {
         true
     }
 
-    /// Audits the ledger: `level == initial + harvested - spent` (to a
+    /// Audits the ledger: `level == capacity + harvested - spent` (to a
     /// relative 1e-9, covering float accumulation) and
-    /// `spent <= initial + harvested`. Unbounded budgets are trivially
-    /// conserved.
+    /// `spent <= capacity + harvested`; every budget starts full. Unbounded
+    /// budgets are trivially conserved.
     pub fn check_conserved(&self) -> bool {
         if !self.capacity_pj.is_finite() {
             return true;
         }
-        let expected = self.initial_pj + self.harvested_pj - self.spent_pj;
+        let expected = self.capacity_pj + self.harvested_pj - self.spent_pj;
         let scale = self
-            .initial_pj
-            .abs()
+            .capacity_pj
             .max(self.harvested_pj)
             .max(self.spent_pj)
             .max(1.0);
         (self.level_pj - expected).abs() <= 1e-9 * scale
-            && self.spent_pj <= self.initial_pj + self.harvested_pj + 1e-9 * scale
+            && self.spent_pj <= self.capacity_pj + self.harvested_pj + 1e-9 * scale
     }
 }
 
@@ -245,7 +237,6 @@ mod tests {
         let mut z = EnergyBudget::new(0.0);
         assert_eq!(z.fraction(), 1.0, "zero-capacity budgets report full");
         assert_eq!(z.harvest_for(1.0), 0.0);
-        assert_eq!(z.initial_pj(), 0.0);
     }
 
     #[test]

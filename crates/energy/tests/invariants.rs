@@ -85,7 +85,7 @@ proptest! {
             prop_assert!(b.level_pj() >= 0.0 && b.level_pj() <= b.capacity_pj());
         }
         prop_assert!(b.check_conserved());
-        prop_assert!(b.spent_pj() <= b.initial_pj() + b.harvested_pj() + 1e-9 * capacity.max(1.0));
+        prop_assert!(b.spent_pj() <= b.capacity_pj() + b.harvested_pj() + 1e-9 * capacity.max(1.0));
     }
 }
 

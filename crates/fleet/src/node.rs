@@ -365,7 +365,6 @@ impl<'a> Node<'a> {
     /// (which [`FleetSim::run`](crate::FleetSim::run) merges across
     /// nodes).
     pub(crate) fn finish(self) -> (NodeStats, Vec<Event>, Vec<TraceEvent>) {
-        let budget = &self.config.budget;
         let stats = NodeStats {
             frames: self.assembler.frames_in() as u64,
             windows: self.assembler.windows_out() as u64,
@@ -376,12 +375,7 @@ impl<'a> Node<'a> {
             events: self.events.len() as u64,
             rung_changes: self.rung_changes,
             final_rung: self.rung,
-            spent_pj: budget.spent_pj(),
-            harvested_pj: budget.harvested_pj(),
-            wasted_pj: budget.wasted_pj(),
-            level_pj: budget.level_pj(),
-            initial_pj: budget.initial_pj(),
-            capacity_pj: budget.capacity_pj(),
+            budget: self.config.budget,
             first_sleep_us: self.first_sleep_us,
             end_us: self.end_us,
         };

@@ -422,14 +422,14 @@ impl FleetReport {
                     "Energy the node spent over the most recent run, pJ.",
                     labels,
                 )
-                .set(node.stats.spent_pj);
+                .set(node.stats.budget.spent_pj());
             registry
                 .gauge_with(
                     "snappix_fleet_energy_level_picojoules",
                     "The node's budget level at the end of the most recent run, pJ.",
                     labels,
                 )
-                .set(node.stats.level_pj);
+                .set(node.stats.budget.level_pj());
         }
         registry
             .gauge("snappix_fleet_nodes", "Nodes in the most recent run.")

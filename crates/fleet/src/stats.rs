@@ -8,6 +8,7 @@
 //! stats, not inside them.
 
 use crate::DutyRung;
+use snappix_energy::EnergyBudget;
 use std::fmt;
 
 /// One node's complete accounting at the end of a run.
@@ -15,8 +16,8 @@ use std::fmt;
 /// The window ledger is conserved: every window the assembler emitted is
 /// counted exactly once across `inferred + shed + expired + slept`
 /// (checked by [`check_conserved`](Self::check_conserved)). The energy
-/// ledger mirrors [`EnergyBudget`](snappix_energy::EnergyBudget):
-/// `level == initial + harvested - spent` for finite capacities.
+/// ledger is the node's own [`EnergyBudget`], audited by
+/// [`EnergyBudget::check_conserved`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeStats {
     /// Frames pulled from the node's source.
@@ -38,18 +39,9 @@ pub struct NodeStats {
     pub rung_changes: u64,
     /// The rung the node ended the run on.
     pub final_rung: DutyRung,
-    /// Total energy spent, pJ.
-    pub spent_pj: f64,
-    /// Total harvest absorbed, pJ.
-    pub harvested_pj: f64,
-    /// Harvest lost to a full battery, pJ.
-    pub wasted_pj: f64,
-    /// Budget level at the end of the run, pJ.
-    pub level_pj: f64,
-    /// Budget level at the start of the run, pJ.
-    pub initial_pj: f64,
-    /// Budget capacity, pJ (infinite for unbounded).
-    pub capacity_pj: f64,
+    /// The node's energy budget as the run left it: spent, harvested
+    /// and wasted totals, the final level and the capacity.
+    pub budget: EnergyBudget,
     /// Virtual time the node first hit [`DutyRung::Sleep`], if ever —
     /// the node's survival time for the fleet's survival curve.
     pub first_sleep_us: Option<u64>,
@@ -59,35 +51,11 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    /// Average energy per inferred window, pJ. Infinite when energy was
-    /// spent but nothing was inferred; 0 when nothing was spent.
-    pub fn energy_per_inference_pj(&self) -> f64 {
-        if self.inferred > 0 {
-            self.spent_pj / self.inferred as f64
-        } else if self.spent_pj > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        }
-    }
-
-    /// Audits both ledgers: every window accounted once, and (for
-    /// finite capacities) energy conserved to float tolerance.
+    /// Audits both ledgers: every window accounted once, and the
+    /// budget's energy conserved ([`EnergyBudget::check_conserved`]).
     pub fn check_conserved(&self) -> bool {
-        let windows_ok = self.inferred + self.shed + self.expired + self.slept == self.windows;
-        if !self.capacity_pj.is_finite() {
-            return windows_ok;
-        }
-        let expected = self.initial_pj + self.harvested_pj - self.spent_pj;
-        let scale = self
-            .initial_pj
-            .abs()
-            .max(self.harvested_pj)
-            .max(self.spent_pj)
-            .max(1.0);
-        windows_ok
-            && (self.level_pj - expected).abs() <= 1e-9 * scale
-            && self.spent_pj <= self.initial_pj + self.harvested_pj + 1e-9 * scale
+        self.inferred + self.shed + self.expired + self.slept == self.windows
+            && self.budget.check_conserved()
     }
 }
 
@@ -106,13 +74,14 @@ impl fmt::Display for NodeStats {
             self.events,
             self.rung_changes,
             self.final_rung,
-            self.spent_pj,
+            self.budget.spent_pj(),
         )?;
-        if self.capacity_pj.is_finite() {
+        if self.budget.capacity_pj().is_finite() {
             write!(
                 f,
                 ", budget {:.0}/{:.0} pJ",
-                self.level_pj, self.capacity_pj
+                self.budget.level_pj(),
+                self.budget.capacity_pj()
             )?;
         }
         if let Some(t) = self.first_sleep_us {
@@ -145,11 +114,11 @@ pub struct FleetStats {
     pub events: u64,
     /// Sum of [`NodeStats::rung_changes`].
     pub rung_changes: u64,
-    /// Sum of [`NodeStats::spent_pj`].
+    /// Sum of each node's [`EnergyBudget::spent_pj`].
     pub spent_pj: f64,
-    /// Sum of [`NodeStats::harvested_pj`].
+    /// Sum of each node's [`EnergyBudget::harvested_pj`].
     pub harvested_pj: f64,
-    /// Sum of [`NodeStats::wasted_pj`].
+    /// Sum of each node's [`EnergyBudget::wasted_pj`].
     pub wasted_pj: f64,
     /// The run's virtual duration: the latest [`NodeStats::end_us`].
     pub virtual_us: u64,
@@ -184,16 +153,17 @@ impl FleetStats {
             agg.slept += n.slept;
             agg.events += n.events;
             agg.rung_changes += n.rung_changes;
-            agg.spent_pj += n.spent_pj;
-            agg.harvested_pj += n.harvested_pj;
-            agg.wasted_pj += n.wasted_pj;
+            agg.spent_pj += n.budget.spent_pj();
+            agg.harvested_pj += n.budget.harvested_pj();
+            agg.wasted_pj += n.budget.wasted_pj();
             agg.virtual_us = agg.virtual_us.max(n.end_us);
         }
         agg
     }
 
-    /// Fleet-wide average energy per inferred window, pJ (same edge
-    /// cases as [`NodeStats::energy_per_inference_pj`]).
+    /// Fleet-wide average energy per inferred window, pJ. Infinite when
+    /// energy was spent but nothing was inferred; 0 when nothing was
+    /// spent.
     pub fn energy_per_inference_pj(&self) -> f64 {
         if self.inferred > 0 {
             self.spent_pj / self.inferred as f64
@@ -249,6 +219,8 @@ mod tests {
     use super::*;
 
     fn node(windows: u64, inferred: u64, slept: u64, spent: f64) -> NodeStats {
+        let mut budget = EnergyBudget::new(1000.0);
+        assert!(budget.try_spend(spent));
         NodeStats {
             frames: windows * 4,
             windows,
@@ -259,12 +231,7 @@ mod tests {
             events: 1,
             rung_changes: 2,
             final_rung: DutyRung::Full,
-            spent_pj: spent,
-            harvested_pj: 0.0,
-            wasted_pj: 0.0,
-            level_pj: 1000.0 - spent,
-            initial_pj: 1000.0,
-            capacity_pj: 1000.0,
+            budget,
             first_sleep_us: None,
             end_us: 2_000_000,
         }
@@ -293,22 +260,18 @@ mod tests {
         let mut bad_windows = good.clone();
         bad_windows.slept = 1;
         assert!(!bad_windows.check_conserved());
-        let mut bad_energy = good.clone();
-        bad_energy.level_pj = 999.0;
-        assert!(!bad_energy.check_conserved());
         // Unbounded budgets only audit the window ledger.
         let mut unbounded = good;
-        unbounded.capacity_pj = f64::INFINITY;
-        unbounded.level_pj = f64::INFINITY;
+        unbounded.budget = EnergyBudget::unbounded();
         assert!(unbounded.check_conserved());
     }
 
     #[test]
     fn energy_per_inference_edge_cases() {
-        let mut n = node(4, 0, 4, 0.0);
-        assert_eq!(n.energy_per_inference_pj(), 0.0);
-        n.spent_pj = 5.0;
-        assert_eq!(n.energy_per_inference_pj(), f64::INFINITY);
+        let idle = FleetStats::aggregate([&node(4, 0, 4, 0.0)]);
+        assert_eq!(idle.energy_per_inference_pj(), 0.0);
+        let wasted = FleetStats::aggregate([&node(4, 0, 4, 5.0)]);
+        assert_eq!(wasted.energy_per_inference_pj(), f64::INFINITY);
         let empty = FleetStats::aggregate(std::iter::empty());
         assert_eq!(empty.inferred_per_virtual_sec(), 0.0);
         assert!(empty.check_conserved());

@@ -116,10 +116,17 @@ pub(crate) fn read_request<R: BufRead>(
     if find("transfer-encoding").is_some() {
         return Err(malformed(501, "chunked bodies are not supported".into()));
     }
-    let content_length = match find("content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| malformed(400, format!("bad content-length {v:?}")))?,
+    // RFC 9112 §6.3: a length with anything but digits, or duplicate
+    // lengths that differ, leave the body's framing unknown.
+    let mut lengths = headers
+        .iter()
+        .filter(|(n, _)| n == "content-length")
+        .map(|(_, v)| v.as_str());
+    let content_length = match lengths.next() {
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) && lengths.all(|other| other == v) => n,
+            _ => return Err(malformed(400, format!("bad content-length {v:?}"))),
+        },
         None if method == "POST" => {
             return Err(malformed(411, "POST requires content-length".into()));
         }
@@ -474,7 +481,7 @@ mod tests {
 
     #[test]
     fn malformed_requests_map_to_the_right_statuses() {
-        let cases: [(&[u8], u16); 6] = [
+        let cases: [(&[u8], u16); 8] = [
             (b"NONSENSE\r\n\r\n", 400),
             (b"GET / HTTP/2\r\n\r\n", 505),
             (b"POST / HTTP/1.1\r\n\r\n", 411),
@@ -484,6 +491,13 @@ mod tests {
                 501,
             ),
             (b"GET / HTTP/1.1\r\nno-colon\r\n\r\n", 400),
+            // Ambiguous framing (RFC 9112 6.3): a signed length, and
+            // duplicate lengths that differ.
+            (b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\n", 400),
+            (
+                b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 9\r\n\r\nabcd",
+                400,
+            ),
         ];
         for (raw, expected) in cases {
             match parse(raw, 8) {

@@ -163,36 +163,6 @@ impl HistCore {
         }
     }
 
-    /// Folds `other`'s buckets into `self`. Panics when the two
-    /// histograms were built with different sub-bucket bits — their
-    /// bucket axes are incompatible.
-    pub(crate) fn merge_from(&self, other: &HistCore) {
-        assert_eq!(
-            self.bits, other.bits,
-            "cannot merge histograms with different sub-bucket bits"
-        );
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n != 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        if let (Some(mine), Some(theirs)) = (&self.exemplars, &other.exemplars) {
-            for (m, t) in mine.iter().zip(theirs.iter()) {
-                let id = t.load(Ordering::Relaxed);
-                if id != 0 {
-                    m.store(id, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
         for (i, cell) in self.buckets.iter().enumerate() {
@@ -447,27 +417,10 @@ mod tests {
     }
 
     #[test]
-    fn core_merge_matches_snapshot_merge() {
-        let a = HistCore::new(HistogramOpts::default());
-        let b = HistCore::new(HistogramOpts::default());
-        for v in [1u64, 5, 70, 900, 12_345] {
-            a.record(v, 0);
-        }
-        for v in [2u64, 70, 1_000_000] {
-            b.record(v, 0);
-        }
-        let merged_snap = a.snapshot().merge(&b.snapshot());
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), merged_snap);
-        assert_eq!(merged_snap.count, 8);
-        assert_eq!(merged_snap.sum, 13_321 + 1_000_000 + 72);
-    }
-
-    #[test]
     #[should_panic(expected = "different sub-bucket bits")]
     fn merging_mismatched_bits_panics() {
         let a = HistCore::new(HistogramOpts::default().with_sub_bucket_bits(4));
         let b = HistCore::new(HistogramOpts::default().with_sub_bucket_bits(5));
-        a.merge_from(&b);
+        let _ = a.snapshot().merge(&b.snapshot());
     }
 }

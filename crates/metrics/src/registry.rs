@@ -356,8 +356,8 @@ pub struct Histogram {
 
 impl Histogram {
     /// A standalone histogram not attached to any registry — for local
-    /// aggregation that is later folded into a registered one with
-    /// [`merge_from`](Self::merge_from).
+    /// aggregation whose snapshot is later merged with a registered
+    /// one's ([`HistogramSnapshot::merge`]).
     pub fn standalone(opts: HistogramOpts) -> Self {
         Histogram {
             core: Some(Arc::new(HistCore::new(opts))),
@@ -375,16 +375,6 @@ impl Histogram {
     pub fn record_with_trace(&self, value: u64, trace_id: u64) {
         if let Some(core) = &self.core {
             core.record(value, trace_id);
-        }
-    }
-
-    /// Folds `other`'s samples into this histogram — how per-worker or
-    /// per-replica local histograms merge into one export. Loss-free:
-    /// counts, sums, and bucket contents add exactly. Panics on
-    /// mismatched sub-bucket bits; no-ops when either side is disabled.
-    pub fn merge_from(&self, other: &Histogram) {
-        if let (Some(mine), Some(theirs)) = (&self.core, &other.core) {
-            mine.merge_from(theirs);
         }
     }
 
@@ -466,8 +456,7 @@ mod tests {
         local.record(100);
         local.record(200);
         shared.record(50);
-        shared.merge_from(&local);
-        let snap = shared.snapshot();
+        let snap = shared.snapshot().merge(&local.snapshot());
         assert_eq!(snap.count, 3);
         assert_eq!(snap.sum, 350);
     }

@@ -391,11 +391,6 @@ impl VideoVit {
         })
     }
 
-    /// Number of tubelet tokens this model processes per clip.
-    pub fn num_tokens(&self) -> usize {
-        (self.slots / self.t_patch) * (self.height / self.patch) * (self.width / self.patch)
-    }
-
     /// Cuts a `[batch, t, h, w]` clip into `[batch, tokens, tubelet]`
     /// pixels (plain tensor op; the clip is a non-learnable input).
     fn tubelets(&self, videos: &Tensor) -> Result<Tensor> {
@@ -645,7 +640,7 @@ mod tests {
     fn video_vit_shapes_and_token_count() {
         let m = VideoVit::new(T, HW, HW, 5).unwrap();
         // 8/4 x 16/8 x 16/8 = 2 x 2 x 2 = 8 tokens.
-        assert_eq!(m.num_tokens(), 8);
+        assert_eq!(m.tubelets(&clip(3)).unwrap().shape()[1], 8);
         let mut sess = Session::inference(m.store());
         let logits = m.build_logits(&mut sess, &clip(3)).unwrap();
         assert_eq!(sess.graph.value(logits).shape(), &[3, 5]);
@@ -658,7 +653,11 @@ mod tests {
         // t_patch-fold more tokens than a coded-image ViT at equal patch.
         let m = VideoVit::new(16, 32, 32, 10).unwrap();
         let snappix_tokens = (32 / 8) * (32 / 8);
-        assert!(m.num_tokens() > snappix_tokens);
+        let tokens = m
+            .tubelets(&Tensor::zeros(&[1, 16, 32, 32]))
+            .unwrap()
+            .shape()[1];
+        assert!(tokens > snappix_tokens);
     }
 
     #[test]

@@ -288,18 +288,9 @@ impl SessionPool {
         Self::default()
     }
 
-    /// Opens a training session against `store`, reusing pooled buffers.
-    pub fn training<'s>(&mut self, store: &'s ParamStore) -> Session<'s> {
-        self.open(store, true)
-    }
-
     /// Opens an inference session against `store`, reusing pooled
     /// buffers.
     pub fn inference<'s>(&mut self, store: &'s ParamStore) -> Session<'s> {
-        self.open(store, false)
-    }
-
-    fn open<'s>(&mut self, store: &'s ParamStore, train: bool) -> Session<'s> {
         // `reclaim` reset the graph; a fresh pool's graph is empty.
         let graph = std::mem::take(&mut self.graph);
         let mut bindings = std::mem::take(&mut self.bindings);
@@ -309,7 +300,7 @@ impl SessionPool {
             graph,
             store,
             bindings,
-            train,
+            train: false,
         }
     }
 
@@ -389,20 +380,19 @@ mod tests {
         let id = store.register("w", Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap());
         let mut pool = SessionPool::new();
         for _ in 0..3 {
-            let mut pooled = pool.training(&store);
-            let mut fresh = Session::new(&store);
+            let mut pooled = pool.inference(&store);
+            let mut fresh = Session::inference(&store);
             let (wp, wf) = (pooled.param(id), fresh.param(id));
             let (sp, sf) = (
                 pooled.graph.mul(wp, wp).unwrap(),
                 fresh.graph.mul(wf, wf).unwrap(),
             );
             let (lp, lf) = (pooled.graph.sum(sp).unwrap(), fresh.graph.sum(sf).unwrap());
-            let gp = pooled.backward(lp).unwrap();
-            let gf = fresh.backward(lf).unwrap();
             assert_eq!(
-                gp.get(id).unwrap().as_slice(),
-                gf.get(id).unwrap().as_slice()
+                pooled.graph.value(lp).as_slice(),
+                fresh.graph.value(lf).as_slice()
             );
+            assert_eq!(pooled.train, fresh.train);
             pool.reclaim(pooled);
         }
     }

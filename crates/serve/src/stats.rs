@@ -759,7 +759,7 @@ mod tests {
         assert_eq!((s.batch_size.count, s.batch_size.sum), (0, 0));
         assert_eq!(s.queue_latency, LatencySummary::default());
         assert_eq!(s.compute_latency, LatencySummary::default());
-        assert!(s.profile.is_empty());
+        assert_eq!(s.profile, PipelineProfile::default());
         // What the server reads from itself stays live.
         assert_eq!(s.queue_depth, 3);
         assert_eq!(s.resident_weight_bytes, 512);

@@ -80,10 +80,9 @@ impl StageProfile {
 /// backend), `forward` (the model pass), `readout` (argmax over
 /// logits).
 ///
-/// Read it with [`Pipeline::profile`], or drain deltas with
-/// [`Pipeline::take_profile`] — the serving layer does the latter after
-/// every batch so `ServerStats` aggregates stage time across worker
-/// replicas.
+/// Drain it with [`Pipeline::take_profile`]; the serving layer does so
+/// after every batch so `ServerStats` aggregates stage time across
+/// worker replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineProfile {
     /// The sensing/coding stage (`Sense::sense_batch`).
@@ -107,11 +106,6 @@ impl PipelineProfile {
         self.readout.merge(&other.readout);
         self.batches += other.batches;
         self.clips += other.clips;
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self == &PipelineProfile::default()
     }
 }
 
@@ -544,12 +538,6 @@ where
     /// (disabled unless [`PipelineBuilder::with_tracer`] attached one).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Cumulative per-stage timing since the pipeline was built (or
-    /// since the last [`take_profile`](Self::take_profile)).
-    pub fn profile(&self) -> &PipelineProfile {
-        &self.profile
     }
 
     /// Drains the profile: returns everything accumulated since the
@@ -1059,11 +1047,11 @@ mod tests {
             .build()
             .unwrap();
         assert!(p.tracer().is_enabled());
-        assert!(p.profile().is_empty());
+        assert_eq!(p.take_profile(), PipelineProfile::default());
 
         let out = p.infer(&clips(3)).unwrap();
         assert_eq!(out.len(), 3);
-        let profile = p.profile();
+        let profile = p.take_profile();
         assert_eq!(profile.batches, 1);
         assert_eq!(profile.clips, 3);
         for (name, stage) in [
@@ -1105,9 +1093,9 @@ mod tests {
 
         // take_profile drains.
         let taken = p.take_profile();
-        assert_eq!(taken.batches, 2);
-        assert!(p.profile().is_empty());
-        assert!(format!("{taken}").contains("2 batches"));
+        assert_eq!(taken.batches, 1);
+        assert_eq!(p.take_profile(), PipelineProfile::default());
+        assert!(format!("{taken}").contains("2 clips / 1 batches"));
 
         // Tracing does not perturb results: the same clips through an
         // untraced pipeline match bit for bit.
@@ -1138,7 +1126,7 @@ mod tests {
         for _ in 0..2 {
             p.infer(&clips).unwrap();
         }
-        let profile = p.profile();
+        let profile = p.take_profile();
         assert_eq!(profile.batches, 2);
         assert_eq!(profile.clips, 16);
         assert_eq!(profile.forward.calls, 2, "one forward record per batch");

@@ -117,26 +117,6 @@ impl Tensor {
         }
     }
 
-    /// Inner product of two 1-D tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IncompatibleShapes`] unless both operands are
-    /// 1-D of the same length.
-    pub fn dot(&self, other: &Tensor) -> Result<f32> {
-        if self.rank() != 1 || other.rank() != 1 || self.len() != other.len() {
-            return Err(TensorError::IncompatibleShapes {
-                context: format!("dot of {:?} and {:?}", self.shape(), other.shape()),
-            });
-        }
-        Ok(self
-            .as_slice()
-            .iter()
-            .zip(other.as_slice())
-            .map(|(&a, &b)| a * b)
-            .sum())
-    }
-
     // ------------------------------------------------------------------
     // Reductions
     // ------------------------------------------------------------------
@@ -872,14 +852,6 @@ mod tests {
             let got = with_threads(threads, || lhs.matmul(&rhs).unwrap());
             assert_eq!(got.as_slice(), reference.as_slice(), "{threads} threads");
         }
-    }
-
-    #[test]
-    fn dot_product() {
-        let a = Tensor::arange(3);
-        let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]).unwrap();
-        assert_eq!(a.dot(&b).unwrap(), 17.0);
-        assert!(a.dot(&Tensor::zeros(&[4])).is_err());
     }
 
     #[test]

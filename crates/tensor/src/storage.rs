@@ -1,16 +1,17 @@
 //! Where a tensor's elements live, plus the element-type tag.
 //!
 //! Every [`Tensor`](crate::Tensor) is a window over an [`Arc`]-backed
-//! buffer, a [`SharedBuffer`]. Clones and shape-only ops (`reshape`,
-//! `flatten`, `unsqueeze`, `squeeze`) share that buffer: they bump a
+//! buffer, a [`SharedBuffer`]. Clones, shape-only ops (`reshape`,
+//! `flatten`, `unsqueeze`, `squeeze`) and contiguous slices
+//! (`slice_axis`, `index_axis`) share that buffer: they bump a
 //! reference count instead of copying elements, on any thread. The
 //! first write to a buffer held elsewhere copies the window into a
 //! fresh buffer of its own (copy-on-write), so no tensor ever sees
 //! another's writes. A freshly built tensor is the sole holder of its
-//! whole buffer, so kernels and optimizers write it in place and
-//! `into_vec` moves its `Vec` out, both without a copy. A model
-//! artifact loaded once backs every serving replica the same way:
-//! each weight is a window into the artifact's one payload buffer.
+//! whole buffer, so kernels and optimizers write it in place without a
+//! copy. A model artifact loaded once backs every serving replica the
+//! same way: each weight is a window into the artifact's one payload
+//! buffer.
 
 use std::sync::Arc;
 
@@ -129,6 +130,12 @@ impl Storage {
         &self.buf[self.offset..self.offset + self.len]
     }
 
+    /// The `len` elements from `start` on, as a window over the same
+    /// buffer; the caller has checked that they fit.
+    pub(crate) fn slice(&self, start: usize, len: usize) -> Self {
+        Storage::window(Arc::clone(&self.buf), self.offset + start, len)
+    }
+
     /// The buffer this window lies in.
     pub(crate) fn buffer(&self) -> &SharedBuffer {
         &self.buf
@@ -152,16 +159,6 @@ impl Storage {
             *self = Storage::new(self.as_slice().to_vec());
         }
         Arc::make_mut(&mut self.buf).as_mut_slice()
-    }
-
-    /// The elements as a vector: moved out of a whole buffer held
-    /// nowhere else, copied otherwise.
-    pub(crate) fn into_vec(self) -> Vec<f32> {
-        if self.is_whole() {
-            Arc::unwrap_or_clone(self.buf)
-        } else {
-            self.as_slice().to_vec()
-        }
     }
 }
 
@@ -210,7 +207,6 @@ mod tests {
         let mut part = Storage::window(Arc::new(vec![7.0, 8.0, 9.0]), 1, 2);
         part.make_mut()[0] = 0.0;
         assert_eq!(part.buffer().as_slice(), &[0.0, 9.0]);
-        assert_eq!(part.into_vec(), vec![0.0, 9.0]);
     }
 
     #[test]
@@ -221,9 +217,5 @@ mod tests {
         assert_eq!(s.as_slice().as_ptr(), data);
         let t = s.clone();
         assert!(Arc::ptr_eq(s.buffer(), t.buffer()));
-        // A held clone forces into_vec to copy; the last holder moves.
-        assert_eq!(t.into_vec(), vec![5.0; 8]);
-        let u = s.into_vec();
-        assert_eq!(u.as_ptr(), data);
     }
 }

@@ -241,12 +241,6 @@ impl Tensor {
         self.data.make_mut()
     }
 
-    /// Consumes the tensor and returns its flat element vector: moved
-    /// out of a whole buffer held nowhere else, copied otherwise.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data.into_vec()
-    }
-
     /// Element type of this tensor. Always [`DType::F32`] in memory
     /// today; the tag is the seam where quantized weight paths land.
     pub fn dtype(&self) -> DType {
@@ -534,6 +528,11 @@ impl Tensor {
 
     /// Slices `[start, end)` along `axis`, keeping the axis.
     ///
+    /// When every axis before `axis` has extent 1 the slice is one
+    /// contiguous run, and the result is a window over this tensor's
+    /// buffer (shared like [`Tensor::reshape`]'s); otherwise the
+    /// elements are copied.
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank`, or
@@ -554,6 +553,12 @@ impl Tensor {
         out_shape.as_mut_slice()[axis] = end - start;
         let outer: usize = self.shape[..axis].iter().product();
         let inner: usize = self.shape[axis + 1..].iter().product();
+        if outer == 1 {
+            return Ok(Tensor {
+                data: self.data.slice(start * inner, (end - start) * inner),
+                shape: out_shape,
+            });
+        }
         let src = self.as_slice();
         let mut data = Vec::with_capacity(out_shape.numel());
         for o in 0..outer {
@@ -851,8 +856,35 @@ mod tests {
             assert_eq!(view.as_slice(), &[1.0, 9.0, 0.0, 0.0, 0.0, 0.0]);
             assert_eq!(t.as_slice(), &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         }
-        let moved = t.into_vec();
+        let moved = t.into_unique_buffer().expect("every view is gone");
         assert_eq!(moved.as_ptr(), data);
+    }
+
+    #[test]
+    fn contiguous_slices_share_until_written() {
+        let t = Tensor::arange(12).reshape(&[3, 4]).unwrap();
+        let original = t.clone();
+        let views = [
+            (t.slice_axis(0, 1, 3).unwrap(), 4..12),
+            (t.index_axis(0, 2).unwrap(), 8..12),
+            // Every axis before the cut has extent 1: still one run.
+            (t.unsqueeze(0).unwrap().slice_axis(1, 0, 2).unwrap(), 0..8),
+        ];
+        for (mut view, range) in views {
+            let expected: Vec<f32> = range.map(|v| v as f32).collect();
+            assert!(Arc::ptr_eq(view.shared_buffer(), t.shared_buffer()));
+            assert_eq!(view.as_slice(), expected.as_slice());
+            // A write detaches only the writer.
+            view.as_mut_slice()[0] = -1.0;
+            assert!(!Arc::ptr_eq(view.shared_buffer(), t.shared_buffer()));
+            assert_eq!(view.as_slice()[0], -1.0);
+            assert_eq!(view.as_slice()[1..], expected[1..]);
+            assert_eq!(t, original);
+        }
+        // A cut behind a longer axis is strided, so it is copied.
+        let cols = t.slice_axis(1, 1, 3).unwrap();
+        assert!(!Arc::ptr_eq(cols.shared_buffer(), t.shared_buffer()));
+        assert_eq!(cols.as_slice(), &[1.0, 2.0, 5.0, 6.0, 9.0, 10.0]);
     }
 
     #[test]
@@ -907,7 +939,7 @@ mod tests {
         a2.add_assign(&c).unwrap();
         sa2.add_assign(&sc).unwrap();
         assert_eq!(a2, sa2);
-        assert_eq!(sa.clone().into_vec(), a.clone().into_vec());
+        assert_eq!(sa.as_slice(), a.as_slice());
     }
 
     #[test]

@@ -12,8 +12,7 @@ use crate::record::SpanRecord;
 pub struct TraceSnapshot {
     /// Every record still resident in the rings, merged and sorted.
     pub records: Vec<SpanRecord>,
-    /// Records rotated out of full rings since the tracer was built
-    /// (or last [`cleared`](crate::Tracer::clear)).
+    /// Records rotated out of full rings since the tracer was built.
     pub dropped: u64,
     /// The lanes that have recorded at least one span, sorted by id.
     pub lanes: Vec<LaneInfo>,

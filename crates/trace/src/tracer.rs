@@ -316,19 +316,6 @@ impl Tracer {
             lanes: infos,
         }
     }
-
-    /// Drain every ring (the drop counters too). Benchmarks use this
-    /// between phases so one phase's spans cannot rotate out another's.
-    pub fn clear(&self) {
-        if let Some(inner) = &self.inner {
-            let lanes: Vec<Arc<Lane>> = lock(&inner.lanes).clone();
-            for lane in &lanes {
-                let mut ring = lock(&lane.ring);
-                ring.buf.clear();
-                ring.dropped = 0;
-            }
-        }
-    }
 }
 
 /// The `(trace_id, span_id)` pair children parent themselves to.
@@ -783,22 +770,6 @@ mod tests {
         assert_eq!(starts, sorted);
         starts.dedup();
         assert_eq!(starts.len(), 5);
-    }
-
-    #[test]
-    fn clear_drains_rings_and_drop_counters() {
-        let ticks = Arc::new(Counter::new(0));
-        let tracer = Tracer::builder()
-            .ring_capacity(1)
-            .with_clock(move || ticks.fetch_add(1, Ordering::Relaxed))
-            .build();
-        tracer.span("a");
-        tracer.span("b");
-        assert_eq!(tracer.snapshot().dropped, 1);
-        tracer.clear();
-        let snap = tracer.snapshot();
-        assert!(snap.is_empty());
-        assert_eq!(snap.dropped, 0);
     }
 
     #[test]

@@ -265,18 +265,6 @@ pub struct Batch {
     pub labels: Vec<usize>,
 }
 
-impl Batch {
-    /// Number of clips in the batch.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Returns `true` for an empty batch.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,8 +337,7 @@ mod tests {
         let data = Dataset::new(ucf101_like(4, 8, 8), 3);
         let b = data.batch(2, 4); // wraps: samples 2, 0, 1, 2
         assert_eq!(b.videos.shape(), &[4, 4, 8, 8]);
-        assert_eq!(b.len(), 4);
-        assert!(!b.is_empty());
+        assert_eq!(b.labels.len(), 4);
         assert_eq!(b.labels[0], b.labels[3]);
     }
 

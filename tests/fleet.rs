@@ -205,7 +205,7 @@ fn ledgers_are_conserved_at(nodes: usize) {
         );
         assert_eq!(s.events, node.events.len() as u64);
         windows += s.windows;
-        spent += s.spent_pj;
+        spent += s.budget.spent_pj();
     }
     assert_eq!(report.stats.windows, windows);
     assert!((report.stats.spent_pj - spent).abs() <= 1e-9 * spent.max(1.0));
@@ -390,7 +390,7 @@ fn a_draining_budget_walks_the_ladder_and_harvest_recovers_it() {
         harvesting.inferred > drained.inferred,
         "harvest buys more inferences than a dead battery"
     );
-    assert!(harvesting.harvested_pj > 0.0);
+    assert!(harvesting.budget.harvested_pj() > 0.0);
     assert!(harvesting.check_conserved());
 }
 

@@ -207,6 +207,47 @@ fn answered_requests_are_already_counted() {
     server.shutdown();
 }
 
+/// Every executed batch leaves exactly one sample in each pipeline
+/// stage and one compute-latency sample in the live registry, so the
+/// per-batch families agree with the batch counter: concurrent clients
+/// over two workers, no failures.
+#[test]
+fn a_served_run_records_one_stage_sample_per_executed_batch() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 6;
+    let server = Server::builder(Pipeline::builder(model()))
+        .with_workers(2)
+        .with_batch_policy(BatchPolicy::new(4, Duration::from_millis(1)))
+        .build()
+        .expect("server assembly");
+    let all = clips(CLIENTS * PER_CLIENT);
+    std::thread::scope(|scope| {
+        for chunk in all.chunks(PER_CLIENT) {
+            let server = &server;
+            scope.spawn(move || {
+                for clip in chunk {
+                    server.classify(clip).expect("served");
+                }
+            });
+        }
+    });
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64);
+    assert_eq!(stats.rejected + stats.expired + stats.failed, 0);
+    let profile = stats.profile;
+    assert_eq!(
+        [
+            profile.sense.calls,
+            profile.forward.calls,
+            profile.readout.calls,
+            profile.batches,
+            stats.compute_latency.samples,
+        ],
+        [stats.batches; 5],
+        "one sample per executed batch in every per-batch family"
+    );
+}
+
 /// A client-side `wait_timeout` that expires while the request is
 /// *mid-compute* (claimed off the queue, riding in a running batch) must
 /// return `Ok(None)` and leave the ticket redeemable — a client timing
